@@ -17,15 +17,8 @@ Ranks and torsion are certified per degree by integer echelon forms with
 rightmost pivots (so the lexicographically smallest monomials survive as the
 basis).  The expected rank profile (1, 51, 127+|S2|, 51, 1) is a theorem;
 meeting it is asserted, and a computed mismatch raises VerificationError
-rather than a report with different numbers.
-
-Two-prime mode trades the degree-3 torsion certificate for speed: the rank is
-computed modulo two large primes with matching pivot sets, and every relation
-row is checked to lie in the pivot span modulo both primes.  This certifies
-the rank up to the (negligible, but nonzero) chance that the same rank drop
-happens at both primes, and it certifies no torsion statement in degree 3.
-All other degrees are exact in both modes, and the degree-4 functional used
-for intersection numbers is always exact.
+rather than a report with different numbers.  Torsion-freeness is certified
+in every degree by the local-prime rank check of exactla.smith_from_echelon.
 """
 
 from __future__ import annotations
@@ -38,9 +31,7 @@ from math import comb, gcd
 
 from . import labels
 from .boundarycomplex import build_complex
-from .exactla import IntEchelon, ModpEchelon, smith_from_echelon
-
-TWO_PRIMES = (1000003, 998244353)
+from .exactla import IntEchelon, smith_from_echelon
 
 MAX_DEGREE = 4
 
@@ -340,16 +331,14 @@ def _reduce_row(row, rref):
     return out
 
 
-def _row_stream(basis_vectors, monomials_lower, index, only=None):
+def _row_stream(basis_vectors, monomials_lower, index):
     """Deterministic relation-row stream for one degree: multiplier monomials
     in reverse lexicographic order, lattice-basis generators in order.  Rows
     are ({col: coeff}, id) with id = (monomial position, generator position).
-    `only` restricts to a set of ids (regeneration)."""
+    """
     for mpos in range(len(monomials_lower) - 1, -1, -1):
         m = monomials_lower[mpos]
         for gpos, g in enumerate(basis_vectors):
-            if only is not None and (mpos, gpos) not in only:
-                continue
             row = {}
             for d, c in g.items():
                 col = index.get(_insert_sorted(m, d))
@@ -364,10 +353,9 @@ class DegreeData:
     monomials: tuple
     index: dict
     rank: int
-    torsion: tuple | None
-    rref: dict | None
+    torsion: tuple
+    rref: dict
     basis_cols: tuple
-    prime_ranks: dict | None = None
     runtime_ms: int = 0
 
 
@@ -390,99 +378,6 @@ def _exact_degree(ncols, stream, expected_rank):
     if rref is None:
         rref = ech.rref()
     return ech, rref
-
-
-def _batch_annihilates(rows_cols, rows_vals, rows_ptr, kernel, p):
-    """numpy check that every buffered row is orthogonal to every kernel
-    vector mod p.  Returns indices of failing rows (normally empty)."""
-    import numpy as np
-
-    if not rows_ptr or kernel.shape[0] == 0:
-        return []
-    cols = np.asarray(rows_cols, dtype=np.int64)
-    vals = np.asarray(rows_vals, dtype=np.int64)
-    nrows = len(rows_ptr)
-    row_ids = np.zeros(len(cols), dtype=np.int64)
-    starts = [0] + rows_ptr[:-1]
-    for i, (s, e) in enumerate(zip(starts, rows_ptr)):
-        row_ids[s:e] = i
-    acc = np.zeros((nrows, kernel.shape[0]), dtype=np.int64)
-    contrib = vals[:, None] * kernel[:, cols].T
-    np.add.at(acc, row_ids, contrib)
-    bad = np.nonzero((acc % p).any(axis=1))[0]
-    return bad.tolist()
-
-
-def _modp_degree(ncols, stream_factory, expected_rank, primes):
-    """Two independent mod-p passes for one degree: the first finds a pivot
-    row set and verifies every other row against its kernel; the second
-    re-eliminates exactly the pivot rows and verifies everything else mod the
-    second prime.  Rank and pivot columns must agree."""
-    import numpy as np
-
-    p1, p2 = primes
-    ech1 = ModpEchelon(p1)
-    pivot_ids = []
-    buf_cols, buf_vals, buf_ptr, buf_ids = [], [], [], []
-    for rid, row in stream_factory():
-        if ech1.rank < expected_rank:
-            if ech1.insert(row) is not None:
-                pivot_ids.append(rid)
-            continue
-        for c, v in row.items():
-            buf_cols.append(c)
-            buf_vals.append(v)
-        buf_ptr.append(len(buf_cols))
-        buf_ids.append(rid)
-    if ech1.rank < expected_rank:
-        # stream exhausted below the theorem rank: report what we saw
-        return ech1.rank, sorted(ech1.pivots), pivot_ids
-    k1 = ech1.kernel_basis(ncols)
-    kmat1 = np.zeros((len(k1), ncols), dtype=np.int64)
-    for vi, vec in enumerate(k1):
-        for c, v in vec.items():
-            kmat1[vi, c] = v
-    bad = _batch_annihilates(buf_cols, buf_vals, buf_ptr, kmat1, p1)
-    if bad:
-        # not in the span mod p1: insert for real and recount
-        bad_ids = {buf_ids[i] for i in bad}
-        for rid, row in stream_factory(only=bad_ids):
-            if ech1.insert(row) is not None:
-                pivot_ids.append(rid)
-    # second prime: eliminate only the chosen pivot rows, then verify the rest
-    ech2 = ModpEchelon(p2)
-    chosen = set(pivot_ids)
-    for rid, row in stream_factory(only=chosen):
-        ech2.insert(row)
-    if ech2.rank != ech1.rank or sorted(ech2.pivots) != sorted(ech1.pivots):
-        raise VerificationError(
-            "mod-%d and mod-%d eliminations disagree on the pivot set" % (p1, p2)
-        )
-    k2 = ech2.kernel_basis(ncols)
-    kmat2 = np.zeros((len(k2), ncols), dtype=np.int64)
-    for vi, vec in enumerate(k2):
-        for c, v in vec.items():
-            kmat2[vi, c] = v
-    buf_cols, buf_vals, buf_ptr, buf_ids = [], [], [], []
-    for rid, row in stream_factory():
-        if rid in chosen:
-            continue
-        for c, v in row.items():
-            buf_cols.append(c)
-            buf_vals.append(v)
-        buf_ptr.append(len(buf_cols))
-        buf_ids.append(rid)
-        if len(buf_ptr) >= 20000:
-            bad = _batch_annihilates(buf_cols, buf_vals, buf_ptr, kmat2, p2)
-            if bad:
-                raise VerificationError(
-                    "row outside the pivot span mod %d" % p2
-                )
-            buf_cols, buf_vals, buf_ptr, buf_ids = [], [], [], []
-    bad = _batch_annihilates(buf_cols, buf_vals, buf_ptr, kmat2, p2)
-    if bad:
-        raise VerificationError("row outside the pivot span mod %d" % p2)
-    return ech1.rank, sorted(ech1.pivots), pivot_ids
 
 
 # --------------------------------------------------------------------------
@@ -514,43 +409,13 @@ class GradedQuotientTable:
 
     @property
     def torsion_certified_degrees(self):
-        return tuple(
-            k for k, dd in enumerate(self.degrees) if dd.torsion is not None
-        )
+        """Every degree carries exact invariant factors, in either mode."""
+        return tuple(range(len(self.degrees)))
 
     @property
     def torsion_free(self):
-        """True when every certified degree has all invariant factors 1; the
-        certified set is all degrees in exact mode and skips degree 3 in
-        two-prime mode."""
-        return all(
-            all(d == 1 for d in dd.torsion)
-            for dd in self.degrees
-            if dd.torsion is not None
-        )
-
-    def _ensure_rref(self, k):
-        dd = self.degrees[k]
-        if dd.rref is None:
-            ech, rref = _exact_degree(
-                len(dd.monomials),
-                self._stream_for(k),
-                len(dd.monomials) - _expected_profile(self.config)[k],
-            )
-            if ech.rank != len(dd.monomials) - dd.rank:
-                raise VerificationError(
-                    "exact degree-%d rank %d disagrees with the two-prime rank"
-                    % (k, len(dd.monomials) - ech.rank)
-                )
-            dd.rref = rref
-            dd.torsion = smith_from_echelon(ech).diagonal
-        return dd.rref
-
-    def _stream_for(self, k):
-        lower = self.degrees[k - 1].monomials
-        index = self.degrees[k].index
-        basis = self._lattice_basis
-        return _row_stream(basis, lower, index)
+        """True when every degree has all invariant factors 1."""
+        return all(d == 1 for dd in self.degrees for d in dd.torsion)
 
     def relation_row_stream(self, k, generators="lattice"):
         """All degree-k relation rows as ({col: coeff}, id) pairs; with
@@ -570,12 +435,11 @@ def _expected_profile(cfg):
 
 
 def build_quotient(cfg, mode="two-prime"):
-    """Construct the graded quotient table for a resolution config.
+    """Construct the graded quotient table for a resolution config, with rank
+    and torsion certified exactly over Z in every degree.
 
-    mode "exact" certifies rank and torsion in every degree over Z; the
-    default "two-prime" computes the degree-3 rank modulo two large primes
-    instead (all other degrees stay exact, as does the integration
-    functional used by integrate)."""
+    mode, "exact" or "two-prime", selects no computation: both run the same
+    exact path, and the value is kept as a label for the reports."""
     if mode not in ("exact", "two-prime"):
         raise ValueError("mode must be 'exact' or 'two-prime'")
     t0 = time.monotonic()
@@ -622,37 +486,16 @@ def build_quotient(cfg, mode="two-prime"):
         tk = time.monotonic()
         ncols = len(monomials[k])
         expected_rank = ncols - expected[k]
-        if mode == "two-prime" and k == 3:
-            def factory(only=None, _k=k):
-                return _row_stream(
-                    lattice_basis, monomials[_k - 1], indexes[_k], only=only
-                )
-
-            rank, pivot_cols, _ids = _modp_degree(
-                ncols, factory, expected_rank, TWO_PRIMES
-            )
-            dd = DegreeData(
-                monomials=tuple(monomials[k]),
-                index=indexes[k],
-                rank=ncols - rank,
-                torsion=None,
-                rref=None,
-                basis_cols=tuple(
-                    c for c in range(ncols) if c not in set(pivot_cols)
-                ),
-                prime_ranks={p: rank for p in TWO_PRIMES},
-            )
-        else:
-            stream = _row_stream(lattice_basis, monomials[k - 1], indexes[k])
-            ech, rref = _exact_degree(ncols, stream, expected_rank)
-            dd = DegreeData(
-                monomials=tuple(monomials[k]),
-                index=indexes[k],
-                rank=ncols - ech.rank,
-                torsion=smith_from_echelon(ech).diagonal,
-                rref=rref,
-                basis_cols=tuple(c for c in range(ncols) if c not in rref),
-            )
+        stream = _row_stream(lattice_basis, monomials[k - 1], indexes[k])
+        ech, rref = _exact_degree(ncols, stream, expected_rank)
+        dd = DegreeData(
+            monomials=tuple(monomials[k]),
+            index=indexes[k],
+            rank=ncols - ech.rank,
+            torsion=smith_from_echelon(ech).diagonal,
+            rref=rref,
+            basis_cols=tuple(c for c in range(ncols) if c not in rref),
+        )
         dd.runtime_ms = int((time.monotonic() - tk) * 1000)
         degrees.append(dd)
 
@@ -674,7 +517,7 @@ def build_quotient(cfg, mode="two-prime"):
         raise VerificationError(
             "torsion appeared in degrees %r for %s"
             % (
-                [k for k, dd in enumerate(degrees) if dd.torsion and any(d != 1 for d in dd.torsion)],
+                [k for k, dd in enumerate(degrees) if any(d != 1 for d in dd.torsion)],
                 cfg.name(),
             )
         )
@@ -712,8 +555,7 @@ def normal_form(e, t):
                     vec[col] = nv
                 else:
                     del vec[col]
-        rref = t._ensure_rref(k)
-        red = _reduce_row(vec, rref)
+        red = _reduce_row(vec, dd.rref)
         for col, c in red.items():
             out[dd.monomials[col]] = c
     return RingElement(out)
@@ -731,8 +573,8 @@ def _integration_functional(t):
         return t._functional
     from . import classes
 
-    rref = t._ensure_rref(4)
     dd = t.degrees[4]
+    rref = dd.rref
     ncols = len(dd.monomials)
     free = [c for c in range(ncols) if c not in rref]
     if len(free) != 1:

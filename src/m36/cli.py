@@ -521,7 +521,8 @@ def _build_parser():
                 "--mode",
                 choices=("exact", "two-prime"),
                 default="two-prime",
-                help="certification mode (default two-prime)",
+                help="label echoed in reports; both modes certify every "
+                "degree exactly (default two-prime)",
             )
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write output to a file instead of stdout")

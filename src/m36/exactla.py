@@ -8,17 +8,24 @@ exchanges, so row operations stay unimodular and the row-span lattice is
 preserved exactly.  That gives three things at once:
 
   * the rank (number of pivot rows),
-  * a torsion certificate: if every pivot row ends with lead coefficient 1,
-    the pivot minor is +-1, the row lattice is a direct summand, and the
-    cokernel is torsion-free with no further work,
+  * a torsion certificate: the pivot rows are triangular on their lead
+    columns, so the product of the leads is a maximal minor and only its
+    prime divisors can divide an invariant factor.  The cokernel is
+    torsion-free exactly when the rank modulo each such prime equals the
+    rational rank (the local rank check of the valence method of Dumas,
+    Saunders and Villard, JSC 32, 2001); with every lead 1 nothing is left
+    to check,
   * reduced row echelon data for normal forms and kernels over Q.
 
-When a lead refuses to become a unit the Smith normal form falls back to a
-dense textbook elimination on the (small) echelon residue.
+Only when the rank drops at some lead prime does the Smith normal form fall
+back to a dense textbook elimination of the echelon rows.
 
 Matrices in this project have entries almost entirely in {-1, 0, 1} and very
-sparse rows, which is why this pure-Python kernel is fast enough; coefficient
-growth in the Euclidean phase has never been observed to matter.
+sparse rows, which is why this pure-Python kernel is fast enough.  The
+Euclidean phase does grow coefficients: the largest pivot-row entry of the
+all-line-fiber build is about 9.6e12 (44 bits) in degree 3 and 5.1e10 in
+degree 4, and a mixed config with seven plane fibers reaches 5.2e14 (49
+bits) in degree 4.  Python integers carry these exactly.
 """
 
 from __future__ import annotations
@@ -40,33 +47,6 @@ def xgcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n):
-    """Deterministic Miller-Rabin, valid far beyond machine words."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class SparseIntegerMatrix:
@@ -97,14 +77,6 @@ class SparseIntegerMatrix:
         rows = [tuple(sorted((c, v) for c, v in d.items() if v)) for d in dicts]
         return cls(len(rows), ncols, rows)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [((i, 1),) for i in range(n)])
-
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(nrows, ncols, [()] * nrows)
-
     def row_dicts(self):
         for row in self.rows:
             yield dict(row)
@@ -115,28 +87,6 @@ class SparseIntegerMatrix:
             for col, coeff in row:
                 cols[col].append((i, coeff))
         return SparseIntegerMatrix(self.ncols, self.nrows, [tuple(c) for c in cols])
-
-    def dump_sms(self, fh):
-        """Triplet text dump: 'nrows ncols M', then 1-based 'i j v' lines,
-        then the '0 0 0' terminator."""
-        fh.write("%d %d M\n" % (self.nrows, self.ncols))
-        for i, row in enumerate(self.rows):
-            for col, coeff in row:
-                fh.write("%d %d %d\n" % (i + 1, col + 1, coeff))
-        fh.write("0 0 0\n")
-
-    @classmethod
-    def load_sms(cls, fh):
-        header = fh.readline().split()
-        nrows, ncols = int(header[0]), int(header[1])
-        rows = [[] for _ in range(nrows)]
-        for line in fh:
-            i, j, v = line.split()
-            i, j, v = int(i), int(j), int(v)
-            if (i, j, v) == (0, 0, 0):
-                break
-            rows[i - 1].append((j - 1, v))
-        return cls(nrows, ncols, [tuple(sorted(r)) for r in rows])
 
 
 def _submul(row, b, q):
@@ -177,7 +127,6 @@ class IntEchelon:
     def __init__(self, reduce_content=False):
         self.pivots = {}
         self.reduce_content = reduce_content
-        self.insertion_order = []
 
     @property
     def rank(self):
@@ -199,7 +148,6 @@ class IntEchelon:
                     if g > 1:
                         row = {c: v // g for c, v in row.items()}
                 pivots[lead] = row
-                self.insertion_order.append(lead)
                 return lead
             c, d = row[lead], b[lead]
             if c % d == 0:
@@ -222,36 +170,6 @@ class IntEchelon:
                 pivots[lead] = newb  # lead coefficient is g > 0
                 row = newrow  # lead eliminated
         return None
-
-    def reduces_to_zero(self, row):
-        """Whether a row lies in the current row span over Q (the row dict is
-        consumed; the basis is not modified)."""
-        pivots = self.pivots
-        while row:
-            lead = max(row)
-            b = pivots.get(lead)
-            if b is None:
-                return False
-            c, d = row[lead], b[lead]
-            if c % d == 0:
-                _submul(row, b, c // d)
-            else:
-                # clear denominators: d*row - c*b kills the lead and spans the
-                # same line as row modulo b over Q
-                g = _gcd(c, d)
-                du, cu = d // g, c // g
-                newrow = {col: du * v for col, v in row.items()}
-                for col, v in b.items():
-                    nv = newrow.get(col, 0) - cu * v
-                    if nv:
-                        newrow[col] = nv
-                    else:
-                        newrow.pop(col, None)
-                row = newrow
-        return True
-
-    def unit_leads(self):
-        return all(r[L] == 1 for L, r in self.pivots.items())
 
     def rref(self):
         """Fully reduced rows over Q: {lead: {col: coeff}} with the (implicit)
@@ -302,15 +220,15 @@ class ModpEchelon:
     def __init__(self, p):
         self.p = p
         self.pivots = {}
-        self.insertion_order = []
 
     @property
     def rank(self):
         return len(self.pivots)
 
     def insert(self, row):
-        """row: {col: coeff} with coefficients already reduced mod p (zeros
-        allowed; they are dropped).  Consumed.  Returns pivot column or None."""
+        """row: {col: coeff} with integer coefficients, reduced mod p here
+        (zeros are dropped; the dict is not modified).  Returns the new pivot
+        column, or None if the row was already in the span mod p."""
         p = self.p
         pivots = self.pivots
         row = {c: v for c, v in ((c, v % p) for c, v in row.items()) if v}
@@ -322,7 +240,6 @@ class ModpEchelon:
                 if inv != 1:
                     row = {c: v * inv % p for c, v in row.items()}
                 pivots[lead] = row
-                self.insertion_order.append(lead)
                 return lead
             q = row[lead]
             get = row.get
@@ -387,15 +304,6 @@ def rank_over_rationals(m):
     return ech.rank
 
 
-def rank_mod_p(m, p):
-    if not is_prime(p):
-        raise ValueError("modulus %d is not prime" % p)
-    ech = ModpEchelon(p)
-    for row in m.row_dicts():
-        ech.insert(row)
-    return ech.rank
-
-
 def nullspace_basis(m):
     """Basis of the right kernel over Q as dense Fraction lists."""
     ech = IntEchelon(reduce_content=True)
@@ -411,26 +319,46 @@ def nullspace_basis(m):
 
 
 def smith_normal_form(m):
-    """Exact invariant factors via unit-lead echelon with a dense fallback."""
+    """Exact invariant factors of a SparseIntegerMatrix."""
     ech = IntEchelon(reduce_content=False)
     for row in m.row_dicts():
         ech.insert(row)
-    if ech.unit_leads():
-        return SmithInvariants((1,) * ech.rank)
-    rows = [dict(r) for r in ech.pivots.values()]
-    diag = _dense_snf(rows)
-    return SmithInvariants(tuple(diag))
+    return smith_from_echelon(ech)
+
+
+def _prime_factors(n):
+    """Prime divisors of n >= 1 by trial division."""
+    out = set()
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.add(n)
+    return out
 
 
 def smith_from_echelon(ech):
     """SmithInvariants of a matrix already fed through an IntEchelon built
-    with reduce_content=False."""
+    with reduce_content=False.  The rank of the pivot rows is checked modulo
+    every prime dividing a lead; if it is full at each, all invariant factors
+    are 1, and otherwise the dense Smith form of the pivot rows decides."""
     if ech.reduce_content:
         raise ValueError("content-reduced echelon cannot certify torsion")
-    if ech.unit_leads():
-        return SmithInvariants((1,) * ech.rank)
-    rows = [dict(r) for r in ech.pivots.values()]
-    return SmithInvariants(tuple(_dense_snf(rows)))
+    primes = set()
+    for value in {row[lead] for lead, row in ech.pivots.items()}:
+        primes |= _prime_factors(value)
+    for p in sorted(primes):
+        local = ModpEchelon(p)
+        for row in ech.pivots.values():
+            local.insert(row)
+        if local.rank < ech.rank:
+            rows = [dict(r) for r in ech.pivots.values()]
+            return SmithInvariants(tuple(_dense_snf(rows)))
+    return SmithInvariants((1,) * ech.rank)
 
 
 def _dense_snf(rows):

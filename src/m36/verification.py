@@ -388,12 +388,11 @@ def crit_micro_curves(tables):
 # -- 11 ---------------------------------------------------------------------
 
 
-def crit_property_suites(tables, mode="two-prime"):
+def crit_property_suites(tables):
     """Symmetry and soundness sweeps: relabeling and duality invariance of
     the integral on sampled monomials, restriction multiplicativity on all
     generator pairs, psi well-definedness across all twelve formula choices,
-    and annihilation of the integration functional on relation rows (the
-    full sweep when mode is two-prime, a random sample otherwise)."""
+    and annihilation of the integration functional on every relation row."""
     t0 = time.monotonic()
     table = tables.get(labels.config_all_p1(), "two-prime")
     rng = random.Random(SEED + 2)
@@ -450,22 +449,13 @@ def crit_property_suites(tables, mode="two-prime"):
             break
     details["psi-choices"] = "ok(30x12)" if psi_ok else "bad"
 
-    import numpy as np
-
     func = chowring._integration_functional(table)
-    ncols = len(table.degrees[4].monomials)
-    fvec = np.zeros(ncols, dtype=np.int64)
-    for c, v in func.items():
-        fvec[c] = v
     sweep_rows = 0
     sweep_ok = True
-    stream = table.relation_row_stream(4, generators="full")
-    if mode != "two-prime":
-        stream = (rw for rw in stream if rng.random() < 0.02)
-    for _rid, row in stream:
+    for _rid, row in table.relation_row_stream(4, generators="full"):
         total = 0
         for c, v in row.items():
-            total += v * int(fvec[c])
+            total += v * func.get(c, 0)
         if total:
             sweep_ok = False
             break
@@ -519,7 +509,7 @@ def run_acceptance(mode="two-prime", suite="acceptance", tables=None):
         "canonical-classes": lambda: crit_canonical(tables),
         "blowup-recursion": crit_blowup_recursion,
         "micro-curves": lambda: crit_micro_curves(tables),
-        "property-suites": lambda: crit_property_suites(tables, mode),
+        "property-suites": lambda: crit_property_suites(tables),
     }
     results = [runners[name]() for name in wanted]
     return results, all(r.ok for r in results)

@@ -197,9 +197,14 @@ class TestBuildQuotient:
         assert table.admissible_counts() == (1, 65, 600, 2500, 6785)
 
     def test_two_prime_matches(self, table, table_2p):
+        # the mode is a report label: both build the same certified table
         assert table_2p.ranks == table.ranks
-        assert 3 not in table_2p.torsion_certified_degrees
+        assert table_2p.torsion_certified_degrees == (0, 1, 2, 3, 4)
         assert table_2p.torsion_free
+        for dd, dd_2p in zip(table.degrees, table_2p.degrees):
+            assert dd_2p.torsion == dd.torsion
+            assert dd_2p.basis_cols == dd.basis_cols
+            assert dd_2p.rref == dd.rref
 
     def test_all_p2(self, table_p2):
         assert table_p2.ranks == (1, 51, 142, 51, 1)
@@ -220,7 +225,7 @@ class TestBuildQuotient:
         rep = ranks_report(table_2p)
         assert rep["ranks"] == [1, 51, 127, 51, 1]
         assert rep["torsion_free"] is True
-        assert rep["torsion_certified_degrees"] == [0, 1, 2, 4]
+        assert rep["torsion_certified_degrees"] == [0, 1, 2, 3, 4]
         assert rep["admissible_monomials"] == [1, 65, 600, 2500, 6785]
         assert rep["config"] == {"S2": []}
         assert rep["mode"] == "two-prime"
@@ -274,10 +279,13 @@ class TestNormalForm:
         assert all(m in basis for m in nf.coeffs)
 
     def test_lazy_exact_escalation(self, table_2p):
+        # every degree is certified at build time, and a degree-3 normal
+        # form reads the table without changing it
+        assert table_2p.torsion_certified_degrees == (0, 1, 2, 3, 4)
+        before = [(dd.rref, dd.torsion) for dd in table_2p.degrees]
         probe = linear_relations()[0] * F(1, 2) * F(1, 2)
-        assert 3 not in table_2p.torsion_certified_degrees
         assert is_zero_in(probe, table_2p)
-        assert 3 in table_2p.torsion_certified_degrees
+        assert [(dd.rref, dd.torsion) for dd in table_2p.degrees] == before
         assert table_2p.torsion_free
         assert table_2p.ranks == (1, 51, 127, 51, 1)
 

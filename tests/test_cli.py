@@ -181,12 +181,11 @@ class TestOutputs:
         assert rep["config"] == {"S2": []}
 
     def test_ranks_csv_two_prime(self, capsys):
-        # fresh build in the default mode: degree 3 carries no torsion
-        # certificate until someone asks for an exact normal form
+        # the default mode certifies every degree, degree 3 included
         assert main(["ranks", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "degree,rank,admissible_monomials,torsion_certified"
-        assert lines[4] == "3,51,2500,no"
+        assert lines[4] == "3,51,2500,yes"
         assert lines[3] == "2,127,600,yes"
         assert len(lines) == 6
 

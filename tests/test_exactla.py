@@ -1,21 +1,21 @@
 """Exact linear algebra kernel, cross-checked against sympy on small inputs."""
 
-import io
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
+from m36 import exactla
 from m36.exactla import (
     IntEchelon,
     ModpEchelon,
     SparseIntegerMatrix,
-    is_prime,
     nullspace_basis,
-    rank_mod_p,
     rank_over_rationals,
+    smith_from_echelon,
     smith_normal_form,
     xgcd,
 )
@@ -42,6 +42,18 @@ def to_sympy(m):
     return data
 
 
+def rank_mod(m, p):
+    ech = ModpEchelon(p)
+    for row in m.row_dicts():
+        ech.insert(row)
+    return ech.rank
+
+
+def sympy_invariants(m):
+    sp = sympy_snf(to_sympy(m))
+    return [abs(sp[i, i]) for i in range(min(sp.shape)) if sp[i, i] != 0]
+
+
 class TestHelpers:
     def test_xgcd(self):
         for a, b in [(12, 18), (-12, 18), (0, 5), (7, 0), (0, 0), (35, 64)]:
@@ -50,13 +62,6 @@ class TestHelpers:
             assert g >= 0
             if a or b:
                 assert a % g == 0 and b % g == 0
-
-    def test_is_prime(self):
-        assert is_prime(2) and is_prime(3) and is_prime(1000003)
-        assert is_prime(998244353)
-        assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
-        assert not is_prime(1000003 * 998244353)
-        assert not is_prime(561)  # Carmichael
 
 
 class TestMatrixContainer:
@@ -69,18 +74,6 @@ class TestMatrixContainer:
             SparseIntegerMatrix(1, 3, [((3, 1),)])  # out of range
         with pytest.raises(ValueError):
             SparseIntegerMatrix(1, 3, [((1, 0),)])  # stored zero
-
-    def test_sms_round_trip(self):
-        rng = random.Random(7)
-        m = random_matrix(rng, 5, 8)
-        buf = io.StringIO()
-        m.dump_sms(buf)
-        buf.seek(0)
-        back = SparseIntegerMatrix.load_sms(buf)
-        assert back.nrows == m.nrows and back.ncols == m.ncols
-        assert back.rows == m.rows
-        assert buf.getvalue().splitlines()[0] == "5 8 M"
-        assert buf.getvalue().splitlines()[-1] == "0 0 0"
 
     def test_transpose(self):
         m = SparseIntegerMatrix.from_dicts(3, [{0: 1, 2: 5}, {1: -2}])
@@ -100,20 +93,13 @@ class TestRank:
     def test_rank_mod_p_matches(self, seed):
         rng = random.Random(100 + seed)
         m = random_matrix(rng, 8, 8)
-        p = 1000003
-        sp = to_sympy(m)
-        gf_rank = sympy.Matrix(sp.shape[0], sp.shape[1], lambda i, j: sp[i, j] % p)
-        # for entries this small, rank over Q equals rank mod a large prime
-        assert rank_mod_p(m, p) == sp.rank()
-
-    def test_rank_mod_p_rejects_composite(self):
-        m = SparseIntegerMatrix.from_dicts(2, [{0: 1}])
-        with pytest.raises(ValueError):
-            rank_mod_p(m, 561)
+        dm = DomainMatrix.from_Matrix(to_sympy(m))
+        for p in (2, 3, 1000003):
+            assert rank_mod(m, p) == dm.convert_to(sympy.GF(p)).rank()
 
     def test_rank_can_drop_mod_p(self):
         m = SparseIntegerMatrix.from_dicts(1, [{0: 5}])
-        assert rank_mod_p(m, 5) == 0
+        assert rank_mod(m, 5) == 0
         assert rank_over_rationals(m) == 1
 
 
@@ -138,10 +124,41 @@ class TestSmith:
     def test_matches_sympy(self, seed):
         rng = random.Random(200 + seed)
         m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        ours = list(smith_normal_form(m).diagonal)
-        sp = sympy_snf(to_sympy(m))
-        theirs = [abs(sp[i, i]) for i in range(min(sp.shape)) if sp[i, i] != 0]
-        assert ours == theirs
+        assert list(smith_normal_form(m).diagonal) == sympy_invariants(m)
+
+    def test_saturated_lead_two_is_certified_locally(self, monkeypatch):
+        # leads 2 and 2, yet the lattice is saturated: full rank mod 2
+        # certifies it without the dense Smith form
+        m = SparseIntegerMatrix.from_dicts(3, [{0: 1, 1: 2}, {1: 1, 2: 2}])
+        ech = IntEchelon()
+        for row in m.row_dicts():
+            ech.insert(row)
+        assert sorted(r[lead] for lead, r in ech.pivots.items()) == [2, 2]
+
+        def no_dense(rows):
+            raise AssertionError("dense Smith form ran")
+
+        monkeypatch.setattr(exactla, "_dense_snf", no_dense)
+        assert smith_from_echelon(ech).diagonal == (1, 1)
+        assert sympy_invariants(m) == [1, 1]
+
+    def test_two_torsion_falls_back_to_dense(self, monkeypatch):
+        # the rank drops mod 2, so the dense Smith form finds Z/2
+        m = SparseIntegerMatrix.from_dicts(2, [{0: 1, 1: 1}, {0: 1, 1: 3}])
+        ech = IntEchelon()
+        for row in m.row_dicts():
+            ech.insert(row)
+        dense_calls = []
+        dense = exactla._dense_snf
+
+        def spy(rows):
+            dense_calls.append(len(rows))
+            return dense(rows)
+
+        monkeypatch.setattr(exactla, "_dense_snf", spy)
+        assert smith_from_echelon(ech).diagonal == (1, 2)
+        assert dense_calls == [2]
+        assert sympy_invariants(m) == [1, 2]
 
     def test_divisibility_chain(self):
         rng = random.Random(99)
@@ -200,15 +217,6 @@ class TestEchelonInternals:
         # gcd appears as the pivot, lattice is 2Z
         assert ech.pivots[0] == {0: 2}
         assert ech.insert({0: 2}) is None
-
-    def test_reduces_to_zero(self):
-        ech = IntEchelon()
-        ech.insert({0: 1, 1: 1})
-        ech.insert({1: 2, 2: 2})
-        assert ech.reduces_to_zero({0: 1, 2: -1})
-        assert not ech.reduces_to_zero({0: 1, 1: 1, 2: 1})
-        # rational membership, not lattice membership
-        assert ech.reduces_to_zero({1: 1, 2: 1})
 
     def test_rref_unit_leads_stay_integer(self):
         ech = IntEchelon()
