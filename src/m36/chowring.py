@@ -19,6 +19,16 @@ basis).  The expected rank profile (1, 51, 127+|S2|, 51, 1) is a theorem;
 meeting it is asserted, and a computed mismatch raises VerificationError
 rather than a report with different numbers.  Torsion-freeness is certified
 in every degree by the local-prime rank check of exactla.smith_from_echelon.
+
+RingElement is the free polynomial ring and knows no config.  multiply,
+product and power evaluate products in the quotient instead: a product monomial that is
+not admissible is zero by the monomial relations, so it is dropped as soon as
+it is formed, and since every factor of an admissible monomial is admissible
+the result is exactly the free product with its inadmissible monomials
+removed.  Normal forms, integrals and restrictions to exceptional fibers read
+only admissible monomials, so they take the same values on either product;
+the quotient product never expands the free ring, which is what keeps
+(K+B)^4 and the psi quartics cheap.
 """
 
 from __future__ import annotations
@@ -524,11 +534,12 @@ def build_quotient(cfg, mode="two-prime"):
     return table
 
 
-def ranks_report(t):
-    """JSON-ready rank/torsion report."""
+def ranks_report(t, mode=None):
+    """JSON-ready rank/torsion report, labeled with mode (default: the label
+    t was built with)."""
     return {
         "config": t.config.to_json_dict(),
-        "mode": t.mode,
+        "mode": t.mode if mode is None else mode,
         "ranks": list(t.ranks),
         "torsion_free": t.torsion_free,
         "torsion_certified_degrees": list(t.torsion_certified_degrees),
@@ -559,6 +570,47 @@ def normal_form(e, t):
         for col, c in red.items():
             out[dd.monomials[col]] = c
     return RingElement(out)
+
+
+def multiply(a, b, t):
+    """The product a*b in the ring of t: the free product without its
+    inadmissible monomials, which are dropped as they form.  Like the free
+    product it refuses products beyond degree 4."""
+    if not a.coeffs or not b.coeffs:
+        return RingElement.zero()
+    if max(map(len, a.coeffs)) + max(map(len, b.coeffs)) > MAX_DEGREE:
+        raise ValueError("product exceeds degree 4")
+    indexes = [dd.index for dd in t.degrees]
+    right = [(mb, cb) for mb, cb in b.coeffs.items() if mb in indexes[len(mb)]]
+    out = {}
+    for ma, ca in a.coeffs.items():
+        if ma not in indexes[len(ma)]:
+            continue
+        for mb, cb in right:
+            mono = tuple(sorted(ma + mb))
+            if mono not in indexes[len(mono)]:
+                continue
+            nv = out.get(mono, 0) + ca * cb
+            if nv:
+                out[mono] = nv
+            else:
+                del out[mono]
+    return RingElement._raw(out)
+
+
+def product(factors, t):
+    """The product of the factors in the ring of t, taken left to right."""
+    out = RingElement.one()
+    for f in factors:
+        out = multiply(out, f, t)
+    return out
+
+
+def power(e, n, t):
+    """e**n in the ring of t."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    return product((e,) * n, t)
 
 
 def is_zero_in(e, t):
@@ -594,7 +646,8 @@ def _integration_functional(t):
         content = gcd(content, v)
     if content > 1:
         ints = {c: v // content for c, v in ints.items()}
-    norm = classes.psi(5, 6) ** 2 * classes.psi(6, 5) ** 2
+    a, b = classes.psi(5, 6), classes.psi(6, 5)
+    norm = product((a, a, b, b), t)
     total = 0
     for mono, coeff in norm.coeffs.items():
         col = dd.index.get(mono)

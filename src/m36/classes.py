@@ -5,7 +5,8 @@ psi numbers.
 
 Everything here is config-independent as an element of the polynomial ring on
 the 65 boundary divisors; only evaluation (normal forms, integrals) needs a
-quotient table.
+quotient table, and the products evaluated here (psi quartics, (K+B)^4, the
+boundary curves) are taken in that table's ring with chowring.multiply.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from .chowring import (
     integrate,
     is_zero_in,
     m36_subring_membership,
+    multiply,
     normal_form,
+    power,
+    product,
     restrict_to_fiber,
 )
 
@@ -297,7 +301,7 @@ def canonical_classes(t):
         raise VerificationError(
             "K+B does not vanish on exceptional lines %r" % (bad_lines,)
         )
-    kb4 = integrate(kb ** 4, t)
+    kb4 = integrate(power(kb, 4, t), t)
     if kb4 <= 0:
         raise VerificationError("(K+B)^4 = %s is not positive" % (kb4,))
     return {
@@ -327,9 +331,9 @@ def curve_checks(t):
     r6_12 = pullback_r(6, (1, 2))
 
     curves = {
-        "pair-chain": f12 * f34 * f56,
-        "triple-chain": e123 * e345 * e246,
-        "pair-cyclic": f12 * f56 * g_12_34_56,
+        "pair-chain": product((f12, f34, f56), t),
+        "triple-chain": product((e123, e345, e246), t),
+        "pair-cyclic": product((f12, f56, g_12_34_56), t),
     }
     probes = {
         "pair-chain": (
@@ -352,7 +356,7 @@ def curve_checks(t):
     for name, curve in curves.items():
         rows = []
         for label, probe, expected in probes[name]:
-            got = integrate(curve * probe, t)
+            got = integrate(multiply(curve, probe, t), t)
             rows.append({
                 "against": label,
                 "value": got,
@@ -449,8 +453,7 @@ def psi_table(t):
     mismatches = []
     rule_violations = []
     for key, orbit_size in psi_orbits():
-        prod = psis[key[0]] * psis[key[1]] * psis[key[2]] * psis[key[3]]
-        value = integrate(prod, t)
+        value = integrate(product([psis[p] for p in key], t), t)
         if value.denominator != 1:
             raise VerificationError(
                 "psi number %s is not an integer: %s" % (_format_orbit(key), value)

@@ -81,13 +81,6 @@ class SparseIntegerMatrix:
         for row in self.rows:
             yield dict(row)
 
-    def transpose(self):
-        cols = [[] for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for col, coeff in row:
-                cols[col].append((i, coeff))
-        return SparseIntegerMatrix(self.ncols, self.nrows, [tuple(c) for c in cols])
-
 
 def _submul(row, b, q):
     """row -= q * b, in place, dropping zeros."""

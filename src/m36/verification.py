@@ -46,20 +46,18 @@ def load_baselines():
 
 
 class _Tables:
-    """Shared quotient tables so the suite builds each at most once."""
+    """Shared quotient tables so the suite builds each config at most once.
+    The mode label selects no computation, so it is not part of the key."""
 
-    def __init__(self, exact=None, twoprime=None):
+    def __init__(self, all_p1=None):
         self._cache = {}
-        if exact is not None:
-            self._cache[(labels.config_all_p1(), "exact")] = exact
-        if twoprime is not None:
-            self._cache[(labels.config_all_p1(), "two-prime")] = twoprime
+        if all_p1 is not None:
+            self._cache[labels.config_all_p1()] = all_p1
 
-    def get(self, cfg, mode):
-        key = (cfg, mode)
-        if key not in self._cache:
-            self._cache[key] = chowring.build_quotient(cfg, mode=mode)
-        return self._cache[key]
+    def get(self, cfg):
+        if cfg not in self._cache:
+            self._cache[cfg] = chowring.build_quotient(cfg)
+        return self._cache[cfg]
 
 
 def _timed(fn):
@@ -72,16 +70,15 @@ def _timed(fn):
 
 
 def crit_ranks_m1(tables):
-    """Ranks and torsion of the all-line-fiber resolution, in both modes,
-    within the stated runtime budgets (exact 10 minutes, two-prime 1)."""
+    """Ranks and torsion of the all-line-fiber resolution within the runtime
+    budget of each mode (exact 10 minutes, two-prime 1).  Both modes name
+    the same computation, so the table is built once and read twice."""
     t0 = time.monotonic()
     details = {}
     ok = True
     for mode, budget_s in (("exact", 600), ("two-prime", 60)):
         try:
-            table, ms = _timed(
-                lambda m=mode: tables.get(labels.config_all_p1(), m)
-            )
+            table = tables.get(labels.config_all_p1())
         except chowring.VerificationError as e:
             ok = False
             details["%s_error" % mode] = str(e)
@@ -99,7 +96,7 @@ def crit_ranks_m1(tables):
 # -- 2 ----------------------------------------------------------------------
 
 
-def crit_config_family(tables, mode="two-prime"):
+def crit_config_family(tables):
     """All-plane-fiber plus three seeded mixed configs: degree 2 gains one
     rank per plane fiber, the other degrees stay put."""
     t0 = time.monotonic()
@@ -112,7 +109,7 @@ def crit_config_family(tables, mode="two-prime"):
     details = {}
     for cfg in configs:
         try:
-            table = tables.get(cfg, mode)
+            table = tables.get(cfg)
         except chowring.VerificationError as e:
             ok = False
             details[cfg.name() + "_error"] = str(e)
@@ -198,11 +195,10 @@ def crit_psi_table(tables):
     the normalizing product integrates to 1, and the vanishing rule holds,
     inside the two-minute budget."""
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1(), "two-prime")
+    table = tables.get(labels.config_all_p1())
     rep, ms = _timed(lambda: classes.psi_table(table))
-    norm = chowring.integrate(
-        classes.psi(5, 6) ** 2 * classes.psi(6, 5) ** 2, table
-    )
+    a, b = classes.psi(5, 6), classes.psi(6, 5)
+    norm = chowring.integrate(chowring.product((a, a, b, b), table), table)
     ok = (
         not rep["published_mismatches"]
         and not rep["vanishing_rule_violations"]
@@ -292,7 +288,7 @@ def crit_picard(tables):
     """The 36 delta classes descend, are independent, and span the kernel of
     the line restrictions; the singular space has Picard rank 36."""
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1(), "two-prime")
+    table = tables.get(labels.config_all_p1())
     try:
         basis = classes.picard_m36_basis(table)
         ranks = chowring.m36_chow_ranks(table)
@@ -314,7 +310,7 @@ def crit_canonical(tables):
     every exceptional line, and positivity of (K+B)^4 against the recorded
     baseline."""
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1(), "two-prime")
+    table = tables.get(labels.config_all_p1())
     base = load_baselines()
     try:
         cc = classes.canonical_classes(table)
@@ -369,7 +365,7 @@ def crit_blowup_recursion():
 
 def crit_micro_curves(tables):
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1(), "two-prime")
+    table = tables.get(labels.config_all_p1())
     rep = classes.curve_checks(table)
     bad = [
         "%s|%s" % (name, row["against"])
@@ -391,10 +387,12 @@ def crit_micro_curves(tables):
 def crit_property_suites(tables):
     """Symmetry and soundness sweeps: relabeling and duality invariance of
     the integral on sampled monomials, restriction multiplicativity on all
-    generator pairs, psi well-definedness across all twelve formula choices,
-    and annihilation of the integration functional on every relation row."""
+    generator pairs (multiplied in the quotient, so a pair that does not
+    meet must restrict to zero), psi well-definedness across all twelve
+    formula choices, and annihilation of the integration functional on every
+    relation row."""
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1(), "two-prime")
+    table = tables.get(labels.config_all_p1())
     rng = random.Random(SEED + 2)
     details = {}
 
@@ -422,7 +420,7 @@ def crit_property_suites(tables):
     }
     for i in range(65):
         for j in range(i, 65):
-            prod = gens[i] * gens[j]
+            prod = chowring.multiply(gens[i], gens[j], table)
             for pt in pts:
                 lhs = chowring.restrict_to_fiber(prod, pt, table)
                 rhs = fibers[pt][i] * fibers[pt][j]
@@ -492,7 +490,7 @@ SUITES = {
 }
 
 
-def run_acceptance(mode="two-prime", suite="acceptance", tables=None):
+def run_acceptance(suite="acceptance", tables=None):
     """Run the requested criteria; returns (results, all_ok)."""
     if suite not in SUITES and suite not in SUITES["acceptance"]:
         raise ValueError("unknown suite %r" % (suite,))
@@ -500,7 +498,7 @@ def run_acceptance(mode="two-prime", suite="acceptance", tables=None):
     tables = tables or _Tables()
     runners = {
         "ranks-m1": lambda: crit_ranks_m1(tables),
-        "config-family": lambda: crit_config_family(tables, mode),
+        "config-family": lambda: crit_config_family(tables),
         "boundary-census": crit_boundary_census,
         "homology": crit_homology,
         "psi-table": lambda: crit_psi_table(tables),

@@ -1,4 +1,9 @@
-"""Shared fixtures: quotient tables are expensive, build each once."""
+"""Shared fixtures: quotient tables are expensive, build each config once.
+
+The build mode is only a report label, so one table per config serves every
+mode."""
+
+import random
 
 import pytest
 
@@ -7,17 +12,19 @@ from m36 import chowring, labels
 
 @pytest.fixture(scope="session")
 def table():
-    """All-line-fiber table, fully exact."""
+    """All-line-fiber table."""
     return chowring.build_quotient(labels.config_all_p1(), mode="exact")
 
 
 @pytest.fixture(scope="session")
-def table_2p():
-    """All-line-fiber table in two-prime mode."""
-    return chowring.build_quotient(labels.config_all_p1(), mode="two-prime")
+def table_p2():
+    """All-plane-fiber table."""
+    return chowring.build_quotient(labels.config_all_p2())
 
 
 @pytest.fixture(scope="session")
-def table_p2():
-    """All-plane-fiber table in two-prime mode."""
-    return chowring.build_quotient(labels.config_all_p2(), mode="two-prime")
+def table_mixed():
+    """A seeded config with some plane fibers and some line fibers."""
+    rng = random.Random(3636)
+    pts = rng.sample(labels.SINGULAR_POINTS, rng.randint(2, 13))
+    return chowring.build_quotient(labels.ResolutionConfig(s2=frozenset(pts)))

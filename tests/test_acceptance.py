@@ -11,8 +11,8 @@ from m36 import verification
 
 
 @pytest.fixture(scope="module")
-def tables(table, table_2p):
-    return verification._Tables(exact=table, twoprime=table_2p)
+def tables(table):
+    return verification._Tables(all_p1=table)
 
 
 def run(res):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from m36 import chowring, labels
+from m36 import chowring, classes, labels
 from m36.chowring import (
     MAX_DEGREE,
     FiberValue,
@@ -23,7 +23,10 @@ from m36.chowring import (
     m36_chow_ranks,
     m36_subring_membership,
     multiplicative_relation_generators,
+    multiply,
     normal_form,
+    power,
+    product,
     ranks_report,
     restrict_to_fiber,
 )
@@ -196,15 +199,15 @@ class TestBuildQuotient:
         assert table.torsion_certified_degrees == (0, 1, 2, 3, 4)
         assert table.admissible_counts() == (1, 65, 600, 2500, 6785)
 
-    def test_two_prime_matches(self, table, table_2p):
-        # the mode is a report label: both build the same certified table
-        assert table_2p.ranks == table.ranks
-        assert table_2p.torsion_certified_degrees == (0, 1, 2, 3, 4)
-        assert table_2p.torsion_free
-        for dd, dd_2p in zip(table.degrees, table_2p.degrees):
-            assert dd_2p.torsion == dd.torsion
-            assert dd_2p.basis_cols == dd.basis_cols
-            assert dd_2p.rref == dd.rref
+    def test_two_prime_matches(self, table):
+        # the mode is a report label: one certified table serves both, and
+        # the reports differ in the label alone
+        exact = ranks_report(table, mode="exact")
+        two_prime = ranks_report(table, mode="two-prime")
+        assert exact.pop("mode") == "exact"
+        assert two_prime.pop("mode") == "two-prime"
+        assert exact == two_prime
+        assert ranks_report(table)["mode"] == table.mode
 
     def test_all_p2(self, table_p2):
         assert table_p2.ranks == (1, 51, 142, 51, 1)
@@ -221,8 +224,8 @@ class TestBuildQuotient:
         with pytest.raises(ValueError):
             build_quotient(config_all_p1(), mode="modular")
 
-    def test_report_shape(self, table_2p):
-        rep = ranks_report(table_2p)
+    def test_report_shape(self, table):
+        rep = ranks_report(table, mode="two-prime")
         assert rep["ranks"] == [1, 51, 127, 51, 1]
         assert rep["torsion_free"] is True
         assert rep["torsion_certified_degrees"] == [0, 1, 2, 3, 4]
@@ -278,16 +281,16 @@ class TestNormalForm:
         assert nf.coeffs
         assert all(m in basis for m in nf.coeffs)
 
-    def test_lazy_exact_escalation(self, table_2p):
+    def test_lazy_exact_escalation(self, table):
         # every degree is certified at build time, and a degree-3 normal
         # form reads the table without changing it
-        assert table_2p.torsion_certified_degrees == (0, 1, 2, 3, 4)
-        before = [(dd.rref, dd.torsion) for dd in table_2p.degrees]
+        assert table.torsion_certified_degrees == (0, 1, 2, 3, 4)
+        before = [(dd.rref, dd.torsion) for dd in table.degrees]
         probe = linear_relations()[0] * F(1, 2) * F(1, 2)
-        assert is_zero_in(probe, table_2p)
-        assert [(dd.rref, dd.torsion) for dd in table_2p.degrees] == before
-        assert table_2p.torsion_free
-        assert table_2p.ranks == (1, 51, 127, 51, 1)
+        assert is_zero_in(probe, table)
+        assert [(dd.rref, dd.torsion) for dd in table.degrees] == before
+        assert table.torsion_free
+        assert table.ranks == (1, 51, 127, 51, 1)
 
 
 class TestIntegrate:
@@ -354,6 +357,107 @@ class TestIntegrate:
             rows.append(row)
         mat = SparseIntegerMatrix.from_dicts(len(b3), rows)
         assert rank_over_rationals(mat) == 51
+
+
+def _atom_pool():
+    """Degree-1 atoms of every kind the expression grammar names."""
+    pool = [RingElement.from_divisor(d) for d in labels.DIVISORS]
+    pool += [classes.psi(i, j) for i, j in classes.PSI_PAIRS]
+    pool += [classes.phi(i, j) for i, j in classes.PSI_PAIRS if i < j]
+    pool += [classes.delta_triple(t) for t in classes.PICARD_TRIPLES]
+    pool += [classes.delta_pair(p) for p in [(1, 2), (3, 5), (4, 6)]]
+    pool += [
+        classes.delta_cyclic(classes._cyclic_label_of_matching(pt.matching))
+        for pt in SINGULAR_POINTS[::4]
+    ]
+    pool += [classes.canonical_divisor(), classes.total_boundary()]
+    return pool
+
+
+def _pruned(e, t):
+    """The free element without its inadmissible monomials."""
+    return RingElement(
+        {m: c for m, c in e.coeffs.items() if m in t.degrees[len(m)].index}
+    )
+
+
+class TestQuotientProduct:
+    """The quotient product against the free-ring oracle."""
+
+    # bounds the free-ring expansion the oracle pays: K^4 alone would
+    # take half a minute
+    MAX_FREE_PAIRS = 20000
+
+    def _cases(self, rng, pool, count):
+        """Seeded factor lists [(atom, exponent)] of total degree 1 to 4."""
+        out = []
+        while len(out) < count:
+            degree = rng.randint(1, MAX_DEGREE)
+            factors = []
+            left = degree
+            while left:
+                n = rng.randint(1, left)
+                factors.append((rng.choice(pool), n))
+                left -= n
+            cost = 1
+            for atom, n in factors:
+                cost *= len(atom.coeffs) ** n
+            if cost <= self.MAX_FREE_PAIRS:
+                out.append(factors)
+        return out
+
+    @pytest.mark.parametrize("name", ["table", "table_p2", "table_mixed"])
+    def test_matches_free_product(self, request, name):
+        t = request.getfixturevalue(name)
+        rng = random.Random(4000 + len(t.config.s2))
+        pool = _atom_pool()
+        degrees_seen = set()
+        for factors in self._cases(rng, pool, 60):
+            free = RingElement.one()
+            quot = RingElement.one()
+            for atom, n in factors:
+                free = free * atom ** n
+                quot = multiply(quot, power(atom, n, t), t)
+            assert quot == _pruned(free, t)
+            assert normal_form(quot, t) == normal_form(free, t)
+            if free.degrees() == [4]:
+                assert integrate(quot, t) == integrate(free, t)
+            for pt in SINGULAR_POINTS:
+                assert restrict_to_fiber(quot, pt, t) == restrict_to_fiber(
+                    free, pt, t
+                )
+            degrees_seen.update(free.degrees())
+        assert degrees_seen == {1, 2, 3, 4}
+
+    def test_sums_and_mixed_degrees(self, table):
+        rng = random.Random(77)
+        pool = _atom_pool()
+        for _ in range(20):
+            a = rng.choice(pool) + rng.choice(pool) * rng.choice(pool)
+            b = rng.choice(pool) * rng.choice(pool) - RingElement.one().scale(3)
+            quot = multiply(a, b, table)
+            assert quot == _pruned(a * b, table)
+            assert normal_form(quot, table) == normal_form(a * b, table)
+
+    def test_zero_in_the_quotient(self, table):
+        # F12 and F13 never meet: the product is zero in the ring, though
+        # not in the free ring
+        assert not (F(1, 2) * F(1, 3)).is_zero()
+        assert multiply(F(1, 2), F(1, 3), table).is_zero()
+        assert product([F(1, 2), F(3, 4), F(1, 3)], table).is_zero()
+
+    def test_degree_cap_and_exponents(self, table):
+        f = F(1, 2)
+        with pytest.raises(ValueError):
+            multiply(power(f, 4, table), f, table)
+        with pytest.raises(ValueError):
+            power(f, -1, table)
+        assert power(f, 0, table) == RingElement.one()
+        assert multiply(RingElement.zero(), power(f, 4, table), table).is_zero()
+
+    def test_kb4(self, table):
+        kb = classes.canonical_divisor() + classes.total_boundary()
+        assert integrate(power(kb, 4, table), table) == 1502
 
 
 class TestFiberRestriction:

@@ -26,7 +26,7 @@ from m36.cli import UsageError, main, parse_expression, _parse_point
 
 @pytest.fixture(scope="module", autouse=True)
 def seeded_exact(table):
-    cli._TABLES[(labels.config_all_p1(), "exact")] = table
+    cli._TABLES[labels.config_all_p1()] = table
 
 
 @pytest.fixture()
@@ -132,6 +132,39 @@ class TestExitCodes:
         assert main(["integrate", "F[12]", "--mode", "exact"]) == 2
         assert "degree 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["F[12]*F[13]", "F[12]*F[13]+psi[1,2]^4"])
+    def test_integrate_degree_read_in_free_ring(self, capsys, text):
+        # F12*F13 is zero in the ring of all-P1 but of degree 2 in the free
+        # ring, and the integrand check reads the free ring
+        assert main(["integrate", text, "--mode", "exact"]) == 2
+        assert "degree 4" in capsys.readouterr().err
+
+    def test_degree_cap_read_in_free_ring(self, capsys):
+        # zero in the quotient before the last factor, of degree 5 in the
+        # free ring: refused as before
+        for argv in (
+            ["integrate", "(F[12]*F[13])^2*F[12]"],
+            ["restrict", "(F[12]*F[13])^2*F[12]", "--point", "12,34,56"],
+        ):
+            assert main(argv) == 2
+            assert "exceeds degree 4" in capsys.readouterr().err
+        # nominal degree 5, but the free ring cancels first
+        assert main(["integrate", "(F[12]-F[12])*F[12]^4", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize(
+        "text", ["F[12]", "F[12]*F[13]", "F[12", "E[12]", "F[12]^4*F[12]"]
+    )
+    def test_rejected_before_any_table(self, capsys, monkeypatch, tmp_path, text):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli.chowring, "build_quotient", refuse)
+        path = tmp_path / "unbuilt.json"
+        path.write_text(json.dumps({"S2": [["13", "25", "46"]]}))
+        assert main(["integrate", text, "--config", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_parse_error(self, capsys):
         assert main(["integrate", "F[12", "--mode", "exact"]) == 2
         assert "error" in capsys.readouterr().err
@@ -179,6 +212,13 @@ class TestOutputs:
         assert rep["mode"] == "exact"
         assert rep["torsion_free"] is True
         assert rep["config"] == {"S2": []}
+
+    def test_one_table_per_config(self, capsys):
+        cfg = labels.config_all_p1()
+        assert cli._table(cfg, "exact") is cli._table(cfg, "two-prime")
+        for mode in ("exact", "two-prime"):
+            assert main(["ranks", "--mode", mode]) == 0
+            assert json.loads(capsys.readouterr().out)["mode"] == mode
 
     def test_ranks_csv_two_prime(self, capsys):
         # the default mode certifies every degree, degree 3 included

@@ -75,12 +75,6 @@ class TestMatrixContainer:
         with pytest.raises(ValueError):
             SparseIntegerMatrix(1, 3, [((1, 0),)])  # stored zero
 
-    def test_transpose(self):
-        m = SparseIntegerMatrix.from_dicts(3, [{0: 1, 2: 5}, {1: -2}])
-        t = m.transpose()
-        assert t.nrows == 3 and t.ncols == 2
-        assert to_sympy(t) == to_sympy(m).T
-
 
 class TestRank:
     @pytest.mark.parametrize("seed", range(12))
