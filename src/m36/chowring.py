@@ -534,6 +534,18 @@ def build_quotient(cfg, mode="two-prime"):
     return table
 
 
+_BUILT = {}
+
+
+def table(cfg):
+    """The table of cfg, built on first use and kept for the process.  The
+    CLI, the acceptance criteria and the test fixtures all read this cache;
+    build_quotient itself never caches."""
+    if cfg not in _BUILT:
+        _BUILT[cfg] = build_quotient(cfg)
+    return _BUILT[cfg]
+
+
 def ranks_report(t, mode=None):
     """JSON-ready rank/torsion report, labeled with mode (default: the label
     t was built with)."""

@@ -166,6 +166,39 @@ def delta_cyclic(pairs):
     )
 
 
+def _complement(s):
+    return tuple(sorted(LINESET - set(s)))
+
+
+def delta(label):
+    """The delta class of a label given as digit groups, as written in
+    delta[...]: (ijk,) or (ijk, lmn) for a triple split, (ij, k, lmn) with k
+    the smallest line outside ij for a pair, (ij, kl, mn) for a cyclic
+    split."""
+    groups = [tuple(g) for g in label]
+    shape = tuple(len(g) for g in groups)
+    if shape in ((3,), (3, 3)):
+        if shape == (3, 3) and tuple(sorted(groups[1])) != _complement(groups[0]):
+            raise ValueError("delta triple label must list the complement")
+        return delta_triple(groups[0])
+    if shape == (2, 1, 3):
+        comp = _complement(groups[0])
+        if groups[1][0] != comp[0] or groups[2] != comp[1:]:
+            raise ValueError(
+                "delta pair label must be delta[ij,k,lmn] with k the "
+                "smallest complement line"
+            )
+        return delta_pair(groups[0])
+    if shape == (2, 2, 2):
+        return delta_cyclic(groups)
+    raise ValueError("unrecognized delta label shape %r" % (shape,))
+
+
+def delta_name(label):
+    """The delta[...] text of a label, which the CLI reads back."""
+    return "delta[%s]" % ",".join("".join(map(str, g)) for g in label)
+
+
 PICARD_TRIPLES = ((1, 5, 6), (2, 5, 6), (3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6))
 
 
@@ -180,19 +213,25 @@ def _cyclic_label_of_matching(matching):
     return (first, second, third)
 
 
+# The labels of the 36 Picard classes, in the order of picard_m36_basis and
+# of `m36 picard`: six triple deltas, fifteen pair deltas, fifteen cyclic.
+PICARD_LABELS = (
+    tuple((tr, _complement(tr)) for tr in PICARD_TRIPLES)
+    + tuple(
+        (ij, _complement(ij)[:1], _complement(ij)[1:])
+        for ij in itertools.combinations(labels.LINES, 2)
+    )
+    + tuple(_cyclic_label_of_matching(pt.matching) for pt in labels.SINGULAR_POINTS)
+)
+
+
 def picard_m36_basis(t):
-    """The 36 delta classes spanning the Picard group of the singular space:
-    six triple deltas, all fifteen pair deltas, all fifteen cyclic deltas.
-    Every element is checked to descend, and the image in degree 1 of the
-    resolution is checked to have rank exactly 36."""
+    """The 36 delta classes of PICARD_LABELS, spanning the Picard group of
+    the singular space.  Every element is checked to descend, and the image
+    in degree 1 of the resolution is checked to have rank exactly 36."""
     from .exactla import SparseIntegerMatrix, rank_over_rationals
 
-    out = [delta_triple(tr) for tr in PICARD_TRIPLES]
-    out.extend(delta_pair(p) for p in itertools.combinations(labels.LINES, 2))
-    out.extend(
-        delta_cyclic(_cyclic_label_of_matching(pt.matching))
-        for pt in labels.SINGULAR_POINTS
-    )
+    out = [delta(label) for label in PICARD_LABELS]
     for e in out:
         if not m36_subring_membership(e, t):
             raise VerificationError(

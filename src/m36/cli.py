@@ -28,13 +28,15 @@ the check is decided.  Otherwise the expression is expanded in the free ring
 as before, which decides the homogeneity check and the degree-cap error
 exactly; a product that is zero only in the quotient, such as F[12]*F[13]
 on the all-P1 config, still makes a degree-2 integrand that is refused.
-Syntax errors and wrong degrees exit 2 before any table is built.  Tables are
-cached per config; the mode is only a label echoed in reports.
+Syntax errors and wrong degrees exit 2 before any table is built.  Tables
+come from chowring.table, one per config for the whole process; the mode is
+only a label echoed in reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import operator
@@ -112,28 +114,7 @@ def _atom_element(name, args):
                 raise ValueError("phi takes two single lines")
             return classes.phi(digits[0][0], digits[1][0])
         if name == "delta":
-            shape = tuple(len(g) for g in digits)
-            if shape == (3,):
-                return classes.delta_triple(tuple(digits[0]))
-            if shape == (3, 3):
-                t = tuple(digits[0])
-                if tuple(sorted(digits[1])) != tuple(
-                    sorted(set(labels.LINES) - set(t))
-                ):
-                    raise ValueError("delta triple label must list the complement")
-                return classes.delta_triple(t)
-            if shape == (2, 1, 3):
-                ij = tuple(digits[0])
-                comp = sorted(set(labels.LINES) - set(ij))
-                if digits[1][0] != comp[0] or tuple(digits[2]) != tuple(comp[1:]):
-                    raise ValueError(
-                        "delta pair label must be delta[ij,k,lmn] with k the "
-                        "smallest complement line"
-                    )
-                return classes.delta_pair(ij)
-            if shape == (2, 2, 2):
-                return classes.delta_cyclic([tuple(g) for g in digits])
-            raise ValueError("unrecognized delta label shape %r" % (shape,))
+            return classes.delta(digits)
         if name == "K":
             return classes.canonical_divisor()
         if name == "B":
@@ -271,7 +252,11 @@ class _Parser:
         if kind == "atom":
             return self.ring.atom(*val)
         if kind == "number":
-            return self.ring.number(Fraction(val))
+            try:
+                q = Fraction(val)
+            except ZeroDivisionError:
+                raise UsageError("zero denominator in %r" % val)
+            return self.ring.number(q)
         if (kind, val) == ("op", "("):
             out = self.expr()
             if self.take() != ("op", ")"):
@@ -362,9 +347,6 @@ def _emit(text, out_path):
 # --------------------------------------------------------------------------
 # commands
 
-_TABLES = {}
-
-
 def _load_config(path):
     if not path:
         return labels.config_all_p1()
@@ -375,11 +357,8 @@ def _load_config(path):
 
 
 def _table(cfg, mode):
-    """The cached table of cfg; mode is a report label and not part of the
-    key, so one config is built once whatever label asks for it."""
-    if cfg not in _TABLES:
-        _TABLES[cfg] = chowring.build_quotient(cfg, mode=mode)
-    return _TABLES[cfg]
+    """The table of cfg from chowring.table; mode is only a report label."""
+    return chowring.table(cfg)
 
 
 def cmd_ranks(args):
@@ -498,42 +477,13 @@ def cmd_restrict(args):
     return 0
 
 
-_DELTA_NAMES = None
-
-
-def _delta_names():
-    global _DELTA_NAMES
-    if _DELTA_NAMES is None:
-        names = []
-        for tr in classes.PICARD_TRIPLES:
-            names.append("delta[%s,%s]" % (
-                "".join(map(str, tr)),
-                "".join(map(str, sorted(set(labels.LINES) - set(tr)))),
-            ))
-        import itertools as it
-
-        for ij in it.combinations(labels.LINES, 2):
-            comp = sorted(set(labels.LINES) - set(ij))
-            names.append(
-                "delta[%d%d,%d,%s]"
-                % (ij[0], ij[1], comp[0], "".join(map(str, comp[1:])))
-            )
-        for pt in labels.SINGULAR_POINTS:
-            lab = classes._cyclic_label_of_matching(pt.matching)
-            names.append(
-                "delta[%s]" % ",".join("%d%d" % p for p in lab)
-            )
-        _DELTA_NAMES = names
-    return _DELTA_NAMES
-
-
 def cmd_picard(args):
     cfg = _load_config(args.config)
     if cfg != labels.config_all_p1():
         raise UsageError("the Picard basis is computed on the all-P1 config")
     table = _table(cfg, args.mode)
     basis = classes.picard_m36_basis(table)
-    names = _delta_names()
+    names = [classes.delta_name(label) for label in classes.PICARD_LABELS]
     ranks = chowring.m36_chow_ranks(table)
     if args.format == "csv":
         text = _csv_bytes(("class",), [(n,) for n in names])
@@ -616,6 +566,7 @@ def cmd_verify(args):
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="m36",
@@ -704,10 +655,6 @@ def main(argv=None):
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-
-
-def run():
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -116,40 +116,6 @@ def divisor_index(d):
     return DIVISOR_INDEX[d]
 
 
-def parse_divisor(text):
-    """Parse E[ijk] / F[ij] / G[ij,kl,mn] syntax."""
-    text = text.strip()
-    if len(text) < 4 or text[1] != "[" or text[-1] != "]":
-        raise ValueError("bad divisor syntax %r" % text)
-    head, body = text[0], text[1:-1].strip("[]")
-    if head == "E":
-        if len(body) != 3 or not body.isdigit():
-            raise ValueError("bad triple %r" % text)
-        idx = tuple(int(c) for c in body)
-        _check_digits(idx, 3, text)
-        return triple(idx)
-    if head == "F":
-        if len(body) != 2 or not body.isdigit():
-            raise ValueError("bad pair %r" % text)
-        idx = tuple(int(c) for c in body)
-        _check_digits(idx, 2, text)
-        return pair(idx)
-    if head == "G":
-        parts = body.split(",")
-        if len(parts) != 3 or any(len(p) != 2 or not p.isdigit() for p in parts):
-            raise ValueError("bad cyclic triple %r" % text)
-        ps = [tuple(int(c) for c in p) for p in parts]
-        for p in ps:
-            _check_digits(p, 2, text)
-        return cyclic(*ps)
-    raise ValueError("bad divisor syntax %r" % text)
-
-
-def _check_digits(idx, n, text):
-    if len(set(idx)) != n or not all(1 <= i <= 6 for i in idx):
-        raise ValueError("indices out of range in %r" % text)
-
-
 # ---------------------------------------------------------------------------
 # singular points and resolution configs
 

@@ -3,7 +3,8 @@
 Each criterion is a function returning a CriterionResult; run_acceptance
 drives them in order and collects a summary.  The same functions back the
 command-line `verify` command and the acceptance test module, so a claim is
-either green in both or red in both.
+either green in both or red in both.  Tables come from chowring.table, the
+one per-process cache, so each config is built at most once whoever asks.
 
 Randomized choices (mixed configs, sampled monomials) use a fixed seed so
 that reports are reproducible byte for byte.
@@ -45,21 +46,6 @@ def load_baselines():
         return json.load(fh)
 
 
-class _Tables:
-    """Shared quotient tables so the suite builds each config at most once.
-    The mode label selects no computation, so it is not part of the key."""
-
-    def __init__(self, all_p1=None):
-        self._cache = {}
-        if all_p1 is not None:
-            self._cache[labels.config_all_p1()] = all_p1
-
-    def get(self, cfg):
-        if cfg not in self._cache:
-            self._cache[cfg] = chowring.build_quotient(cfg)
-        return self._cache[cfg]
-
-
 def _timed(fn):
     t0 = time.monotonic()
     out = fn()
@@ -69,7 +55,7 @@ def _timed(fn):
 # -- 1 ----------------------------------------------------------------------
 
 
-def crit_ranks_m1(tables):
+def crit_ranks_m1():
     """Ranks and torsion of the all-line-fiber resolution within the runtime
     budget of each mode (exact 10 minutes, two-prime 1).  Both modes name
     the same computation, so the table is built once and read twice."""
@@ -78,7 +64,7 @@ def crit_ranks_m1(tables):
     ok = True
     for mode, budget_s in (("exact", 600), ("two-prime", 60)):
         try:
-            table = tables.get(labels.config_all_p1())
+            table = chowring.table(labels.config_all_p1())
         except chowring.VerificationError as e:
             ok = False
             details["%s_error" % mode] = str(e)
@@ -96,7 +82,7 @@ def crit_ranks_m1(tables):
 # -- 2 ----------------------------------------------------------------------
 
 
-def crit_config_family(tables):
+def crit_config_family():
     """All-plane-fiber plus three seeded mixed configs: degree 2 gains one
     rank per plane fiber, the other degrees stay put."""
     t0 = time.monotonic()
@@ -109,7 +95,7 @@ def crit_config_family(tables):
     details = {}
     for cfg in configs:
         try:
-            table = tables.get(cfg)
+            table = chowring.table(cfg)
         except chowring.VerificationError as e:
             ok = False
             details[cfg.name() + "_error"] = str(e)
@@ -190,12 +176,12 @@ def crit_homology():
 # -- 5 ----------------------------------------------------------------------
 
 
-def crit_psi_table(tables):
+def crit_psi_table():
     """The quartic psi numbers match the published table orbit for orbit,
     the normalizing product integrates to 1, and the vanishing rule holds,
     inside the two-minute budget."""
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1())
+    table = chowring.table(labels.config_all_p1())
     rep, ms = _timed(lambda: classes.psi_table(table))
     a, b = classes.psi(5, 6), classes.psi(6, 5)
     norm = chowring.integrate(chowring.product((a, a, b, b), table), table)
@@ -284,11 +270,11 @@ def crit_m0n_oracles():
 # -- 7 ----------------------------------------------------------------------
 
 
-def crit_picard(tables):
+def crit_picard():
     """The 36 delta classes descend, are independent, and span the kernel of
     the line restrictions; the singular space has Picard rank 36."""
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1())
+    table = chowring.table(labels.config_all_p1())
     try:
         basis = classes.picard_m36_basis(table)
         ranks = chowring.m36_chow_ranks(table)
@@ -305,12 +291,12 @@ def crit_picard(tables):
 # -- 8 ----------------------------------------------------------------------
 
 
-def crit_canonical(tables):
+def crit_canonical():
     """K and K+B coefficients, the pullback identity, vanishing of K+B on
     every exceptional line, and positivity of (K+B)^4 against the recorded
     baseline."""
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1())
+    table = chowring.table(labels.config_all_p1())
     base = load_baselines()
     try:
         cc = classes.canonical_classes(table)
@@ -363,9 +349,9 @@ def crit_blowup_recursion():
 # -- 10 ---------------------------------------------------------------------
 
 
-def crit_micro_curves(tables):
+def crit_micro_curves():
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1())
+    table = chowring.table(labels.config_all_p1())
     rep = classes.curve_checks(table)
     bad = [
         "%s|%s" % (name, row["against"])
@@ -384,7 +370,7 @@ def crit_micro_curves(tables):
 # -- 11 ---------------------------------------------------------------------
 
 
-def crit_property_suites(tables):
+def crit_property_suites():
     """Symmetry and soundness sweeps: relabeling and duality invariance of
     the integral on sampled monomials, restriction multiplicativity on all
     generator pairs (multiplied in the quotient, so a pair that does not
@@ -392,7 +378,7 @@ def crit_property_suites(tables):
     formula choices, and annihilation of the integration functional on every
     relation row."""
     t0 = time.monotonic()
-    table = tables.get(labels.config_all_p1())
+    table = chowring.table(labels.config_all_p1())
     rng = random.Random(SEED + 2)
     details = {}
 
@@ -471,43 +457,30 @@ def crit_property_suites(tables):
 # ---------------------------------------------------------------------------
 
 
+CRITERIA = {
+    "ranks-m1": crit_ranks_m1,
+    "config-family": crit_config_family,
+    "boundary-census": crit_boundary_census,
+    "homology": crit_homology,
+    "psi-table": crit_psi_table,
+    "m0n-oracles": crit_m0n_oracles,
+    "picard-rank": crit_picard,
+    "canonical-classes": crit_canonical,
+    "blowup-recursion": crit_blowup_recursion,
+    "micro-curves": crit_micro_curves,
+    "property-suites": crit_property_suites,
+}
+
 SUITES = {
-    "acceptance": (
-        "ranks-m1",
-        "config-family",
-        "boundary-census",
-        "homology",
-        "psi-table",
-        "m0n-oracles",
-        "picard-rank",
-        "canonical-classes",
-        "blowup-recursion",
-        "micro-curves",
-        "property-suites",
-    ),
+    "acceptance": tuple(CRITERIA),
     "homology": ("homology",),
     "psi-table": ("psi-table",),
 }
 
 
-def run_acceptance(suite="acceptance", tables=None):
+def run_acceptance(suite="acceptance"):
     """Run the requested criteria; returns (results, all_ok)."""
-    if suite not in SUITES and suite not in SUITES["acceptance"]:
+    if suite not in SUITES and suite not in CRITERIA:
         raise ValueError("unknown suite %r" % (suite,))
-    wanted = SUITES.get(suite, (suite,))
-    tables = tables or _Tables()
-    runners = {
-        "ranks-m1": lambda: crit_ranks_m1(tables),
-        "config-family": lambda: crit_config_family(tables),
-        "boundary-census": crit_boundary_census,
-        "homology": crit_homology,
-        "psi-table": lambda: crit_psi_table(tables),
-        "m0n-oracles": crit_m0n_oracles,
-        "picard-rank": lambda: crit_picard(tables),
-        "canonical-classes": lambda: crit_canonical(tables),
-        "blowup-recursion": crit_blowup_recursion,
-        "micro-curves": lambda: crit_micro_curves(tables),
-        "property-suites": lambda: crit_property_suites(tables),
-    }
-    results = [runners[name]() for name in wanted]
+    results = [CRITERIA[name]() for name in SUITES.get(suite, (suite,))]
     return results, all(r.ok for r in results)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import m36
-from m36 import cli, labels
+from m36 import chowring, classes, cli, labels
 from m36.chowring import RingElement
 from m36.classes import (
     delta_cyclic,
@@ -22,11 +22,6 @@ from m36.classes import (
     _parse_orbit,
 )
 from m36.cli import UsageError, main, parse_expression, _parse_point
-
-
-@pytest.fixture(scope="module", autouse=True)
-def seeded_exact(table):
-    cli._TABLES[labels.config_all_p1()] = table
 
 
 @pytest.fixture()
@@ -64,6 +59,15 @@ class TestExpressionGrammar:
         assert parse_expression("delta[12,34,56]") == delta_cyclic(
             ((1, 2), (3, 4), (5, 6))
         )
+
+    def test_parse_round_trip(self):
+        for d in labels.DIVISORS:
+            assert parse_expression(d.name()) == RingElement.from_divisor(d)
+
+    def test_parse_rejects_garbage(self):
+        for bad in ("E[12]", "F[123]", "G[12,34]", "H[123]", "E[127]", "G[12,23,45]", ""):
+            with pytest.raises(UsageError):
+                parse_expression(bad)
 
     def test_arithmetic(self):
         e = parse_expression("(F[12] + F[34])^2 - 2*F[12]*F[34]")
@@ -153,7 +157,7 @@ class TestExitCodes:
         assert capsys.readouterr().out == "0\n"
 
     @pytest.mark.parametrize(
-        "text", ["F[12]", "F[12]*F[13]", "F[12", "E[12]", "F[12]^4*F[12]"]
+        "text", ["F[12]", "F[12]*F[13]", "F[12", "E[12]", "F[12]^4*F[12]", "1/0"]
     )
     def test_rejected_before_any_table(self, capsys, monkeypatch, tmp_path, text):
         def refuse(*_args, **_kwargs):
@@ -215,6 +219,8 @@ class TestOutputs:
 
     def test_one_table_per_config(self, capsys):
         cfg = labels.config_all_p1()
+        assert chowring.table(cfg) is chowring.table(cfg)
+        assert cli._table(cfg, "exact") is chowring.table(cfg)
         assert cli._table(cfg, "exact") is cli._table(cfg, "two-prime")
         for mode in ("exact", "two-prime"):
             assert main(["ranks", "--mode", mode]) == 0
@@ -315,6 +321,14 @@ class TestOutputs:
         assert rep["classes"][0] == "delta[156,234]"
         assert "delta[12,3,456]" in rep["classes"]
         assert "delta[12,34,56]" in rep["classes"]
+
+    def test_picard_labels_parse_to_basis(self, capsys, table):
+        assert main(["picard", "--format", "csv"]) == 0
+        names = capsys.readouterr().out.splitlines()[1:]
+        basis = classes.picard_m36_basis(table)
+        assert len(names) == len(basis) == 36
+        for name, element in zip(names, basis):
+            assert parse_expression(name) == element, name
 
     def test_psi_table_csv(self, capsys):
         assert main(["psi-table", "--mode", "exact", "--format", "csv"]) == 0

@@ -26,7 +26,6 @@ from m36.labels import (
     enumerate_divisors,
     intersects,
     pair,
-    parse_divisor,
     perm_compose,
     perm_inverse,
     singular_point,
@@ -101,15 +100,6 @@ class TestCanonicalization:
         assert triple((1, 2, 3)).name() == "E[123]"
         assert pair((2, 1)).name() == "F[12]"
         assert cyclic((5, 6), (1, 2), (3, 4)).name() == "G[12,34,56]"
-
-    def test_parse_round_trip(self):
-        for d in DIVISORS:
-            assert parse_divisor(d.name()) == d
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("E[12]", "F[123]", "G[12,34]", "H[123]", "E[127]", "G[12,23,45]", ""):
-            with pytest.raises(ValueError):
-                parse_divisor(bad)
 
 
 class TestSingularPoints:
