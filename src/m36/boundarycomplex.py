@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import labels
-from .exactla import SparseIntegerMatrix, smith_normal_form
+from .exactla import smith_normal_form
 
 MAX_DIM = 4
 
@@ -35,13 +35,6 @@ class SimplicialComplex:
         counts = [len(fs) for fs in self.faces]
         counts += [0] * (MAX_DIM + 1 - len(counts))
         return tuple(counts)
-
-    @property
-    def dimension(self):
-        for k in range(len(self.faces) - 1, -1, -1):
-            if self.faces[k]:
-                return k
-        return -1
 
     def maximal_simplices(self):
         out = []
@@ -177,10 +170,10 @@ def edge_census(c):
 
 
 def _boundary_matrix(c, k):
-    """The degree-k boundary map as a row-per-k-face integer matrix; k = 0 is
-    the augmentation onto a single column."""
+    """The degree-k boundary map as {col: coeff} rows, one per k-face; k = 0
+    is the augmentation onto a single column."""
     if k == 0:
-        return SparseIntegerMatrix.from_dicts(1, [{0: 1} for _ in c.faces[0]])
+        return [{0: 1} for _ in c.faces[0]]
     index = {face: i for i, face in enumerate(c.faces[k - 1])}
     rows = []
     for face in c.faces[k]:
@@ -189,7 +182,7 @@ def _boundary_matrix(c, k):
             sub = face[:i] + face[i + 1 :]
             row[index[sub]] = 1 if i % 2 == 0 else -1
         rows.append(row)
-    return SparseIntegerMatrix.from_dicts(len(index), rows)
+    return rows
 
 
 @dataclass(frozen=True)

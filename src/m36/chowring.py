@@ -13,12 +13,15 @@ admissible monomials modulo the projections of {linear relation x admissible
 monomial of degree k-1}.  Those projections are exact: any product landing on
 an inadmissible monomial lies in the monomial ideal.
 
-Ranks and torsion are certified per degree by integer echelon forms with
-rightmost pivots (so the lexicographically smallest monomials survive as the
-basis).  The expected rank profile (1, 51, 127+|S2|, 51, 1) is a theorem;
-meeting it is asserted, and a computed mismatch raises VerificationError
-rather than a report with different numbers.  Torsion-freeness is certified
-in every degree by the local-prime rank check of exactla.smith_from_echelon.
+Every degree from 1 to 4 is built by the same loop: all of its relation rows
+go into one integer echelon form with rightmost pivots (so the
+lexicographically smallest monomials survive as the basis), which gives the
+rank, the reduced rows for normal forms and the torsion certificate of the
+whole relation lattice.  The expected rank profile (1, 51, 127+|S2|, 51, 1)
+is a theorem; meeting it is asserted, and a computed mismatch raises
+VerificationError rather than a report with different numbers.
+Torsion-freeness is certified in every degree by the local-prime rank check
+of exactla.smith_from_echelon.
 
 RingElement is the free polynomial ring and knows no config.  multiply,
 product and power evaluate products in the quotient instead: a product monomial that is
@@ -37,11 +40,11 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import labels
 from .boundarycomplex import build_complex
-from .exactla import IntEchelon, smith_from_echelon
+from .exactla import IntEchelon, rank_over_rationals, smith_from_echelon
 
 MAX_DEGREE = 4
 
@@ -261,20 +264,6 @@ def _linear_relation_vectors():
     return out
 
 
-def multiplicative_relation_generators(cfg):
-    """Square-free monomials that vanish in the ring of cfg: quadratic ones
-    from disjoint divisor pairs, cubic ones from plane-fiber triples."""
-    out = []
-    ds = labels.DIVISORS
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            if not labels.intersects(ds[i], ds[j], cfg):
-                out.append((i, j))
-    for rel in labels.s2_triple_relations(cfg):
-        out.append(tuple(sorted(labels.divisor_index(d) for d in rel)))
-    return out
-
-
 # --------------------------------------------------------------------------
 # admissible monomials
 
@@ -307,14 +296,6 @@ def admissible_monomials(complex_, k):
     return out
 
 
-def admissible_count_formula(f_vector, k):
-    """Independent count of the degree-k admissible monomials from the face
-    numbers alone: each d-face supports C(k-1, d) multisets of size k."""
-    if k == 0:
-        return 1
-    return sum(f_vector[d] * comb(k - 1, d) for d in range(MAX_DEGREE + 1))
-
-
 def _insert_sorted(mono, d):
     pos = bisect_right(mono, d)
     return mono[:pos] + (d,) + mono[pos:]
@@ -341,14 +322,14 @@ def _reduce_row(row, rref):
     return out
 
 
-def _row_stream(basis_vectors, monomials_lower, index):
+def _row_stream(generators, monomials_lower, index):
     """Deterministic relation-row stream for one degree: multiplier monomials
-    in reverse lexicographic order, lattice-basis generators in order.  Rows
-    are ({col: coeff}, id) with id = (monomial position, generator position).
+    in reverse lexicographic order, generators in order.  Rows are
+    (id, {col: coeff}) with id = (monomial position, generator position).
     """
     for mpos in range(len(monomials_lower) - 1, -1, -1):
         m = monomials_lower[mpos]
-        for gpos, g in enumerate(basis_vectors):
+        for gpos, g in enumerate(generators):
             row = {}
             for d, c in g.items():
                 col = index.get(_insert_sorted(m, d))
@@ -369,27 +350,6 @@ class DegreeData:
     runtime_ms: int = 0
 
 
-def _exact_degree(ncols, stream, expected_rank):
-    """Exact integer elimination with a verification tail: once the expected
-    rank is reached the remaining rows are checked to lie in the pivot span
-    (cheap, since back-reduced rows have support 1 + corank); any row that
-    fails is inserted for real, which will surface as a rank mismatch."""
-    ech = IntEchelon(reduce_content=False)
-    rref = None
-    for _rid, row in stream:
-        if ech.rank < expected_rank:
-            ech.insert(row)
-            continue
-        if rref is None:
-            rref = ech.rref()
-        if _reduce_row(row, rref):
-            ech.insert(row)
-            rref = None
-    if rref is None:
-        rref = ech.rref()
-    return ech, rref
-
-
 # --------------------------------------------------------------------------
 # the table
 
@@ -397,12 +357,11 @@ def _exact_degree(ncols, stream, expected_rank):
 class GradedQuotientTable:
     """Immutable per-degree quotient data for one resolution config."""
 
-    def __init__(self, config, mode, complex_, degrees, lattice_basis, runtime_ms):
+    def __init__(self, config, mode, complex_, degrees, runtime_ms):
         self.config = config
         self.mode = mode
         self.complex = complex_
         self.degrees = degrees
-        self._lattice_basis = lattice_basis
         self.runtime_ms = runtime_ms
         self._functional = None
 
@@ -427,17 +386,14 @@ class GradedQuotientTable:
         """True when every degree has all invariant factors 1."""
         return all(d == 1 for dd in self.degrees for d in dd.torsion)
 
-    def relation_row_stream(self, k, generators="lattice"):
-        """All degree-k relation rows as ({col: coeff}, id) pairs; with
-        generators="full" the sixty original generators are used instead of
-        the fourteen lattice-basis rows."""
-        lower = self.degrees[k - 1].monomials
-        index = self.degrees[k].index
-        if generators == "lattice":
-            vecs = self._lattice_basis
-        else:
-            vecs = _linear_relation_vectors()
-        return _row_stream(vecs, lower, index)
+    def relation_row_stream(self, k):
+        """All degree-k relation rows from the sixty linear generators, as
+        (id, {col: coeff}) pairs."""
+        return _row_stream(
+            _linear_relation_vectors(),
+            self.degrees[k - 1].monomials,
+            self.degrees[k].index,
+        )
 
 
 def _expected_profile(cfg):
@@ -448,6 +404,14 @@ def build_quotient(cfg, mode="two-prime"):
     """Construct the graded quotient table for a resolution config, with rank
     and torsion certified exactly over Z in every degree.
 
+    One loop builds degrees 1 to 4 alike: every relation row of the degree
+    goes into one IntEchelon, then rref and smith_from_echelon run once.  The
+    rows of degree 1 are the sixty linear generators themselves; every higher
+    degree multiplies the degree-1 pivot rows, a basis of the same relation
+    lattice, sorted by lead.  Row order changes the cost, not the result:
+    the reverse multiplier order and the rows that die on insertion are what
+    keep the Euclidean exchanges small.
+
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path, and the value is kept as a label for the reports."""
     if mode not in ("exact", "two-prime"):
@@ -455,66 +419,45 @@ def build_quotient(cfg, mode="two-prime"):
     t0 = time.monotonic()
     expected = _expected_profile(cfg)
     complex_ = build_complex(cfg)
-    monomials = {k: admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)}
-    indexes = {
-        k: {m: i for i, m in enumerate(monomials[k])} for k in range(MAX_DEGREE + 1)
-    }
-
+    monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
     degrees = [
         DegreeData(
             monomials=tuple(monomials[0]),
-            index=indexes[0],
+            index={(): 0},
             rank=1,
             torsion=(),
             rref={},
             basis_cols=(0,),
         )
     ]
-
-    # degree 1: echelon the sixty generators directly; the pivot rows form a
-    # lattice basis reused as the generator set in higher degrees
-    t1 = time.monotonic()
-    gen_vecs = _linear_relation_vectors()
-    ech1 = IntEchelon(reduce_content=False)
-    for vec in gen_vecs:
-        ech1.insert(dict(vec))
-    lattice_basis = [dict(ech1.pivots[L]) for L in sorted(ech1.pivots)]
-    rref1 = ech1.rref()
-    tor1 = smith_from_echelon(ech1).diagonal
-    dd1 = DegreeData(
-        monomials=tuple(monomials[1]),
-        index=indexes[1],
-        rank=65 - ech1.rank,
-        torsion=tor1,
-        rref=rref1,
-        basis_cols=tuple(c for c in range(65) if c not in rref1),
-        runtime_ms=int((time.monotonic() - t1) * 1000),
-    )
-    degrees.append(dd1)
-
-    for k in range(2, MAX_DEGREE + 1):
+    generators = _linear_relation_vectors()
+    for k in range(1, MAX_DEGREE + 1):
         tk = time.monotonic()
         ncols = len(monomials[k])
-        expected_rank = ncols - expected[k]
-        stream = _row_stream(lattice_basis, monomials[k - 1], indexes[k])
-        ech, rref = _exact_degree(ncols, stream, expected_rank)
-        dd = DegreeData(
-            monomials=tuple(monomials[k]),
-            index=indexes[k],
-            rank=ncols - ech.rank,
-            torsion=smith_from_echelon(ech).diagonal,
-            rref=rref,
-            basis_cols=tuple(c for c in range(ncols) if c not in rref),
+        index = {m: i for i, m in enumerate(monomials[k])}
+        ech = IntEchelon()
+        for _rid, row in _row_stream(generators, monomials[k - 1], index):
+            ech.insert(row)
+        rref = ech.rref()
+        degrees.append(
+            DegreeData(
+                monomials=tuple(monomials[k]),
+                index=index,
+                rank=ncols - ech.rank,
+                torsion=smith_from_echelon(ech).diagonal,
+                rref=rref,
+                basis_cols=tuple(c for c in range(ncols) if c not in rref),
+                runtime_ms=int((time.monotonic() - tk) * 1000),
+            )
         )
-        dd.runtime_ms = int((time.monotonic() - tk) * 1000)
-        degrees.append(dd)
+        if k == 1:
+            generators = [ech.pivots[lead] for lead in sorted(ech.pivots)]
 
     table = GradedQuotientTable(
         config=cfg,
         mode=mode,
         complex_=complex_,
         degrees=degrees,
-        lattice_basis=lattice_basis,
         runtime_ms=int((time.monotonic() - t0) * 1000),
     )
     got = table.ranks
@@ -806,8 +749,6 @@ def m36_chow_ranks(t):
     if t.config != labels.config_all_p1():
         raise ValueError("requires the all-line-fiber table")
     basis = t.basis_monomials(1)
-    from .exactla import SparseIntegerMatrix, rank_over_rationals
-
     rows = []
     for pt in labels.SINGULAR_POINTS:
         row = {}
@@ -816,8 +757,7 @@ def m36_chow_ranks(t):
             if v:
                 row[j] = v
         rows.append(row)
-    fmat = SparseIntegerMatrix.from_dicts(len(basis), rows)
-    r = rank_over_rationals(fmat)
+    r = rank_over_rationals(rows)
     if r != 15:
         raise VerificationError(
             "line-restriction functionals have rank %d, expected 15" % r

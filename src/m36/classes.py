@@ -30,6 +30,7 @@ from .chowring import (
     product,
     restrict_to_fiber,
 )
+from .exactla import rank_over_rationals
 
 LINESET = set(labels.LINES)
 
@@ -229,8 +230,6 @@ def picard_m36_basis(t):
     """The 36 delta classes of PICARD_LABELS, spanning the Picard group of
     the singular space.  Every element is checked to descend, and the image
     in degree 1 of the resolution is checked to have rank exactly 36."""
-    from .exactla import SparseIntegerMatrix, rank_over_rationals
-
     out = [delta(label) for label in PICARD_LABELS]
     for e in out:
         if not m36_subring_membership(e, t):
@@ -243,7 +242,7 @@ def picard_m36_basis(t):
     for e in out:
         nf = normal_form(e, t)
         rows.append({pos[m]: c for m, c in nf.coeffs.items()})
-    r = rank_over_rationals(SparseIntegerMatrix.from_dicts(len(basis), rows))
+    r = rank_over_rationals(rows)
     if r != 36:
         raise VerificationError("delta classes have rank %d, expected 36" % r)
     return out

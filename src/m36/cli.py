@@ -338,8 +338,11 @@ def _csv_bytes(header, rows):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError("cannot write %s: %s" % (out_path, e.strerror or e))
     else:
         sys.stdout.write(text)
 

@@ -1,11 +1,12 @@
-"""Exact sparse linear algebra over Z and Q.
+"""Exact sparse linear algebra over Z.
 
 Everything here is built around one primitive: an insertion echelon form with
-rightmost pivots.  Rows arrive one at a time as {column: coefficient} dicts;
-each row is reduced against the current basis and either dies (it was in the
-span) or becomes a new pivot row.  Over Z the reduction uses Euclidean
-exchanges, so row operations stay unimodular and the row-span lattice is
-preserved exactly.  That gives three things at once:
+rightmost pivots.  Rows are {column: coefficient} dicts from end to end.  They
+arrive one at a time; each row is reduced against the current basis and
+either dies (it was in the span) or becomes a new pivot row.  Over Z the
+reduction uses Euclidean exchanges, so row operations stay unimodular and the
+row-span lattice is preserved exactly; no row is ever divided by its content.
+That gives three things at once:
 
   * the rank (number of pivot rows),
   * a torsion certificate: the pivot rows are triangular on their lead
@@ -15,7 +16,7 @@ preserved exactly.  That gives three things at once:
     rational rank (the local rank check of the valence method of Dumas,
     Saunders and Villard, JSC 32, 2001); with every lead 1 nothing is left
     to check,
-  * reduced row echelon data for normal forms and kernels over Q.
+  * reduced row echelon data over Q for normal forms (rref).
 
 Only when the rank drops at some lead prime does the Smith normal form fall
 back to a dense textbook elimination of the echelon rows.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 def xgcd(a, b):
@@ -49,39 +51,6 @@ def xgcd(a, b):
     return old_r, old_s, old_t
 
 
-class SparseIntegerMatrix:
-    """Row-sparse integer matrix: rows are tuples of (col, coeff) with strictly
-    increasing columns and nonzero arbitrary-precision coefficients."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows, ncols, rows):
-        if len(rows) != nrows:
-            raise ValueError("row count mismatch")
-        for row in rows:
-            prev = -1
-            for col, coeff in row:
-                if not 0 <= col < ncols:
-                    raise ValueError("column index out of range")
-                if col <= prev:
-                    raise ValueError("columns must increase within a row")
-                if coeff == 0:
-                    raise ValueError("stored zero coefficient")
-                prev = col
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = [tuple(row) for row in rows]
-
-    @classmethod
-    def from_dicts(cls, ncols, dicts):
-        rows = [tuple(sorted((c, v) for c, v in d.items() if v)) for d in dicts]
-        return cls(len(rows), ncols, rows)
-
-    def row_dicts(self):
-        for row in self.rows:
-            yield dict(row)
-
-
 def _submul(row, b, q):
     """row -= q * b, in place, dropping zeros."""
     get = row.get
@@ -93,33 +62,11 @@ def _submul(row, b, q):
             del row[col]
 
 
-def _content(row):
-    g = 0
-    for v in row.values():
-        g = _gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 class IntEchelon:
-    """Insertion echelon over Z with rightmost (largest-column) pivots.
+    """Insertion echelon over Z with rightmost (largest-column) pivots."""
 
-    reduce_content=True divides each new pivot row by its content.  That is
-    fine for ranks and kernels over Q but changes the row lattice, so torsion
-    work must keep it off.
-    """
-
-    def __init__(self, reduce_content=False):
+    def __init__(self):
         self.pivots = {}
-        self.reduce_content = reduce_content
 
     @property
     def rank(self):
@@ -136,10 +83,6 @@ class IntEchelon:
             if b is None:
                 if row[lead] < 0:
                     row = {c: -v for c, v in row.items()}
-                if self.reduce_content:
-                    g = _content(row)
-                    if g > 1:
-                        row = {c: v // g for c, v in row.items()}
                 pivots[lead] = row
                 return lead
             c, d = row[lead], b[lead]
@@ -189,23 +132,6 @@ class IntEchelon:
             reduced[lead] = row
         return reduced
 
-    def kernel_basis(self, ncols):
-        """Basis of the right kernel over Q, one vector per non-pivot column,
-        as {col: coeff} dicts (int or Fraction) with 1 at the defining column.
-        """
-        rref = self.rref()
-        pivot_cols = set(rref)
-        out = []
-        for j in range(ncols):
-            if j in pivot_cols:
-                continue
-            v = {j: 1}
-            for lead, row in rref.items():
-                if j in row:
-                    v[lead] = -row[j]
-            out.append(v)
-        return out
-
 
 class ModpEchelon:
     """Insertion echelon over GF(p), rightmost pivots, rows normalized monic."""
@@ -245,8 +171,8 @@ class ModpEchelon:
         return None
 
     def kernel_basis(self, ncols):
-        """Right-kernel basis mod p; rows are already monic, so back-reduction
-        mirrors the rational case."""
+        """Right-kernel basis mod p, one vector per non-pivot column; rows are
+        already monic, so back-reduction needs no division."""
         p = self.p
         reduced = {}
         for lead in sorted(self.pivots):
@@ -290,33 +216,23 @@ class SmithInvariants:
         return all(d == 1 for d in self.diagonal)
 
 
-def rank_over_rationals(m):
-    ech = IntEchelon(reduce_content=True)
-    for row in m.row_dicts():
-        ech.insert(row)
-    return ech.rank
+def _echelon(rows):
+    """An IntEchelon of an iterable of {col: coeff} integer rows.  Each row
+    is copied without its zero entries, since insert consumes its dict."""
+    ech = IntEchelon()
+    for row in rows:
+        ech.insert({c: v for c, v in row.items() if v})
+    return ech
 
 
-def nullspace_basis(m):
-    """Basis of the right kernel over Q as dense Fraction lists."""
-    ech = IntEchelon(reduce_content=True)
-    for row in m.row_dicts():
-        ech.insert(row)
-    out = []
-    for v in ech.kernel_basis(m.ncols):
-        vec = [Fraction(0)] * m.ncols
-        for c, val in v.items():
-            vec[c] = Fraction(val)
-        out.append(vec)
-    return out
+def rank_over_rationals(rows):
+    """Rank over Q of {col: coeff} integer rows, which is their rank over Z."""
+    return _echelon(rows).rank
 
 
-def smith_normal_form(m):
-    """Exact invariant factors of a SparseIntegerMatrix."""
-    ech = IntEchelon(reduce_content=False)
-    for row in m.row_dicts():
-        ech.insert(row)
-    return smith_from_echelon(ech)
+def smith_normal_form(rows):
+    """Exact invariant factors of {col: coeff} integer rows."""
+    return smith_from_echelon(_echelon(rows))
 
 
 def _prime_factors(n):
@@ -335,12 +251,10 @@ def _prime_factors(n):
 
 
 def smith_from_echelon(ech):
-    """SmithInvariants of a matrix already fed through an IntEchelon built
-    with reduce_content=False.  The rank of the pivot rows is checked modulo
-    every prime dividing a lead; if it is full at each, all invariant factors
-    are 1, and otherwise the dense Smith form of the pivot rows decides."""
-    if ech.reduce_content:
-        raise ValueError("content-reduced echelon cannot certify torsion")
+    """SmithInvariants of a matrix already fed through an IntEchelon.  The
+    rank of the pivot rows is checked modulo every prime dividing a lead; if
+    it is full at each, all invariant factors are 1, and otherwise the dense
+    Smith form of the pivot rows decides."""
     primes = set()
     for value in {row[lead] for lead, row in ech.pivots.items()}:
         primes |= _prime_factors(value)
@@ -424,7 +338,7 @@ def _dense_snf(rows):
         for i in range(len(diag) - 1):
             a, b = diag[i], diag[i + 1]
             if b % a:
-                g = _gcd(a, b)
+                g = gcd(a, b)
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
         diag.sort()

@@ -109,7 +109,6 @@ def enumerate_divisors():
 
 DIVISORS = enumerate_divisors()
 DIVISOR_INDEX = {d: i for i, d in enumerate(DIVISORS)}
-NTRIPLE, NPAIR, NCYCLIC = 20, 15, 30
 
 
 def divisor_index(d):

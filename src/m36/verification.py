@@ -59,7 +59,6 @@ def crit_ranks_m1():
     """Ranks and torsion of the all-line-fiber resolution within the runtime
     budget of each mode (exact 10 minutes, two-prime 1).  Both modes name
     the same computation, so the table is built once and read twice."""
-    t0 = time.monotonic()
     details = {}
     ok = True
     for mode, budget_s in (("exact", 600), ("two-prime", 60)):
@@ -74,9 +73,7 @@ def crit_ranks_m1():
         details["%s_ranks" % mode] = "x".join(str(r) for r in table.ranks)
         details["%s_ms" % mode] = table.runtime_ms
         ok = ok and good and in_budget
-    return CriterionResult(
-        "ranks-m1", ok, details, int((time.monotonic() - t0) * 1000)
-    )
+    return CriterionResult("ranks-m1", ok, details)
 
 
 # -- 2 ----------------------------------------------------------------------
@@ -85,7 +82,6 @@ def crit_ranks_m1():
 def crit_config_family():
     """All-plane-fiber plus three seeded mixed configs: degree 2 gains one
     rank per plane fiber, the other degrees stay put."""
-    t0 = time.monotonic()
     rng = random.Random(SEED)
     configs = [labels.config_all_p2()]
     for _ in range(3):
@@ -104,9 +100,7 @@ def crit_config_family():
         good = table.ranks == want
         details[cfg.name()] = "x".join(str(r) for r in table.ranks)
         ok = ok and good
-    return CriterionResult(
-        "config-family", ok, details, int((time.monotonic() - t0) * 1000)
-    )
+    return CriterionResult("config-family", ok, details)
 
 
 # -- 3 ----------------------------------------------------------------------
@@ -115,7 +109,6 @@ def crit_config_family():
 def crit_boundary_census():
     """Vertex, per-type edge, and top-simplex counts of the unresolved
     boundary complex."""
-    t0 = time.monotonic()
     cx = boundarycomplex.build_complex(None)
     census = boundarycomplex.edge_census(cx)
     want = dict(
@@ -130,7 +123,6 @@ def crit_boundary_census():
         "boundary-census",
         ok,
         {"f_vector": "/".join(str(x) for x in f), "edges": sum(census.values())},
-        int((time.monotonic() - t0) * 1000),
     )
 
 
@@ -141,7 +133,6 @@ def crit_homology():
     """Reduced homology of the unresolved complex and of three resolved
     complexes: one copy of Z^126 in degree 3 and nothing else, each within a
     minute."""
-    t0 = time.monotonic()
     rng = random.Random(SEED + 1)
     mixed = labels.ResolutionConfig(
         s2=frozenset(rng.sample(labels.SINGULAR_POINTS, 7))
@@ -168,9 +159,7 @@ def crit_homology():
             next(h.rank for h in hom if h.dim == 3),
             ms,
         )
-    return CriterionResult(
-        "homology", ok, details, int((time.monotonic() - t0) * 1000)
-    )
+    return CriterionResult("homology", ok, details)
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -180,7 +169,6 @@ def crit_psi_table():
     """The quartic psi numbers match the published table orbit for orbit,
     the normalizing product integrates to 1, and the vanishing rule holds,
     inside the two-minute budget."""
-    t0 = time.monotonic()
     table = chowring.table(labels.config_all_p1())
     rep, ms = _timed(lambda: classes.psi_table(table))
     a, b = classes.psi(5, 6), classes.psi(6, 5)
@@ -201,7 +189,6 @@ def crit_psi_table():
             "normalization": str(norm),
             "ms": ms,
         },
-        int((time.monotonic() - t0) * 1000),
     )
 
 
@@ -221,7 +208,6 @@ def crit_m0n_oracles():
     """The four-to-six-point oracles: Chow ranks, every psi integral against
     the multinomial formula, and the 0/1 table for psi products on the
     five-line space."""
-    t0 = time.monotonic()
     ok = True
     details = {}
     want_ranks = {4: (1, 1), 5: (1, 5, 1), 6: (1, 16, 16, 1)}
@@ -262,9 +248,7 @@ def crit_m0n_oracles():
             break
     details["five-line"] = "ok" if lines_ok else "bad"
     ok = ok and lines_ok
-    return CriterionResult(
-        "m0n-oracles", ok, details, int((time.monotonic() - t0) * 1000)
-    )
+    return CriterionResult("m0n-oracles", ok, details)
 
 
 # -- 7 ----------------------------------------------------------------------
@@ -273,7 +257,6 @@ def crit_m0n_oracles():
 def crit_picard():
     """The 36 delta classes descend, are independent, and span the kernel of
     the line restrictions; the singular space has Picard rank 36."""
-    t0 = time.monotonic()
     table = chowring.table(labels.config_all_p1())
     try:
         basis = classes.picard_m36_basis(table)
@@ -283,9 +266,7 @@ def crit_picard():
     except chowring.VerificationError as e:
         ok = False
         details = {"error": str(e)}
-    return CriterionResult(
-        "picard-rank", ok, details, int((time.monotonic() - t0) * 1000)
-    )
+    return CriterionResult("picard-rank", ok, details)
 
 
 # -- 8 ----------------------------------------------------------------------
@@ -295,18 +276,12 @@ def crit_canonical():
     """K and K+B coefficients, the pullback identity, vanishing of K+B on
     every exceptional line, and positivity of (K+B)^4 against the recorded
     baseline."""
-    t0 = time.monotonic()
     table = chowring.table(labels.config_all_p1())
     base = load_baselines()
     try:
         cc = classes.canonical_classes(table)
     except chowring.VerificationError as e:
-        return CriterionResult(
-            "canonical-classes",
-            False,
-            {"error": str(e)},
-            int((time.monotonic() - t0) * 1000),
-        )
+        return CriterionResult("canonical-classes", False, {"error": str(e)})
     k = cc["K"]
     coeff_ok = all(
         k.coeffs[(labels.divisor_index(d),)] == classes.K_COEFFS[d.kind]
@@ -327,7 +302,6 @@ def crit_canonical():
             "identity": ",".join(cc["identity_readings"]),
             "coefficients": "ok" if (coeff_ok and kb_ok) else "bad",
         },
-        int((time.monotonic() - t0) * 1000),
     )
 
 
@@ -335,14 +309,12 @@ def crit_canonical():
 
 
 def crit_blowup_recursion():
-    t0 = time.monotonic()
     ranks = chowring.blowup_rank_recursion()
     ok = ranks == (1, 51, 127, 51, 1)
     return CriterionResult(
         "blowup-recursion",
         ok,
         {"ranks": "x".join(str(r) for r in ranks)},
-        int((time.monotonic() - t0) * 1000),
     )
 
 
@@ -350,7 +322,6 @@ def crit_blowup_recursion():
 
 
 def crit_micro_curves():
-    t0 = time.monotonic()
     table = chowring.table(labels.config_all_p1())
     rep = classes.curve_checks(table)
     bad = [
@@ -363,7 +334,6 @@ def crit_micro_curves():
         "micro-curves",
         rep["all_ok"],
         {"checks": 9, "failed": ",".join(bad) or "none"},
-        int((time.monotonic() - t0) * 1000),
     )
 
 
@@ -377,7 +347,6 @@ def crit_property_suites():
     meet must restrict to zero), psi well-definedness across all twelve
     formula choices, and annihilation of the integration functional on every
     relation row."""
-    t0 = time.monotonic()
     table = chowring.table(labels.config_all_p1())
     rng = random.Random(SEED + 2)
     details = {}
@@ -436,7 +405,7 @@ def crit_property_suites():
     func = chowring._integration_functional(table)
     sweep_rows = 0
     sweep_ok = True
-    for _rid, row in table.relation_row_stream(4, generators="full"):
+    for _rid, row in table.relation_row_stream(4):
         total = 0
         for c, v in row.items():
             total += v * func.get(c, 0)
@@ -449,9 +418,7 @@ def crit_property_suites():
     )
 
     ok = sym_ok and mult_ok and psi_ok and sweep_ok
-    return CriterionResult(
-        "property-suites", ok, details, int((time.monotonic() - t0) * 1000)
-    )
+    return CriterionResult("property-suites", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +446,13 @@ SUITES = {
 
 
 def run_acceptance(suite="acceptance"):
-    """Run the requested criteria; returns (results, all_ok)."""
+    """Run the requested criteria, timing each one into its runtime_ms;
+    returns (results, all_ok)."""
     if suite not in SUITES and suite not in CRITERIA:
         raise ValueError("unknown suite %r" % (suite,))
-    results = [CRITERIA[name]() for name in SUITES.get(suite, (suite,))]
+    results = []
+    for name in SUITES.get(suite, (suite,)):
+        res, ms = _timed(CRITERIA[name])
+        res.runtime_ms = ms
+        results.append(res)
     return results, all(r.ok for r in results)

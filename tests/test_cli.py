@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +208,12 @@ class TestExitCodes:
     def test_picard_needs_all_p1(self, capsys, mixed_config):
         assert main(["picard", "--config", mixed_config]) == 2
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["homology", "--unresolved", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert not out.exists()
+
 
 class TestOutputs:
     def test_ranks_json(self, capsys):
@@ -370,6 +377,31 @@ class TestOutputs:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+class TestGoldenOutputs:
+    """Default-config outputs, frozen byte for byte; runtime_ms reads 0."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("ranks.json", ["ranks"]),
+            ("ranks.csv", ["ranks", "--format", "csv"]),
+            ("picard.json", ["picard"]),
+            ("canonical.json", ["canonical"]),
+            ("psi-table.csv", ["psi-table", "--format", "csv"]),
+            ("integrate-kb4.json", ["integrate", "(K+B)^4"]),
+            ("restrict-kb.json", ["restrict", "K+B", "--point", "12,34,56"]),
+        ],
+    )
+    def test_bytes(self, capsys, name, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 def _run_python(args):

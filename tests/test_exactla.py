@@ -12,16 +12,16 @@ from m36 import exactla
 from m36.exactla import (
     IntEchelon,
     ModpEchelon,
-    SparseIntegerMatrix,
-    nullspace_basis,
     rank_over_rationals,
     smith_from_echelon,
     smith_normal_form,
     xgcd,
 )
+from oracles import nullspace_basis
 
 
 def random_matrix(rng, nrows, ncols, density=0.4, lo=-4, hi=4):
+    """nrows {col: coeff} rows over columns 0..ncols-1."""
     rows = []
     for _ in range(nrows):
         row = {}
@@ -31,26 +31,26 @@ def random_matrix(rng, nrows, ncols, density=0.4, lo=-4, hi=4):
                 if v:
                     row[j] = v
         rows.append(row)
-    return SparseIntegerMatrix.from_dicts(ncols, rows)
+    return rows
 
 
-def to_sympy(m):
-    data = sympy.zeros(m.nrows, m.ncols)
-    for i, row in enumerate(m.rows):
-        for j, v in row:
+def to_sympy(rows, ncols):
+    data = sympy.zeros(len(rows), ncols)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
             data[i, j] = v
     return data
 
 
-def rank_mod(m, p):
+def rank_mod(rows, p):
     ech = ModpEchelon(p)
-    for row in m.row_dicts():
+    for row in rows:
         ech.insert(row)
     return ech.rank
 
 
-def sympy_invariants(m):
-    sp = sympy_snf(to_sympy(m))
+def sympy_invariants(rows, ncols):
+    sp = sympy_snf(to_sympy(rows, ncols))
     return [abs(sp[i, i]) for i in range(min(sp.shape)) if sp[i, i] != 0]
 
 
@@ -64,52 +64,49 @@ class TestHelpers:
                 assert a % g == 0 and b % g == 0
 
 
-class TestMatrixContainer:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SparseIntegerMatrix(1, 3, [((0, 1), (0, 2))])  # repeated column
-        with pytest.raises(ValueError):
-            SparseIntegerMatrix(1, 3, [((2, 1), (1, 2))])  # decreasing
-        with pytest.raises(ValueError):
-            SparseIntegerMatrix(1, 3, [((3, 1),)])  # out of range
-        with pytest.raises(ValueError):
-            SparseIntegerMatrix(1, 3, [((1, 0),)])  # stored zero
-
-
 class TestRank:
     @pytest.mark.parametrize("seed", range(12))
     def test_rank_matches_sympy(self, seed):
         rng = random.Random(seed)
-        m = random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9))
-        assert rank_over_rationals(m) == to_sympy(m).rank()
+        ncols = rng.randint(1, 9)
+        m = random_matrix(rng, rng.randint(1, 9), ncols)
+        assert rank_over_rationals(m) == to_sympy(m, ncols).rank()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rank_mod_p_matches(self, seed):
         rng = random.Random(100 + seed)
         m = random_matrix(rng, 8, 8)
-        dm = DomainMatrix.from_Matrix(to_sympy(m))
+        dm = DomainMatrix.from_Matrix(to_sympy(m, 8))
         for p in (2, 3, 1000003):
             assert rank_mod(m, p) == dm.convert_to(sympy.GF(p)).rank()
 
     def test_rank_can_drop_mod_p(self):
-        m = SparseIntegerMatrix.from_dicts(1, [{0: 5}])
+        m = [{0: 5}]
         assert rank_mod(m, 5) == 0
         assert rank_over_rationals(m) == 1
+
+    def test_rows_are_read_not_consumed(self):
+        # the echelon consumes its dicts, so the plain-row entry points copy
+        m = [{0: 2, 1: 1}, {0: 4, 1: 0}]
+        before = [dict(r) for r in m]
+        assert rank_over_rationals(m) == 2
+        assert smith_normal_form(m).diagonal == (1, 4)
+        assert m == before
 
 
 class TestSmith:
     def test_diag_2_3(self):
-        m = SparseIntegerMatrix.from_dicts(2, [{0: 2}, {1: 3}])
+        m = [{0: 2}, {1: 3}]
         assert smith_normal_form(m).diagonal == (1, 6)
 
     def test_torsion_detected(self):
-        m = SparseIntegerMatrix.from_dicts(2, [{0: 2, 1: 0}, {1: 2}])
+        m = [{0: 2, 1: 0}, {1: 2}]
         s = smith_normal_form(m)
         assert s.diagonal == (2, 2)
         assert not s.torsion_free
 
     def test_unit_case(self):
-        m = SparseIntegerMatrix.from_dicts(3, [{0: 1, 1: 4}, {1: 1, 2: -7}])
+        m = [{0: 1, 1: 4}, {1: 1, 2: -7}]
         s = smith_normal_form(m)
         assert s.diagonal == (1, 1)
         assert s.torsion_free and s.rank == 2
@@ -117,16 +114,17 @@ class TestSmith:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_sympy(self, seed):
         rng = random.Random(200 + seed)
-        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert list(smith_normal_form(m).diagonal) == sympy_invariants(m)
+        ncols = rng.randint(1, 7)
+        m = random_matrix(rng, rng.randint(1, 7), ncols)
+        assert list(smith_normal_form(m).diagonal) == sympy_invariants(m, ncols)
 
     def test_saturated_lead_two_is_certified_locally(self, monkeypatch):
         # leads 2 and 2, yet the lattice is saturated: full rank mod 2
         # certifies it without the dense Smith form
-        m = SparseIntegerMatrix.from_dicts(3, [{0: 1, 1: 2}, {1: 1, 2: 2}])
+        m = [{0: 1, 1: 2}, {1: 1, 2: 2}]
         ech = IntEchelon()
-        for row in m.row_dicts():
-            ech.insert(row)
+        for row in m:
+            ech.insert(dict(row))
         assert sorted(r[lead] for lead, r in ech.pivots.items()) == [2, 2]
 
         def no_dense(rows):
@@ -134,14 +132,14 @@ class TestSmith:
 
         monkeypatch.setattr(exactla, "_dense_snf", no_dense)
         assert smith_from_echelon(ech).diagonal == (1, 1)
-        assert sympy_invariants(m) == [1, 1]
+        assert sympy_invariants(m, 3) == [1, 1]
 
     def test_two_torsion_falls_back_to_dense(self, monkeypatch):
         # the rank drops mod 2, so the dense Smith form finds Z/2
-        m = SparseIntegerMatrix.from_dicts(2, [{0: 1, 1: 1}, {0: 1, 1: 3}])
+        m = [{0: 1, 1: 1}, {0: 1, 1: 3}]
         ech = IntEchelon()
-        for row in m.row_dicts():
-            ech.insert(row)
+        for row in m:
+            ech.insert(dict(row))
         dense_calls = []
         dense = exactla._dense_snf
 
@@ -152,7 +150,7 @@ class TestSmith:
         monkeypatch.setattr(exactla, "_dense_snf", spy)
         assert smith_from_echelon(ech).diagonal == (1, 2)
         assert dense_calls == [2]
-        assert sympy_invariants(m) == [1, 2]
+        assert sympy_invariants(m, 2) == [1, 2]
 
     def test_divisibility_chain(self):
         rng = random.Random(99)
@@ -167,13 +165,14 @@ class TestKernel:
     @pytest.mark.parametrize("seed", range(10))
     def test_nullspace_matches_sympy(self, seed):
         rng = random.Random(300 + seed)
-        m = random_matrix(rng, rng.randint(1, 8), rng.randint(2, 8))
-        ours = nullspace_basis(m)
-        sp = to_sympy(m)
-        assert len(ours) == m.ncols - sp.rank()
+        ncols = rng.randint(2, 8)
+        m = random_matrix(rng, rng.randint(1, 8), ncols)
+        ours = nullspace_basis(m, ncols)
+        sp = to_sympy(m, ncols)
+        assert len(ours) == ncols - sp.rank()
         for vec in ours:
             col = sympy.Matrix([sympy.Rational(f.numerator, f.denominator) for f in vec])
-            assert sp * col == sympy.zeros(m.nrows, 1)
+            assert sp * col == sympy.zeros(len(m), 1)
         # linear independence: stack and check rank
         if ours:
             stacked = sympy.Matrix(
@@ -186,12 +185,12 @@ class TestKernel:
         rng = random.Random(17)
         m = random_matrix(rng, 6, 9)
         ech = ModpEchelon(p)
-        for row in m.row_dicts():
+        for row in m:
             ech.insert(row)
         basis = ech.kernel_basis(9)
         assert len(basis) == 9 - ech.rank
         for v in basis:
-            for row in m.row_dicts():
+            for row in m:
                 dot = sum(c * v.get(j, 0) for j, c in row.items()) % p
                 assert dot == 0
 
@@ -235,9 +234,9 @@ def test_fraction_rref_solves(seed):
     rng = random.Random(400 + seed)
     m = random_matrix(rng, 6, 8, density=0.5)
     ech = IntEchelon()
-    for row in m.row_dicts():
-        ech.insert(row)
-    sp = to_sympy(m)
+    for row in m:
+        ech.insert(dict(row))
+    sp = to_sympy(m, 8)
     probe = {j: rng.randint(-3, 3) for j in range(8)}
     probe = {j: v for j, v in probe.items() if v}
     rref = ech.rref()
