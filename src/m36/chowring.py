@@ -24,14 +24,20 @@ Torsion-freeness is certified in every degree by the local-prime rank check
 of exactla.smith_from_echelon.
 
 RingElement is the free polynomial ring and knows no config.  multiply,
-product and power evaluate products in the quotient instead: a product monomial that is
-not admissible is zero by the monomial relations, so it is dropped as soon as
-it is formed, and since every factor of an admissible monomial is admissible
-the result is exactly the free product with its inadmissible monomials
-removed.  Normal forms, integrals and restrictions to exceptional fibers read
-only admissible monomials, so they take the same values on either product;
-the quotient product never expands the free ring, which is what keeps
-(K+B)^4 and the psi quartics cheap.
+product and power evaluate products in the quotient instead: a product
+monomial that is not admissible is zero by the monomial relations, so it is
+dropped as soon as it is formed, and since every factor of an admissible
+monomial is admissible the result is exactly the free product with its
+inadmissible monomials removed.  Normal forms, integrals and restrictions to
+exceptional fibers read only admissible monomials, so they take the same
+values on either product; the quotient product never expands the free ring,
+which is what keeps (K+B)^4 and the psi quartics cheap.
+
+All sparse sums go through two kernels: exactla.submul adds a scaled row
+(sums and differences of elements) and _collect sums (monomial, coefficient)
+terms (products, relabelings), both dropping zeros.  Normal forms reduce by
+the degree's rref with exactla.reduce_row, the same back-substitution that
+builds it.
 """
 
 from __future__ import annotations
@@ -40,11 +46,16 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import labels
 from .boundarycomplex import build_complex
-from .exactla import IntEchelon, rank_over_rationals, smith_from_echelon
+from .exactla import (
+    IntEchelon,
+    rank_over_rationals,
+    reduce_row,
+    smith_from_echelon,
+    submul,
+)
 
 MAX_DEGREE = 4
 
@@ -55,6 +66,26 @@ class VerificationError(Exception):
 
 # --------------------------------------------------------------------------
 # ring elements
+
+
+def _collect(terms):
+    """Sum (key, coefficient) pairs into a dict without zero values."""
+    out = {}
+    for key, c in terms:
+        nv = out.get(key, 0) + c
+        if nv:
+            out[key] = nv
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _check_degree_cap(a, b):
+    """Refuse the product of two nonzero elements beyond degree 4 up front,
+    before any term is formed."""
+    if a.coeffs and b.coeffs:
+        if max(map(len, a.coeffs)) + max(map(len, b.coeffs)) > MAX_DEGREE:
+            raise ValueError("product exceeds degree 4")
 
 
 def _check_monomial(mono):
@@ -104,11 +135,7 @@ class RingElement:
 
     @classmethod
     def from_divisors(cls, divisors):
-        out = {}
-        for d in divisors:
-            key = (labels.divisor_index(d),)
-            out[key] = out.get(key, 0) + 1
-        return cls._raw({k: v for k, v in out.items() if v})
+        return cls._raw(_collect(((labels.divisor_index(d),), 1) for d in divisors))
 
     def is_zero(self):
         return not self.coeffs
@@ -122,29 +149,14 @@ class RingElement:
             raise ValueError("element is not homogeneous (degrees %r)" % (ds,))
         return ds[0]
 
-    def homogeneous_part(self, k):
-        return RingElement._raw(
-            {m: c for m, c in self.coeffs.items() if len(m) == k}
-        )
-
     def __add__(self, other):
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            nv = out.get(m, 0) + c
-            if nv:
-                out[m] = nv
-            else:
-                del out[m]
+        submul(out, other.coeffs, -1)
         return RingElement._raw(out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            nv = out.get(m, 0) - c
-            if nv:
-                out[m] = nv
-            else:
-                del out[m]
+        submul(out, other.coeffs, 1)
         return RingElement._raw(out)
 
     def __neg__(self):
@@ -157,18 +169,15 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
-            out = {}
-            for ma, ca in self.coeffs.items():
-                for mb, cb in other.coeffs.items():
-                    if len(ma) + len(mb) > MAX_DEGREE:
-                        raise ValueError("product exceeds degree 4")
-                    mono = tuple(sorted(ma + mb))
-                    nv = out.get(mono, 0) + ca * cb
-                    if nv:
-                        out[mono] = nv
-                    else:
-                        del out[mono]
-            return RingElement._raw(out)
+            _check_degree_cap(self, other)
+            right = other.coeffs.items()
+            return RingElement._raw(
+                _collect(
+                    (tuple(sorted(ma + mb)), ca * cb)
+                    for ma, ca in self.coeffs.items()
+                    for mb, cb in right
+                )
+            )
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -190,19 +199,13 @@ class RingElement:
     def map_divisors(self, fn):
         """Apply a divisor -> divisor map (a relabeling or the duality)
         monomial-wise."""
-        out = {}
-        for mono, c in self.coeffs.items():
-            new = tuple(
-                sorted(
-                    labels.divisor_index(fn(labels.DIVISORS[i])) for i in mono
-                )
+        index, divisors = labels.divisor_index, labels.DIVISORS
+        return RingElement._raw(
+            _collect(
+                (tuple(sorted(index(fn(divisors[i])) for i in mono)), c)
+                for mono, c in self.coeffs.items()
             )
-            nv = out.get(new, 0) + c
-            if nv:
-                out[new] = nv
-            else:
-                del out[new]
-        return RingElement._raw(out)
+        )
 
     def __repr__(self):
         if not self.coeffs:
@@ -305,23 +308,6 @@ def _insert_sorted(mono, d):
 # per-degree elimination
 
 
-def _reduce_row(row, rref):
-    """Reduce a {col: coeff} dict by fully back-reduced rows; the result is
-    supported on non-pivot columns only."""
-    out = dict(row)
-    for c in [c for c in out if c in rref]:
-        coeff = out.pop(c)
-        if not coeff:
-            continue
-        for col, v in rref[c].items():
-            nv = out.get(col, 0) - coeff * v
-            if nv:
-                out[col] = nv
-            else:
-                del out[col]
-    return out
-
-
 def _row_stream(generators, monomials_lower, index):
     """Deterministic relation-row stream for one degree: multiplier monomials
     in reverse lexicographic order, generators in order.  Rows are
@@ -357,9 +343,8 @@ class DegreeData:
 class GradedQuotientTable:
     """Immutable per-degree quotient data for one resolution config."""
 
-    def __init__(self, config, mode, complex_, degrees, runtime_ms):
+    def __init__(self, config, complex_, degrees, runtime_ms):
         self.config = config
-        self.mode = mode
         self.complex = complex_
         self.degrees = degrees
         self.runtime_ms = runtime_ms
@@ -413,7 +398,8 @@ def build_quotient(cfg, mode="two-prime"):
     keep the Euclidean exchanges small.
 
     mode, "exact" or "two-prime", selects no computation: both run the same
-    exact path, and the value is kept as a label for the reports."""
+    exact path.  It is validated and otherwise ignored; the label lives in
+    the CLI's reports."""
     if mode not in ("exact", "two-prime"):
         raise ValueError("mode must be 'exact' or 'two-prime'")
     t0 = time.monotonic()
@@ -455,7 +441,6 @@ def build_quotient(cfg, mode="two-prime"):
 
     table = GradedQuotientTable(
         config=cfg,
-        mode=mode,
         complex_=complex_,
         degrees=degrees,
         runtime_ms=int((time.monotonic() - t0) * 1000),
@@ -489,12 +474,11 @@ def table(cfg):
     return _BUILT[cfg]
 
 
-def ranks_report(t, mode=None):
-    """JSON-ready rank/torsion report, labeled with mode (default: the label
-    t was built with)."""
+def ranks_report(t, mode):
+    """JSON-ready rank/torsion report, labeled with mode."""
     return {
         "config": t.config.to_json_dict(),
-        "mode": t.mode if mode is None else mode,
+        "mode": mode,
         "ranks": list(t.ranks),
         "torsion_free": t.torsion_free,
         "torsion_certified_degrees": list(t.torsion_certified_degrees),
@@ -508,21 +492,14 @@ def ranks_report(t, mode=None):
 
 
 def normal_form(e, t):
-    """Canonical representative of e on the chosen basis monomials."""
+    """Canonical representative of e on the chosen basis monomials.  Each
+    monomial has one column, so the degree-k terms of e are a row as they
+    stand."""
     out = {}
     for k in e.degrees():
         dd = t.degrees[k]
-        vec = {}
-        for mono, c in e.homogeneous_part(k).coeffs.items():
-            col = dd.index.get(mono)
-            if col is not None:
-                nv = vec.get(col, 0) + c
-                if nv:
-                    vec[col] = nv
-                else:
-                    del vec[col]
-        red = _reduce_row(vec, dd.rref)
-        for col, c in red.items():
+        row = {dd.index[m]: c for m, c in e.coeffs.items() if m in dd.index}
+        for col, c in reduce_row(row, dd.rref).items():
             out[dd.monomials[col]] = c
     return RingElement(out)
 
@@ -531,26 +508,18 @@ def multiply(a, b, t):
     """The product a*b in the ring of t: the free product without its
     inadmissible monomials, which are dropped as they form.  Like the free
     product it refuses products beyond degree 4."""
-    if not a.coeffs or not b.coeffs:
-        return RingElement.zero()
-    if max(map(len, a.coeffs)) + max(map(len, b.coeffs)) > MAX_DEGREE:
-        raise ValueError("product exceeds degree 4")
+    _check_degree_cap(a, b)
     indexes = [dd.index for dd in t.degrees]
     right = [(mb, cb) for mb, cb in b.coeffs.items() if mb in indexes[len(mb)]]
-    out = {}
-    for ma, ca in a.coeffs.items():
-        if ma not in indexes[len(ma)]:
-            continue
-        for mb, cb in right:
-            mono = tuple(sorted(ma + mb))
-            if mono not in indexes[len(mono)]:
-                continue
-            nv = out.get(mono, 0) + ca * cb
-            if nv:
-                out[mono] = nv
-            else:
-                del out[mono]
-    return RingElement._raw(out)
+    return RingElement._raw(
+        _collect(
+            (mono, ca * cb)
+            for ma, ca in a.coeffs.items()
+            if ma in indexes[len(ma)]
+            for mb, cb in right
+            if (mono := tuple(sorted(ma + mb))) in indexes[len(mono)]
+        )
+    )
 
 
 def product(factors, t):
@@ -572,50 +541,39 @@ def is_zero_in(e, t):
     return normal_form(e, t).is_zero()
 
 
+def _pair(func, e, index):
+    """The functional func on the columns of index applied to e; monomials
+    outside index contribute nothing."""
+    return Fraction(
+        sum(c * func.get(index[m], 0) for m, c in e.coeffs.items() if m in index)
+    )
+
+
 def _integration_functional(t):
-    """The exact integer vector of monomial integrals in degree 4: the unique
-    (up to sign) primitive functional annihilating the relation span, with
-    the sign pinned by the published psi-number normalization."""
+    """The exact integer vector of monomial integrals in degree 4: the
+    functional annihilating the relation span (unique up to scale, since
+    degree 4 has corank 1), scaled to 1 on the normalizing psi monomial
+    psi[5,6]^2 psi[6,5]^2 of the published table.  It must come out
+    integral, which is to say the primitive functional gives +-1 there."""
     if t._functional is not None:
         return t._functional
     from . import classes
 
     dd = t.degrees[4]
-    rref = dd.rref
-    ncols = len(dd.monomials)
-    free = [c for c in range(ncols) if c not in rref]
-    if len(free) != 1:
+    if len(dd.basis_cols) != 1:
         raise VerificationError("degree 4 does not have corank 1")
-    j0 = free[0]
-    func = {j0: Fraction(1)}
-    for lead, row in rref.items():
-        v = row.get(j0)
-        if v:
-            func[lead] = -Fraction(v)
-    denom = 1
-    for v in func.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {c: int(v * denom) for c, v in func.items()}
-    content = 0
-    for v in ints.values():
-        content = gcd(content, v)
-    if content > 1:
-        ints = {c: v // content for c, v in ints.items()}
+    (j0,) = dd.basis_cols
+    func = {j0: 1}
+    func.update((lead, -row[j0]) for lead, row in dd.rref.items() if j0 in row)
     a, b = classes.psi(5, 6), classes.psi(6, 5)
-    norm = product((a, a, b, b), t)
-    total = 0
-    for mono, coeff in norm.coeffs.items():
-        col = dd.index.get(mono)
-        if col is not None:
-            total += coeff * ints.get(col, 0)
-    if total not in (1, -1):
+    total = _pair(func, product((a, a, b, b), t), dd.index)
+    if not total or any((v / total).denominator != 1 for v in func.values()):
         raise VerificationError(
-            "primitive functional gives %r on the normalizing psi-monomial" % (total,)
+            "no integral functional is 1 on the normalizing psi-monomial "
+            "(the unscaled one gives %r there)" % (total,)
         )
-    if total == -1:
-        ints = {c: -v for c, v in ints.items()}
-    t._functional = ints
-    return ints
+    t._functional = {c: int(v / total) for c, v in func.items()}
+    return t._functional
 
 
 def integrate(e, t):
@@ -624,16 +582,7 @@ def integrate(e, t):
         return Fraction(0)
     if e.degrees() != [4]:
         raise ValueError("integrand must be homogeneous of degree 4")
-    func = _integration_functional(t)
-    dd = t.degrees[4]
-    total = Fraction(0)
-    for mono, coeff in e.coeffs.items():
-        col = dd.index.get(mono)
-        if col is not None:
-            v = func.get(col)
-            if v:
-                total += coeff * v
-    return total
+    return _pair(_integration_functional(t), e, t.degrees[4].index)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Commands build quotient tables, evaluate class expressions, and emit
-reports as JSON or CSV.  Exit codes: 0 success, 1 a verification failure
-(a theorem-guaranteed value came out wrong), 2 usage or input errors.
+Commands compute, main renders.  Each cmd_*(args, cfg) builds or reads a
+quotient table, evaluates what it was asked and returns its report twice,
+as a JSON object and as CSV text, with an exit code; main alone loads the
+config, picks the --format, writes --out or stdout and returns the code.
+Exit codes: 0 success, 1 a verification failure (a theorem-guaranteed value
+came out wrong), 2 usage or input errors.
 
 Expression grammar for `integrate` and `restrict`:
 
@@ -291,7 +294,7 @@ def _nominal_degrees(text):
     return None if ring.exceeded else degrees
 
 
-def _evaluate(text, cfg, mode, degree=None):
+def _evaluate(text, cfg, degree=None):
     """An expression's value in the ring of cfg; with degree given, it must
     be zero or homogeneous of that degree.  The quotient evaluation runs when
     the nominal degrees settle the check, the free ring otherwise."""
@@ -301,7 +304,7 @@ def _evaluate(text, cfg, mode, degree=None):
         if degree is not None and not e.is_zero() and e.degrees() != [degree]:
             raise UsageError("integrand must be homogeneous of degree %d" % degree)
         return e
-    return parse_expression(text, _QuotientRing(_table(cfg, mode)))
+    return parse_expression(text, _QuotientRing(chowring.table(cfg)))
 
 
 def _parse_point(text):
@@ -318,10 +321,6 @@ def _parse_point(text):
 
 # --------------------------------------------------------------------------
 # rendering
-
-
-def _fmt_rational(x):
-    return str(Fraction(x))
 
 
 def _json_bytes(obj):
@@ -348,7 +347,9 @@ def _emit(text, out_path):
 
 
 # --------------------------------------------------------------------------
-# commands
+# commands: cmd_*(args, cfg) computes (json object, csv text, exit code) and
+# main renders the one --format asks for
+
 
 def _load_config(path):
     if not path:
@@ -360,210 +361,134 @@ def _load_config(path):
 
 
 def _table(cfg, mode):
-    """The table of cfg from chowring.table; mode is only a report label."""
+    """chowring.table(cfg); mode is ignored.  The commands read
+    chowring.table; this wrapper is kept only because the benchmark's
+    child.py calls it with this signature."""
     return chowring.table(cfg)
 
 
-def cmd_ranks(args):
-    cfg = _load_config(args.config)
-    table = _table(cfg, args.mode)
-    report = chowring.ranks_report(table, mode=args.mode)
-    if args.format == "csv":
-        rows = [
-            (
-                k,
-                report["ranks"][k],
-                report["admissible_monomials"][k],
-                "yes" if k in report["torsion_certified_degrees"] else "no",
-            )
-            for k in range(5)
-        ]
-        text = _csv_bytes(
-            ("degree", "rank", "admissible_monomials", "torsion_certified"), rows
+def cmd_ranks(args, cfg):
+    report = chowring.ranks_report(chowring.table(cfg), args.mode)
+    rows = [
+        (
+            k,
+            report["ranks"][k],
+            report["admissible_monomials"][k],
+            "yes" if k in report["torsion_certified_degrees"] else "no",
         )
-    else:
-        text = _json_bytes(report)
-    _emit(text, args.out)
-    return 0
+        for k in range(5)
+    ]
+    header = ("degree", "rank", "admissible_monomials", "torsion_certified")
+    return report, _csv_bytes(header, rows), 0
 
 
-def cmd_homology(args):
-    cfg = _load_config(args.config) if args.config else None
-    cx = boundarycomplex.build_complex(cfg)
+def cmd_homology(args, cfg):
+    """The unresolved complex unless a --config was given."""
+    cx = boundarycomplex.build_complex(cfg if args.config else None)
     report = boundarycomplex.homology_report(cx)
-    if args.format == "csv":
-        rows = [
-            (d["dim"], d["rank"], ";".join(str(t) for t in d["torsion"]) or "-")
-            for d in report["degrees"]
-        ]
-        text = _csv_bytes(("dim", "rank", "torsion"), rows)
-    else:
-        text = _json_bytes(report)
-    _emit(text, args.out)
-    return 0
+    rows = [
+        (d["dim"], d["rank"], ";".join(str(t) for t in d["torsion"]) or "-")
+        for d in report["degrees"]
+    ]
+    return report, _csv_bytes(("dim", "rank", "torsion"), rows), 0
 
 
-def cmd_integrate(args):
-    cfg = _load_config(args.config)
-    e = _evaluate(args.expression, cfg, args.mode, degree=4)
-    val = chowring.integrate(e, _table(cfg, args.mode))
-    if args.format == "json":
-        text = _json_bytes(
-            {
-                "expression": args.expression,
-                "config": cfg.to_json_dict(),
-                "mode": args.mode,
-                "value": _fmt_rational(val),
-            }
-        )
-    else:
-        text = _fmt_rational(val) + "\n"
-    _emit(text, args.out)
-    return 0
+def cmd_integrate(args, cfg):
+    e = _evaluate(args.expression, cfg, degree=4)
+    value = str(chowring.integrate(e, chowring.table(cfg)))
+    report = {
+        "expression": args.expression,
+        "config": cfg.to_json_dict(),
+        "mode": args.mode,
+        "value": value,
+    }
+    return report, value + "\n", 0
 
 
-def cmd_psi_table(args):
-    cfg = _load_config(args.config)
+def cmd_psi_table(args, cfg):
     if cfg != labels.config_all_p1():
         raise UsageError("the psi table is defined on the all-P1 config")
-    table = _table(cfg, args.mode)
-    rep = classes.psi_table(table)
-    if args.format == "json":
-        text = _json_bytes(
-            {
-                "mode": args.mode,
-                "orbit_count": rep["orbit_count"],
-                "monomial_count": rep["monomial_count"],
-                "published_mismatches": rep["published_mismatches"],
-                "vanishing_rule_violations": rep["vanishing_rule_violations"],
-                "rows": [
-                    {
-                        "orbit_representative": r["orbit_representative"],
-                        "value": r["value"],
-                    }
-                    for r in rep["rows"]
-                ],
-            }
-        )
-    else:
-        text = _csv_bytes(
-            ("orbit_representative", "value"),
-            [(r["orbit_representative"], r["value"]) for r in rep["rows"]],
-        )
-    _emit(text, args.out)
-    if rep["published_mismatches"] or rep["vanishing_rule_violations"]:
-        return 1
-    return 0
+    rep = classes.psi_table(chowring.table(cfg))
+    rows = [(r["orbit_representative"], r["value"]) for r in rep["rows"]]
+    report = dict(
+        rep,
+        mode=args.mode,
+        rows=[{"orbit_representative": k, "value": v} for k, v in rows],
+    )
+    failed = rep["published_mismatches"] or rep["vanishing_rule_violations"]
+    return report, _csv_bytes(("orbit_representative", "value"), rows), 1 if failed else 0
 
 
-def cmd_restrict(args):
-    cfg = _load_config(args.config)
+def cmd_restrict(args, cfg):
     pt = _parse_point(args.point)
-    e = _evaluate(args.expression, cfg, args.mode)
-    fv = chowring.restrict_to_fiber(e, pt, _table(cfg, args.mode))
-    coeffs = [_fmt_rational(c) for c in fv.coeffs]
-    if args.format == "csv":
-        text = _csv_bytes(
-            ("point", "kind", "degree", "coefficient"),
-            [(pt.name(), fv.kind, k, c) for k, c in enumerate(coeffs)],
-        )
-    else:
-        text = _json_bytes(
-            {
-                "point": pt.name(),
-                "kind": fv.kind,
-                "coefficients": coeffs,
-                "pretty": str(fv),
-            }
-        )
-    _emit(text, args.out)
-    return 0
+    e = _evaluate(args.expression, cfg)
+    fv = chowring.restrict_to_fiber(e, pt, chowring.table(cfg))
+    coeffs = [str(c) for c in fv.coeffs]
+    report = {
+        "point": pt.name(),
+        "kind": fv.kind,
+        "coefficients": coeffs,
+        "pretty": str(fv),
+    }
+    rows = [(pt.name(), fv.kind, k, c) for k, c in enumerate(coeffs)]
+    return report, _csv_bytes(("point", "kind", "degree", "coefficient"), rows), 0
 
 
-def cmd_picard(args):
-    cfg = _load_config(args.config)
+def cmd_picard(args, cfg):
     if cfg != labels.config_all_p1():
         raise UsageError("the Picard basis is computed on the all-P1 config")
-    table = _table(cfg, args.mode)
+    table = chowring.table(cfg)
     basis = classes.picard_m36_basis(table)
     names = [classes.delta_name(label) for label in classes.PICARD_LABELS]
-    ranks = chowring.m36_chow_ranks(table)
-    if args.format == "csv":
-        text = _csv_bytes(("class",), [(n,) for n in names])
-    else:
-        text = _json_bytes(
-            {
-                "mode": args.mode,
-                "rank": len(basis),
-                "m36_chow_ranks": list(ranks),
-                "classes": names,
-            }
-        )
-    _emit(text, args.out)
-    return 0
+    report = {
+        "mode": args.mode,
+        "rank": len(basis),
+        "m36_chow_ranks": list(chowring.m36_chow_ranks(table)),
+        "classes": names,
+    }
+    return report, _csv_bytes(("class",), [(n,) for n in names]), 0
 
 
-def cmd_canonical(args):
-    cfg = _load_config(args.config)
-    table = _table(cfg, args.mode)
-    cc = classes.canonical_classes(table)
-    coeff_rows = [
-        (
-            name,
-            _fmt_rational(coeffs[labels.TRIPLE]),
-            _fmt_rational(coeffs[labels.PAIR]),
-            _fmt_rational(coeffs[labels.CYCLIC]),
-        )
-        for name, coeffs in (
-            ("K", classes.K_COEFFS),
-            ("K+B", classes.KB_COEFFS),
-        )
+def cmd_canonical(args, cfg):
+    cc = classes.canonical_classes(chowring.table(cfg))
+    kinds = (labels.TRIPLE, labels.PAIR, labels.CYCLIC)
+    rows = [
+        (name, *(str(coeffs[kind]) for kind in kinds))
+        for name, coeffs in (("K", classes.K_COEFFS), ("K+B", classes.KB_COEFFS))
     ]
-    if args.format == "csv":
-        text = _csv_bytes(
-            ("class", "triple_coeff", "pair_coeff", "cyclic_coeff"), coeff_rows
-        )
-    else:
-        text = _json_bytes(
-            {
-                "mode": args.mode,
-                "coefficients": {
-                    name: {"Triple": a, "Pair": b, "CyclicTriple": c}
-                    for name, a, b, c in coeff_rows
-                },
-                "identity_readings": cc["identity_readings"],
-                "kb4": _fmt_rational(cc["kb4"]),
-                "restricts_to_zero_on_lines": True,
-            }
-        )
-    _emit(text, args.out)
-    return 0
+    report = {
+        "mode": args.mode,
+        "coefficients": {
+            name: {"Triple": a, "Pair": b, "CyclicTriple": c}
+            for name, a, b, c in rows
+        },
+        "identity_readings": cc["identity_readings"],
+        "kb4": str(cc["kb4"]),
+        "restricts_to_zero_on_lines": True,
+    }
+    header = ("class", "triple_coeff", "pair_coeff", "cyclic_coeff")
+    return report, _csv_bytes(header, rows), 0
 
 
-def cmd_verify(args):
+def cmd_verify(args, _cfg):
     results, ok = verification.run_acceptance(suite=args.suite)
-    lines = "".join(r.line() + "\n" for r in results)
-    if args.format == "json":
-        text = _json_bytes(
+    report = {
+        "mode": args.mode,
+        "suite": args.suite,
+        "ok": ok,
+        "criteria": [
             {
-                "mode": args.mode,
-                "suite": args.suite,
-                "ok": ok,
-                "criteria": [
-                    {
-                        "name": r.name,
-                        "ok": r.ok,
-                        "details": {k: str(v) for k, v in r.details.items()},
-                        "runtime_ms": r.runtime_ms,
-                    }
-                    for r in results
-                ],
+                "name": r.name,
+                "ok": r.ok,
+                "details": {k: str(v) for k, v in r.details.items()},
+                "runtime_ms": r.runtime_ms,
             }
-        )
-    else:
-        text = lines + ("all passed\n" if ok else "FAILURES present\n")
-    _emit(text, args.out)
-    return 0 if ok else 1
+            for r in results
+        ],
+    }
+    text = "".join(r.line() + "\n" for r in results)
+    text += "all passed\n" if ok else "FAILURES present\n"
+    return report, text, 0 if ok else 1
 
 
 # --------------------------------------------------------------------------
@@ -645,10 +570,13 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if getattr(args, "command", None) == "homology" and args.unresolved:
+    if args.command == "homology" and args.unresolved:
         args.config = None
     try:
-        return args.fn(args)
+        cfg = _load_config(getattr(args, "config", None))
+        report, csv_text, code = args.fn(args, cfg)
+        _emit(csv_text if args.format == "csv" else _json_bytes(report), args.out)
+        return code
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

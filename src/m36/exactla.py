@@ -1,12 +1,15 @@
 """Exact sparse linear algebra over Z.
 
 Everything here is built around one primitive: an insertion echelon form with
-rightmost pivots.  Rows are {column: coefficient} dicts from end to end.  They
-arrive one at a time; each row is reduced against the current basis and
-either dies (it was in the span) or becomes a new pivot row.  Over Z the
-reduction uses Euclidean exchanges, so row operations stay unimodular and the
-row-span lattice is preserved exactly; no row is ever divided by its content.
-That gives three things at once:
+rightmost pivots.  Rows are {column: coefficient} dicts without zero entries
+from end to end, and two kernels do their sparse arithmetic: submul (row -=
+q * b, dropping zeros) and reduce_row (reduce a row by fully back-reduced
+rows, which is how rref back-substitutes and how chowring takes normal
+forms).  Rows arrive one at a time; each is reduced against the current
+basis and either dies (it was in the span) or becomes a new pivot row.  Over
+Z the reduction uses Euclidean exchanges, so row operations stay unimodular
+and the row-span lattice is preserved exactly; no row is ever divided by its
+content.  That gives three things at once:
 
   * the rank (number of pivot rows),
   * a torsion certificate: the pivot rows are triangular on their lead
@@ -51,8 +54,9 @@ def xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def _submul(row, b, q):
-    """row -= q * b, in place, dropping zeros."""
+def submul(row, b, q):
+    """row -= q * b, in place, dropping zeros.  b has no zero entries and q
+    is nonzero."""
     get = row.get
     for col, v in b.items():
         nv = get(col, 0) - q * v
@@ -60,6 +64,18 @@ def _submul(row, b, q):
             row[col] = nv
         else:
             del row[col]
+
+
+def reduce_row(row, reduced):
+    """A copy of the {col: coeff} row reduced by fully back-reduced rows
+    {lead: row} whose support avoids every lead; the result is supported on
+    non-lead columns only."""
+    out = dict(row)
+    for c in [c for c in out if c in reduced]:
+        coeff = out.pop(c)
+        if coeff:
+            submul(out, reduced[c], coeff)
+    return out
 
 
 class IntEchelon:
@@ -74,9 +90,11 @@ class IntEchelon:
 
     def insert(self, row):
         """Reduce a {col: coeff} dict against the basis; returns the new pivot
-        column, or None if the row was already in the span.  The dict is
-        consumed."""
+        column, or None if the row was already in the span.  The row is
+        copied without its zero entries, so the caller's dict is unchanged
+        and a zero never becomes a lead."""
         pivots = self.pivots
+        row = {c: v for c, v in row.items() if v}
         while row:
             lead = max(row)
             b = pivots.get(lead)
@@ -87,7 +105,7 @@ class IntEchelon:
                 return lead
             c, d = row[lead], b[lead]
             if c % d == 0:
-                _submul(row, b, c // d)
+                submul(row, b, c // d)
             else:
                 g, s, t = xgcd(d, c)
                 du, cu = d // g, c // g
@@ -121,15 +139,7 @@ class IntEchelon:
             d = row.pop(lead)
             if d != 1:
                 row = {c: Fraction(v, d) for c, v in row.items()}
-            for c in [c for c in row if c in reduced]:
-                coeff = row.pop(c)
-                for col, v in reduced[c].items():
-                    nv = row.get(col, 0) - coeff * v
-                    if nv:
-                        row[col] = nv
-                    else:
-                        row.pop(col, None)
-            reduced[lead] = row
+            reduced[lead] = reduce_row(row, reduced)
         return reduced
 
 
@@ -217,11 +227,10 @@ class SmithInvariants:
 
 
 def _echelon(rows):
-    """An IntEchelon of an iterable of {col: coeff} integer rows.  Each row
-    is copied without its zero entries, since insert consumes its dict."""
+    """An IntEchelon of an iterable of {col: coeff} integer rows."""
     ech = IntEchelon()
     for row in rows:
-        ech.insert({c: v for c, v in row.items() if v})
+        ech.insert(row)
     return ech
 
 
@@ -263,14 +272,14 @@ def smith_from_echelon(ech):
         for row in ech.pivots.values():
             local.insert(row)
         if local.rank < ech.rank:
-            rows = [dict(r) for r in ech.pivots.values()]
-            return SmithInvariants(tuple(_dense_snf(rows)))
+            return SmithInvariants(tuple(_dense_snf(ech.pivots.values())))
     return SmithInvariants((1,) * ech.rank)
 
 
 def _dense_snf(rows):
-    """Textbook Smith normal form of a list of {col: coeff} rows; returns the
-    nonzero invariant factors.  Quadratic-ish and meant for small residues."""
+    """Textbook Smith normal form of {col: coeff} rows, which it copies;
+    returns the nonzero invariant factors.  Quadratic-ish and meant for
+    small residues."""
     rows = [dict(r) for r in rows if r]
     diag = []
     while rows:
@@ -297,7 +306,7 @@ def _dense_snf(rows):
                     continue
                 q = v // pv
                 if q:
-                    _submul(r, pr, q)
+                    submul(r, pr, q)
                 if r.get(pivot_col):
                     # remainder smaller than pivot; swap roles and restart
                     pivot_row = i

@@ -29,7 +29,7 @@ from m36.chowring import (
     restrict_to_fiber,
 )
 from m36.boundarycomplex import build_complex
-from m36.exactla import IntEchelon, rank_over_rationals
+from m36.exactla import IntEchelon, rank_over_rationals, reduce_row
 from m36.labels import (
     SINGULAR_POINTS,
     config_all_p1,
@@ -79,7 +79,6 @@ class TestRingElement:
     def test_degrees(self):
         e = RingElement.one() + F(1, 2) + F(1, 2) * F(1, 2)
         assert e.degrees() == [0, 1, 2]
-        assert e.homogeneous_part(1) == F(1, 2)
         with pytest.raises(ValueError):
             e.homogeneous_degree()
 
@@ -206,7 +205,6 @@ class TestBuildQuotient:
         assert exact.pop("mode") == "exact"
         assert two_prime.pop("mode") == "two-prime"
         assert exact == two_prime
-        assert ranks_report(table)["mode"] == table.mode
 
     def test_all_p2(self, table_p2):
         assert table_p2.ranks == (1, 51, 142, 51, 1)
@@ -240,7 +238,7 @@ class TestBuildQuotient:
         dd = table.degrees[k]
         rows = 0
         for rid, row in table.relation_row_stream(k):
-            assert chowring._reduce_row(row, dd.rref) == {}, rid
+            assert reduce_row(row, dd.rref) == {}, rid
             rows += 1
         assert rows >= 60
 

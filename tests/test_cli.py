@@ -379,11 +379,15 @@ class TestOutputs:
         assert capsys.readouterr().out == first
 
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
+ONE_PLANE = str(DATA / "one-plane-fiber.json")
 
 
 class TestGoldenOutputs:
-    """Default-config outputs, frozen byte for byte; runtime_ms reads 0."""
+    """Command outputs, frozen byte for byte; runtime_ms reads 0.  Configs
+    are the default all-P1 one unless ONE_PLANE (one plane fiber over
+    P[12,34,56]) is passed."""
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -395,6 +399,34 @@ class TestGoldenOutputs:
             ("psi-table.csv", ["psi-table", "--format", "csv"]),
             ("integrate-kb4.json", ["integrate", "(K+B)^4"]),
             ("restrict-kb.json", ["restrict", "K+B", "--point", "12,34,56"]),
+            ("ranks-one-plane.json", ["ranks", "--config", ONE_PLANE]),
+            (
+                "ranks-one-plane.csv",
+                ["ranks", "--config", ONE_PLANE, "--format", "csv"],
+            ),
+            ("homology.json", ["homology"]),
+            ("homology.csv", ["homology", "--format", "csv"]),
+            (
+                "homology-unresolved.json",
+                ["homology", "--unresolved", "--config", ONE_PLANE],
+            ),
+            (
+                "homology-one-plane.csv",
+                ["homology", "--config", ONE_PLANE, "--format", "csv"],
+            ),
+            ("picard.csv", ["picard", "--format", "csv"]),
+            ("canonical.csv", ["canonical", "--format", "csv"]),
+            ("psi-table.json", ["psi-table"]),
+            ("integrate-kb4.csv", ["integrate", "(K+B)^4", "--format", "csv"]),
+            (
+                "restrict-kb.csv",
+                ["restrict", "K+B", "--point", "12,34,56", "--format", "csv"],
+            ),
+            ("verify-blowup.json", ["verify", "--suite", "blowup-recursion"]),
+            (
+                "verify-blowup.csv",
+                ["verify", "--suite", "blowup-recursion", "--format", "csv"],
+            ),
         ],
     )
     def test_bytes(self, capsys, name, argv):

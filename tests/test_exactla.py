@@ -13,6 +13,7 @@ from m36.exactla import (
     IntEchelon,
     ModpEchelon,
     rank_over_rationals,
+    reduce_row,
     smith_from_echelon,
     smith_normal_form,
     xgcd,
@@ -86,7 +87,7 @@ class TestRank:
         assert rank_over_rationals(m) == 1
 
     def test_rows_are_read_not_consumed(self):
-        # the echelon consumes its dicts, so the plain-row entry points copy
+        # insert copies each row, so the plain-row entry points leave them
         m = [{0: 2, 1: 1}, {0: 4, 1: 0}]
         before = [dict(r) for r in m]
         assert rank_over_rationals(m) == 2
@@ -221,10 +222,23 @@ class TestEchelonInternals:
             assert all(isinstance(v, int) for v in row.values())
             assert not (set(row) & set(rref))
 
-    def test_insert_consumes_and_returns_lead(self):
+    def test_insert_copies_and_returns_lead(self):
         ech = IntEchelon()
-        assert ech.insert({4: -3}) == 4
+        row = {4: -3}
+        assert ech.insert(row) == 4
         assert ech.pivots[4] == {4: 3}
+        assert row == {4: -3}
+
+    def test_zero_entry_is_never_a_lead(self):
+        # an explicit zero in the rightmost column is not a pivot: the row's
+        # lead is column 0, and the Smith form of (2 0) is (2,)
+        ech = IntEchelon()
+        row = {0: 2, 1: 0}
+        assert ech.insert(row) == 0
+        assert ech.pivots == {0: {0: 2}}
+        assert row == {0: 2, 1: 0}
+        assert smith_from_echelon(ech).diagonal == (2,)
+        assert smith_normal_form([{0: 2, 1: 0}]).diagonal == (2,)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -240,17 +254,7 @@ def test_fraction_rref_solves(seed):
     probe = {j: rng.randint(-3, 3) for j in range(8)}
     probe = {j: v for j, v in probe.items() if v}
     rref = ech.rref()
-    reduced = dict(probe)
-    for lead in sorted(rref, reverse=True):
-        coeff = reduced.pop(lead, None)
-        if coeff is None:
-            continue
-        for col, v in rref[lead].items():
-            nv = reduced.get(col, 0) - coeff * v
-            if nv:
-                reduced[col] = nv
-            else:
-                reduced.pop(col, None)
+    reduced = reduce_row(probe, rref)
     diff = sympy.zeros(1, 8)
     for j, v in probe.items():
         diff[0, j] += sympy.Rational(Fraction(v))
