@@ -38,6 +38,12 @@ All sparse sums go through two kernels: exactla.submul adds a scaled row
 terms (products, relabelings), both dropping zeros.  Normal forms reduce by
 the degree's rref with exactla.reduce_row, the same back-substitution that
 builds it.
+
+Inside the engine every coefficient is an integer: the rref rows are integer
+numerators over one row denominator.  Fraction appears only at the API
+boundary, where normal_form clears the denominators of its input before
+reducing and divides them back out of the result, and where the integration
+functional reads its values.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import labels
 from .boundarycomplex import build_complex
@@ -331,7 +338,7 @@ class DegreeData:
     index: dict
     rank: int
     torsion: tuple
-    rref: dict
+    rref: dict  # {lead: (num, den)}, the rational row e_lead + num/den
     basis_cols: tuple
     runtime_ms: int = 0
 
@@ -363,7 +370,7 @@ class GradedQuotientTable:
 
     @property
     def torsion_certified_degrees(self):
-        """Every degree carries exact invariant factors, in either mode."""
+        """Every degree carries exact invariant factors."""
         return tuple(range(len(self.degrees)))
 
     @property
@@ -491,16 +498,28 @@ def ranks_report(t, mode):
 # queries
 
 
+def clear_denominators(coeffs):
+    """(L, coeffs times L as ints) for the lcm L of the denominators of the
+    rational values of coeffs."""
+    scale = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    return scale, {k: int(c * scale) for k, c in coeffs.items()}
+
+
 def normal_form(e, t):
     """Canonical representative of e on the chosen basis monomials.  Each
-    monomial has one column, so the degree-k terms of e are a row as they
-    stand."""
+    monomial has one column, so the degree-k terms of e are a row once the
+    lcm L of their denominators is cleared; the integer reduction (num, den)
+    of that row gives the coefficients num / (L * den)."""
     out = {}
     for k in e.degrees():
         dd = t.degrees[k]
-        row = {dd.index[m]: c for m, c in e.coeffs.items() if m in dd.index}
-        for col, c in reduce_row(row, dd.rref).items():
-            out[dd.monomials[col]] = c
+        scale, row = clear_denominators(
+            {dd.index[m]: c for m, c in e.coeffs.items() if m in dd.index}
+        )
+        num, den = reduce_row(row, dd.rref)
+        den *= scale
+        for col, v in num.items():
+            out[dd.monomials[col]] = v if den == 1 else Fraction(v, den)
     return RingElement(out)
 
 
@@ -564,7 +583,11 @@ def _integration_functional(t):
         raise VerificationError("degree 4 does not have corank 1")
     (j0,) = dd.basis_cols
     func = {j0: 1}
-    func.update((lead, -row[j0]) for lead, row in dd.rref.items() if j0 in row)
+    func.update(
+        (lead, -Fraction(num[j0], den))
+        for lead, (num, den) in dd.rref.items()
+        if j0 in num
+    )
     a, b = classes.psi(5, 6), classes.psi(6, 5)
     total = _pair(func, product((a, a, b, b), t), dd.index)
     if not total or any((v / total).denominator != 1 for v in func.values()):

@@ -21,6 +21,7 @@ from .chowring import (
     RingElement,
     VerificationError,
     apply_perm_element,
+    clear_denominators,
     integrate,
     is_zero_in,
     m36_subring_membership,
@@ -240,8 +241,10 @@ def picard_m36_basis(t):
     pos = {mono: i for i, mono in enumerate(basis)}
     rows = []
     for e in out:
-        nf = normal_form(e, t)
-        rows.append({pos[m]: c for m, c in nf.coeffs.items()})
+        # clearing each row's denominators keeps its rank over Q and gives
+        # rank_over_rationals the integer rows it takes
+        _, row = clear_denominators(normal_form(e, t).coeffs)
+        rows.append({pos[m]: c for m, c in row.items()})
     r = rank_over_rationals(rows)
     if r != 36:
         raise VerificationError("delta classes have rank %d, expected 36" % r)

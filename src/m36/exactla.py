@@ -1,14 +1,14 @@
 """Exact sparse linear algebra over Z.
 
 Everything here is built around one primitive: an insertion echelon form with
-rightmost pivots.  Rows are {column: coefficient} dicts without zero entries
-from end to end, and two kernels do their sparse arithmetic: submul (row -=
-q * b, dropping zeros) and reduce_row (reduce a row by fully back-reduced
-rows, which is how rref back-substitutes and how chowring takes normal
-forms).  Rows arrive one at a time; each is reduced against the current
-basis and either dies (it was in the span) or becomes a new pivot row.  Over
-Z the reduction uses Euclidean exchanges, so row operations stay unimodular
-and the row-span lattice is preserved exactly; no row is ever divided by its
+rightmost pivots.  Rows are {column: int} dicts without zero entries from end
+to end, and two kernels do their sparse arithmetic: submul (row -= q * b,
+dropping zeros) and reduce_row (reduce a row by fully back-reduced rows,
+which is how rref back-substitutes and how chowring takes normal forms).
+Rows arrive one at a time; each is reduced against the current basis and
+either dies (it was in the span) or becomes a new pivot row.  Over Z the
+reduction uses Euclidean exchanges, so row operations stay unimodular and
+the row-span lattice is preserved exactly; no row is ever divided by its
 content.  That gives three things at once:
 
   * the rank (number of pivot rows),
@@ -20,6 +20,11 @@ content.  That gives three things at once:
     Saunders and Villard, JSC 32, 2001); with every lead 1 nothing is left
     to check,
   * reduced row echelon data over Q for normal forms (rref).
+
+The rational rows of the rref are kept fraction-free, in the manner of
+Bareiss (Math. Comp. 22, 1968): integer numerators over one denominator per
+row, so back-substitution is integer arithmetic throughout and a rational
+number appears only where chowring reads a value out.
 
 Only when the rank drops at some lead prime does the Smith normal form fall
 back to a dense textbook elimination of the echelon rows.
@@ -35,7 +40,6 @@ bits) in degree 4.  Python integers carry these exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -66,16 +70,43 @@ def submul(row, b, q):
             del row[col]
 
 
+def _canonical(num, den):
+    """(num, den) divided by gcd(den, content(num)), so that equal rational
+    rows get equal pairs."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {c: v // g for c, v in num.items()}
+            den //= g
+    return num, den
+
+
 def reduce_row(row, reduced):
-    """A copy of the {col: coeff} row reduced by fully back-reduced rows
-    {lead: row} whose support avoids every lead; the result is supported on
-    non-lead columns only."""
-    out = dict(row)
-    for c in [c for c in out if c in reduced]:
-        coeff = out.pop(c)
-        if coeff:
-            submul(out, reduced[c], coeff)
-    return out
+    """Reduce the {col: int} row by fully back-reduced rows {lead: (num,
+    den)}, each standing for e_lead + num/den with num supported on non-lead
+    columns.  Returns the reduction as a canonical pair (num, den): an int
+    dict on non-lead columns over a denominator den >= 1 with
+    gcd(den, content(num)) == 1.  The row is copied without its zero
+    entries, so the caller's dict is unchanged.
+
+    Eliminating a column with numerator a against (rn, rd) scales the row
+    and den by rd // gcd(a, rd), then subtracts a // gcd(a, rd) times rn;
+    a unit rd needs neither the gcd nor the scaling."""
+    num = {c: v for c, v in row.items() if v}
+    den = 1
+    for c in [c for c in num if c in reduced]:
+        a = num.pop(c)
+        rn, rd = reduced[c]
+        if rd != 1:
+            g = gcd(a, rd)
+            s = rd // g
+            if s != 1:
+                for col in num:
+                    num[col] *= s
+                den *= s
+            a //= g
+        submul(num, rn, a)
+    return _canonical(num, den)
 
 
 class IntEchelon:
@@ -126,20 +157,19 @@ class IntEchelon:
         return None
 
     def rref(self):
-        """Fully reduced rows over Q: {lead: {col: coeff}} with the (implicit)
-        lead entry normalized to 1 and all other support on non-pivot columns.
-        Coefficients stay int while the arithmetic allows, Fraction otherwise.
-        """
+        """Fully reduced rows over Q as {lead: (num, den)}: the row
+        e_lead + num/den, where num is an int dict on non-pivot columns,
+        den >= 1 and gcd(den, content(num)) == 1.  Unit leads whose
+        back-substitution meets only unit leads give den == 1."""
         reduced = {}
         # ascending leads: every smaller pivot column is reduced before a row
         # that might contain it, and eliminating a pivot column only ever
-        # introduces non-pivot support, so one pass per row suffices
+        # introduces non-pivot support, so one pass per row suffices.  The
+        # lead column is not yet in reduced, so it survives the reduction
+        # and its entry becomes the row's denominator.
         for lead in sorted(self.pivots):
-            row = dict(self.pivots[lead])
-            d = row.pop(lead)
-            if d != 1:
-                row = {c: Fraction(v, d) for c, v in row.items()}
-            reduced[lead] = reduce_row(row, reduced)
+            num, _den = reduce_row(self.pivots[lead], reduced)
+            reduced[lead] = _canonical(num, num.pop(lead))
         return reduced
 
 

@@ -17,8 +17,8 @@ from m36.exactla import IntEchelon
 
 def nullspace_basis(rows, ncols):
     """Basis of the right kernel over Q of {col: coeff} integer rows, read
-    off the rref of their IntEchelon: one dense Fraction list per non-pivot
-    column, with 1 at that column."""
+    off the rref of their IntEchelon, whose rows are (num, den) pairs: one
+    dense Fraction list per non-pivot column, with 1 at that column."""
     ech = IntEchelon()
     for row in rows:
         ech.insert(dict(row))
@@ -29,9 +29,9 @@ def nullspace_basis(rows, ncols):
             continue
         vec = [Fraction(0)] * ncols
         vec[j] = Fraction(1)
-        for lead, row in rref.items():
-            if j in row:
-                vec[lead] = -Fraction(row[j])
+        for lead, (num, den) in rref.items():
+            if j in num:
+                vec[lead] = -Fraction(num[j], den)
         out.append(vec)
     return out
 

@@ -1,7 +1,10 @@
 """Graded quotients: ring arithmetic, ranks, integration, fiber restriction."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +49,8 @@ linear_st = st.dictionaries(st.integers(0, 64), coeff_st, max_size=4).map(
     lambda d: RingElement({(i,): c for i, c in d.items()})
 )
 perms_st = st.permutations((1, 2, 3, 4, 5, 6)).map(tuple)
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def E(*idx):
@@ -231,16 +236,34 @@ class TestBuildQuotient:
         assert rep["mode"] == "two-prime"
         assert isinstance(rep["runtime_ms"], int)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_relation_row_reduces_to_zero(self, table, k):
         # every row of the sixty generators times the degree-(k-1)
         # monomials lies in the span of the pivot rows
         dd = table.degrees[k]
         rows = 0
         for rid, row in table.relation_row_stream(k):
-            assert reduce_row(row, dd.rref) == {}, rid
+            assert reduce_row(row, dd.rref) == ({}, 1), rid
             rows += 1
         assert rows >= 60
+
+    @pytest.mark.parametrize("name", ["table", "table_p2", "table_mixed"])
+    def test_rref_matches_golden_digest(self, request, name):
+        # the reduced rows, read as rationals, are pinned per degree by a
+        # sha256 of their sorted (lead, col, numerator, denominator) entries,
+        # the implicit lead entry (lead, lead, 1, 1) included
+        with open(GOLDEN / "rref_digests.json", encoding="utf-8") as fh:
+            want = json.load(fh)[name]
+        t = request.getfixturevalue(name)
+        for k in range(1, MAX_DEGREE + 1):
+            entries = []
+            for lead, (num, den) in t.degrees[k].rref.items():
+                entries.append((lead, lead, 1, 1))
+                for col, v in num.items():
+                    f = Fraction(v, den)
+                    entries.append((lead, col, f.numerator, f.denominator))
+            text = "\n".join("%d %d %d %d" % e for e in sorted(entries))
+            assert hashlib.sha256(text.encode()).hexdigest() == want[str(k)], k
 
 
 class TestNormalForm:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from m36 import labels
+from m36 import classes, labels
 from m36.chowring import (
     RingElement,
     apply_perm_element,
@@ -39,6 +39,7 @@ from m36.classes import (
     pullback_r,
     total_boundary,
 )
+from m36.exactla import rank_over_rationals
 from m36.verification import load_baselines
 
 pair_st = st.sets(st.integers(1, 6), min_size=2, max_size=2).map(
@@ -182,6 +183,24 @@ class TestDelta:
         basis = picard_m36_basis(table)
         assert len(basis) == 36
         assert len(PICARD_TRIPLES) == 6
+
+    def test_picard_rank_reads_integer_rows(self, table, monkeypatch):
+        # the normal forms of the delta classes have denominators 2 and 4;
+        # rank_over_rationals takes integer rows, so each row is cleared
+        # first, and the rank stays 36
+        seen = []
+
+        def spy(rows):
+            rows = list(rows)
+            seen.extend(v for row in rows for v in row.values())
+            r = rank_over_rationals(rows)
+            assert r == 36
+            return r
+
+        monkeypatch.setattr(classes, "rank_over_rationals", spy)
+        assert len(picard_m36_basis(table)) == 36
+        assert seen
+        assert all(type(v) is int for v in seen)
 
 
 class TestCanonical:

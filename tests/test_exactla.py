@@ -1,7 +1,7 @@
 """Exact linear algebra kernel, cross-checked against sympy on small inputs."""
 
 import random
-from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -213,14 +213,29 @@ class TestEchelonInternals:
         assert ech.insert({0: 2}) is None
 
     def test_rref_unit_leads_stay_integer(self):
+        # unit leads give unit row denominators
         ech = IntEchelon()
         ech.insert({0: 1, 1: 1, 3: 1})
         ech.insert({1: 1, 2: 1})
         rref = ech.rref()
         assert set(rref) == {2, 3}
-        for row in rref.values():
-            assert all(isinstance(v, int) for v in row.values())
-            assert not (set(row) & set(rref))
+        for num, den in rref.values():
+            assert den == 1
+            assert all(isinstance(v, int) for v in num.values())
+            assert not (set(num) & set(rref))
+        assert rref == {2: ({1: 1}, 1), 3: ({0: 1, 1: 1}, 1)}
+
+    def test_rref_row_denominator_is_canonical(self):
+        # 2 x1 + 4 x0 reduces to x1 + 2 x0 over 1; 3 x2 + x1 back-reduces
+        # to x2 - (2/3) x0, stored as ({0: -2}, 3)
+        ech = IntEchelon()
+        ech.insert({0: 4, 1: 2})
+        ech.insert({1: 1, 2: 3})
+        rref = ech.rref()
+        assert rref == {1: ({0: 2}, 1), 2: ({0: -2}, 3)}
+        # x2 = (2/3) x0 modulo the rows; an explicit zero entry is dropped
+        assert reduce_row({2: 1}, rref) == ({0: 2}, 3)
+        assert reduce_row({0: 1, 1: 0, 2: 3}, rref) == ({0: 3}, 1)
 
     def test_insert_copies_and_returns_lead(self):
         ech = IntEchelon()
@@ -254,13 +269,43 @@ def test_fraction_rref_solves(seed):
     probe = {j: rng.randint(-3, 3) for j in range(8)}
     probe = {j: v for j, v in probe.items() if v}
     rref = ech.rref()
-    reduced = reduce_row(probe, rref)
+    num, den = reduce_row(probe, rref)
+    assert den >= 1
     diff = sympy.zeros(1, 8)
     for j, v in probe.items():
-        diff[0, j] += sympy.Rational(Fraction(v))
-    for j, v in reduced.items():
-        diff[0, j] -= sympy.Rational(Fraction(v))
+        diff[0, j] += v
+    for j, v in num.items():
+        diff[0, j] -= sympy.Rational(v, den)
     aug = sp.col_join(diff)
     assert aug.rank() == sp.rank()
     # the reduction has no support on pivot columns
-    assert not (set(reduced) & set(rref))
+    assert not (set(num) & set(rref))
+
+
+def test_rref_rows_match_sympy():
+    # rightmost pivots are sympy's leftmost pivots on the column-reversed
+    # matrix, and a fully reduced row is unique given its pivot, so each
+    # (num, den) row read as rationals is sympy's row for the same pivot
+    nonunit = 0
+    for seed in range(12):
+        rng = random.Random(900 + seed)
+        ncols = rng.randint(4, 9)
+        m = random_matrix(rng, rng.randint(2, 7), ncols, density=0.6, lo=-6, hi=6)
+        ech = IntEchelon()
+        for row in m:
+            ech.insert(row)
+        nonunit += sum(1 for lead, row in ech.pivots.items() if row[lead] != 1)
+        rref = ech.rref()
+        rev, pivots = to_sympy(m, ncols)[:, ::-1].rref()
+        assert sorted(ncols - 1 - p for p in pivots) == sorted(rref)
+        for i, p in enumerate(pivots):
+            lead = ncols - 1 - p
+            num, den = rref[lead]
+            assert den >= 1
+            assert gcd(den, *num.values()) == 1
+            assert not (set(num) & set(rref))
+            want = {ncols - 1 - j: rev[i, j] for j in range(ncols) if rev[i, j]}
+            got = {j: sympy.Rational(v, den) for j, v in num.items()}
+            got[lead] = 1
+            assert got == want, (seed, lead)
+    assert nonunit >= 12
