@@ -36,42 +36,6 @@ class SimplicialComplex:
         counts += [0] * (MAX_DIM + 1 - len(counts))
         return tuple(counts)
 
-    def maximal_simplices(self):
-        out = []
-        for k in range(len(self.faces)):
-            if k + 1 < len(self.faces) and self.faces[k + 1]:
-                covered = set()
-                for face in self.faces[k + 1]:
-                    for i in range(len(face)):
-                        covered.add(face[:i] + face[i + 1 :])
-                out.extend(f for f in self.faces[k] if f not in covered)
-            else:
-                out.extend(self.faces[k])
-        return out
-
-    @classmethod
-    def from_maximal(cls, vertices, maximal):
-        """Close the given index sets under subsets."""
-        by_dim = [set() for _ in range(MAX_DIM + 1)]
-        stack = [tuple(sorted(m)) for m in maximal]
-        seen = set(stack)
-        while stack:
-            face = stack.pop()
-            k = len(face) - 1
-            if k > MAX_DIM:
-                raise ValueError("dimension exceeds %d" % MAX_DIM)
-            by_dim[k].add(face)
-            if k > 0:
-                for i in range(len(face)):
-                    sub = face[:i] + face[i + 1 :]
-                    if sub not in seen:
-                        seen.add(sub)
-                        stack.append(sub)
-        return cls(
-            vertices=tuple(vertices),
-            faces=tuple(tuple(sorted(fs)) for fs in by_dim),
-        )
-
 
 def _clique_faces(adj, n):
     """All cliques of the graph, grouped by size; asserts none exceed 5."""
@@ -104,7 +68,7 @@ def build_complex(cfg=None):
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if labels.intersects(verts[i], verts[j], None):
+            if labels.intersects(verts[i], verts[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     faces = _clique_faces(adj, n)

@@ -52,6 +52,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 
 from . import labels
@@ -278,30 +279,19 @@ def _linear_relation_vectors():
 # admissible monomials
 
 
-def _positive_compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _positive_compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def admissible_monomials(complex_, k):
     """Degree-k monomials whose support is a face of the complex, in
-    lexicographic order of the sorted index tuples."""
+    lexicographic order of the sorted index tuples: for each face of at most
+    k vertices, the size-k multisets on it that use every vertex."""
     if k == 0:
         return [()]
-    out = []
-    for d in range(min(k, MAX_DEGREE + 1)):
-        if d + 1 > k:
-            break
-        for face in complex_.faces[d]:
-            for mults in _positive_compositions(k, d + 1):
-                mono = []
-                for v, m in zip(face, mults):
-                    mono.extend([v] * m)
-                out.append(tuple(mono))
+    out = [
+        mono
+        for faces in complex_.faces[:k]
+        for face in faces
+        for mono in combinations_with_replacement(face, k)
+        if len(set(mono)) == len(face)
+    ]
     out.sort()
     return out
 
@@ -627,14 +617,6 @@ class FiberValue:
     def _match(self, other):
         if self.point != other.point or self.kind != other.kind:
             raise ValueError("fiber values live on different fibers")
-
-    def __add__(self, other):
-        self._match(other)
-        return FiberValue(
-            self.point,
-            self.kind,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
 
     def __mul__(self, other):
         self._match(other)

@@ -284,21 +284,22 @@ def _crepant_correction(duplicated_cyclics):
     pair divisor and as a cyclic with (5,6), the pair divisor of (5,6), and
     the cyclic divisors (either all thirty once, or additionally repeating
     the six whose matching contains (5,6))."""
-    terms = RingElement.zero()
-    for tr in itertools.combinations((1, 2, 3, 4), 3):
-        terms = terms + RingElement.from_divisor(labels.triple(tr))
-    for ij in itertools.combinations((1, 2, 3, 4), 2):
-        kl = tuple(sorted({1, 2, 3, 4} - set(ij)))
-        terms = terms + RingElement.from_divisor(labels.pair(ij))
-        terms = terms + RingElement.from_divisor(labels.cyclic(ij, kl, (5, 6)))
-    terms = terms + RingElement.from_divisor(labels.pair((5, 6)))
-    for d in labels.DIVISORS:
-        if d.kind != labels.CYCLIC:
-            continue
-        if not duplicated_cyclics and (5, 6) in labels.matching_of_cyclic(d).matching:
-            continue
-        terms = terms + RingElement.from_divisor(d)
-    return terms
+    quad = (1, 2, 3, 4)
+    return RingElement.from_divisors(
+        [labels.triple(tr) for tr in itertools.combinations(quad, 3)]
+        + [labels.pair(ij) for ij in itertools.combinations(quad, 2)]
+        + [
+            labels.cyclic(ij, tuple(sorted(set(quad) - set(ij))), (5, 6))
+            for ij in itertools.combinations(quad, 2)
+        ]
+        + [labels.pair((5, 6))]
+        + [
+            d
+            for d in labels.DIVISORS
+            if d.kind == labels.CYCLIC
+            and (duplicated_cyclics or (5, 6) not in d.data)
+        ]
+    )
 
 
 def _pullback_identity_residues(t):

@@ -27,7 +27,9 @@ row, so back-substitution is integer arithmetic throughout and a rational
 number appears only where chowring reads a value out.
 
 Only when the rank drops at some lead prime does the Smith normal form fall
-back to a dense textbook elimination of the echelon rows.
+back to alternating Hermite passes over the echelon rows: insert them into
+an IntEchelon, reduce each row at the other pivot columns below its lead,
+transpose, and repeat until the matrix is diagonal.
 
 Matrices in this project have entries almost entirely in {-1, 0, 1} and very
 sparse rows, which is why this pure-Python kernel is fast enough.  The
@@ -249,12 +251,6 @@ class SmithInvariants:
     def rank(self):
         return len(self.diagonal)
 
-    @property
-    def torsion_free(self):
-        """Whether the cokernel of the matrix (as a map into Z^ncols) has no
-        torsion, i.e. all invariant factors are 1."""
-        return all(d == 1 for d in self.diagonal)
-
 
 def _echelon(rows):
     """An IntEchelon of an iterable of {col: coeff} integer rows."""
@@ -292,8 +288,8 @@ def _prime_factors(n):
 def smith_from_echelon(ech):
     """SmithInvariants of a matrix already fed through an IntEchelon.  The
     rank of the pivot rows is checked modulo every prime dividing a lead; if
-    it is full at each, all invariant factors are 1, and otherwise the dense
-    Smith form of the pivot rows decides."""
+    it is full at each, all invariant factors are 1, and otherwise the
+    Hermite passes of _dense_snf over the pivot rows decide."""
     primes = set()
     for value in {row[lead] for lead, row in ech.pivots.items()}:
         primes |= _prime_factors(value)
@@ -307,70 +303,40 @@ def smith_from_echelon(ech):
 
 
 def _dense_snf(rows):
-    """Textbook Smith normal form of {col: coeff} rows, which it copies;
-    returns the nonzero invariant factors.  Quadratic-ish and meant for
-    small residues."""
-    rows = [dict(r) for r in rows if r]
-    diag = []
-    while rows:
-        rows = [r for r in rows if r]
-        if not rows:
-            break
-        # pick the entry with smallest |value| to control growth
-        bi, bc, bv = -1, -1, 0
-        for i, r in enumerate(rows):
-            for c, v in r.items():
-                if bv == 0 or abs(v) < abs(bv):
-                    bi, bc, bv = i, c, v
-        pivot_row, pivot_col = bi, bc
-        while True:
-            # clear the pivot column from other rows
-            dirty = False
-            pr = rows[pivot_row]
-            pv = pr[pivot_col]
-            for i, r in enumerate(rows):
-                if i == pivot_row:
-                    continue
-                v = r.get(pivot_col)
-                if v is None:
-                    continue
-                q = v // pv
+    """Nonzero invariant factors of {col: coeff} rows, which it copies, by
+    alternating Hermite passes (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    A pass inserts the rows into an IntEchelon, reduces each pivot row's
+    entries at the smaller pivot columns into [0, that lead) with submul,
+    and transposes: old column c becomes a row {old lead: entry}, and the
+    rows go in by descending c.  The passes stop when every pivot row has a
+    single entry.
+
+    They end: the largest lead d is alone in its column, so the transposed
+    row {lead: d} goes in first at the largest column, and the next pivot
+    there is the gcd of d and the old lead row.  Either it is smaller than
+    d, or it is {lead: d} again, alone in its row and column for good, and
+    the next largest lead goes the same way.  The Hermite step keeps the
+    other entries small: on the echelon rows of 3,000 seeded random
+    matrices up to 16 x 16 with entries in [-9, 9], the largest entry after
+    the first pass had 200 bits with it and 2,320 without."""
+    while True:
+        pivots = _echelon(rows).pivots
+        leads = sorted(pivots)
+        for i, lead in enumerate(leads):
+            row = pivots[lead]
+            for c in reversed(leads[:i]):
+                q = row.get(c, 0) // pivots[c][c]
                 if q:
-                    submul(r, pr, q)
-                if r.get(pivot_col):
-                    # remainder smaller than pivot; swap roles and restart
-                    pivot_row = i
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # pivot column clean; now clear the pivot row via column ops,
-            # which only touch this row since the column is clean
-            pr = rows[pivot_row]
-            pv = pr[pivot_col]
-            rem = None
-            for c in list(pr):
-                if c == pivot_col:
-                    continue
-                q, r_ = divmod(pr[c], pv)
-                if r_ == 0:
-                    del pr[c]
-                else:
-                    pr[c] = r_
-                    rem = c
-            if rem is not None:
-                # a column remainder is smaller than the pivot; make it the
-                # new pivot and repeat
-                pivot_col = rem
-                continue
+                    submul(row, pivots[c], q)
+        if all(len(row) == 1 for row in pivots.values()):
             break
-        pr = rows.pop(pivot_row)
-        pv = abs(pr[pivot_col])
-        diag.append(pv)
-        if len(pr) != 1:
-            raise AssertionError("pivot row not cleared")
+        cols = {}
+        for lead, row in pivots.items():
+            for c, v in row.items():
+                cols.setdefault(c, {})[lead] = v
+        rows = [cols[c] for c in sorted(cols, reverse=True)]
     # enforce the divisibility chain by pairwise gcd/lcm repair
-    diag.sort()
+    diag = sorted(row[lead] for lead, row in pivots.items())
     changed = True
     while changed:
         changed = False

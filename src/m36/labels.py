@@ -308,13 +308,12 @@ def duality(d):
 # ---------------------------------------------------------------------------
 # intersection predicates (which products of distinct divisors vanish)
 
-def intersects(a, b, cfg=None):
-    """Whether two distinct boundary divisors meet.
-
-    cfg=None asks about the unresolved space, where all 15 singular points are
-    present and the partner cyclic triples D_{ij,kl,mn}, D_{ij,mn,kl} meet (at
-    the singular point).  With a config, partners meet only when their point
-    has a P^2 fiber.
+def intersects(a, b):
+    """Whether two distinct boundary divisors meet on the unresolved space,
+    where all 15 singular points are present and the partner cyclic triples
+    D_{ij,kl,mn}, D_{ij,mn,kl} meet (at the singular point).  A resolution
+    keeps every meeting pair except some partners, and build_complex removes
+    those faces per point.
     """
     if a == b:
         raise ValueError("intersects is about distinct divisors; got %r twice" % (a,))
@@ -323,12 +322,8 @@ def intersects(a, b, cfg=None):
     if a.kind == PAIR and b.kind == PAIR:
         return len(set(a.data) & set(b.data)) != 1
     if a.kind == CYCLIC and b.kind == CYCLIC:
-        if set(a.data) != set(b.data):
-            return False
-        # partners through the same singular point
-        if cfg is None:
-            return True
-        return cfg.fiber(matching_of_cyclic(a)) == FIBER_P2
+        # only partners through the same singular point meet
+        return set(a.data) == set(b.data)
     rank = {TRIPLE: 0, PAIR: 1, CYCLIC: 2}
     if rank[a.kind] > rank[b.kind]:
         a, b = b, a
@@ -346,12 +341,3 @@ def intersects(a, b, cfg=None):
     if a.kind == PAIR and b.kind == CYCLIC:
         return a.data in b.data
     raise AssertionError("unreachable")
-
-
-def s2_triple_relations(cfg):
-    """For each P^2-fiber point, the triple of Pair divisors whose product
-    vanishes; sorted deterministically."""
-    out = []
-    for pt in sorted(cfg.s2, key=lambda p: p.matching):
-        out.append(frozenset(pair_divisors_of_point(pt)))
-    return out

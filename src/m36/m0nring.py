@@ -93,19 +93,6 @@ def _rref_fractions(rows):
     return pivots
 
 
-def _reduce_by_rref(vec, rref):
-    out = {c: v for c, v in vec.items() if v}
-    for c in [c for c in out if c in rref]:
-        coeff = out.pop(c)
-        for col, v in rref[c].items():
-            nv = out.get(col, 0) - coeff * v
-            if nv:
-                out[col] = nv
-            else:
-                out.pop(col, None)
-    return out
-
-
 class M0nRing:
     """Graded quotient data for A*(M-bar_{0,n}), degrees 0 through n-3."""
 
@@ -216,20 +203,6 @@ class M0nRing:
 
     def degree_ranks(self):
         return tuple(self.ranks)
-
-    def normal_form(self, element, degree):
-        """Reduce a homogeneous {monomial: coeff} element to its normal form
-        on the admissible basis (inadmissible monomials are zero)."""
-        index = {m: i for i, m in enumerate(self.monomials[degree])}
-        vec = {}
-        for mono, coeff in element.items():
-            if len(mono) != degree:
-                raise ValueError("element is not homogeneous of degree %d" % degree)
-            pos = index.get(tuple(sorted(mono)))
-            if pos is not None:
-                vec[pos] = vec.get(pos, 0) + coeff
-        reduced = _reduce_by_rref(vec, self.rref[degree])
-        return {self.monomials[degree][i]: v for i, v in sorted(reduced.items())}
 
     def multiply(self, a, b):
         """Product of two {monomial: coeff} elements; monomials carrying an

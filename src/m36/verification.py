@@ -194,15 +194,6 @@ def crit_psi_table():
 # -- 6 ----------------------------------------------------------------------
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def crit_m0n_oracles():
     """The four-to-six-point oracles: Chow ranks, every psi integral against
     the multinomial formula, and the 0/1 table for psi products on the
@@ -214,7 +205,9 @@ def crit_m0n_oracles():
         ring = m0nring.build_m0n(n)
         good = tuple(ring.degree_ranks()) == want_ranks[n]
         psis = [m0nring.m0n_psi(i, ring) for i in range(1, n + 1)]
-        for expo in _compositions(n - 3, n):
+        for expo in itertools.product(range(n - 2), repeat=n):
+            if sum(expo) != n - 3:
+                continue
             acc = None
             for i, e in enumerate(expo):
                 for _ in range(e):

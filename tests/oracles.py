@@ -3,8 +3,10 @@
 Each one recomputes something the program derives another way: kernels over
 Q from the integer echelon, the admissible-monomial counts from the face
 numbers alone, and the monomial relations straight from divisor
-intersections.  The sympy-backed tests check the kernels; the counts and
-relations are checked against the program.
+intersections on a resolution (which divisors meet there, and which pair
+triples vanish at plane fibers), where the program instead removes faces
+from the unresolved complex.  The sympy-backed tests check the kernels; the
+counts and relations are checked against the program.
 """
 
 from fractions import Fraction
@@ -44,6 +46,25 @@ def admissible_count_formula(f_vector, k):
     return sum(f_vector[d] * comb(k - 1, d) for d in range(MAX_DEGREE + 1))
 
 
+def intersects(a, b, cfg=None):
+    """Whether two distinct boundary divisors meet.  cfg=None asks about the
+    unresolved space (labels.intersects); on the resolution of cfg, partner
+    cyclic triples meet only when their point has a plane fiber."""
+    meet = labels.intersects(a, b)
+    if meet and cfg is not None and a.kind == b.kind == labels.CYCLIC:
+        return cfg.fiber(labels.matching_of_cyclic(a)) == labels.FIBER_P2
+    return meet
+
+
+def s2_triple_relations(cfg):
+    """For each plane-fiber point, the triple of Pair divisors whose product
+    vanishes; sorted by matching."""
+    return [
+        frozenset(labels.pair_divisors_of_point(pt))
+        for pt in sorted(cfg.s2, key=lambda p: p.matching)
+    ]
+
+
 def multiplicative_relation_generators(cfg):
     """Square-free monomials that vanish in the ring of cfg: quadratic ones
     from disjoint divisor pairs, cubic ones from plane-fiber triples."""
@@ -51,8 +72,8 @@ def multiplicative_relation_generators(cfg):
     ds = labels.DIVISORS
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
-            if not labels.intersects(ds[i], ds[j], cfg):
+            if not intersects(ds[i], ds[j], cfg):
                 out.append((i, j))
-    for rel in labels.s2_triple_relations(cfg):
+    for rel in s2_triple_relations(cfg):
         out.append(tuple(sorted(labels.divisor_index(d) for d in rel)))
     return out

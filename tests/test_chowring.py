@@ -545,7 +545,7 @@ class TestFiberRestriction:
         a = restrict_to_fiber(F(1, 2), SINGULAR_POINTS[0], table)
         b = restrict_to_fiber(F(1, 2), SINGULAR_POINTS[1], table)
         with pytest.raises(ValueError):
-            a + b
+            a * b
 
     def test_unknown_point(self, table):
         with pytest.raises(ValueError):

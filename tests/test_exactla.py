@@ -104,13 +104,12 @@ class TestSmith:
         m = [{0: 2, 1: 0}, {1: 2}]
         s = smith_normal_form(m)
         assert s.diagonal == (2, 2)
-        assert not s.torsion_free
 
     def test_unit_case(self):
         m = [{0: 1, 1: 4}, {1: 1, 2: -7}]
         s = smith_normal_form(m)
         assert s.diagonal == (1, 1)
-        assert s.torsion_free and s.rank == 2
+        assert s.rank == 2
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_sympy(self, seed):
@@ -152,6 +151,44 @@ class TestSmith:
         assert smith_from_echelon(ech).diagonal == (1, 2)
         assert dense_calls == [2]
         assert sympy_invariants(m, 2) == [1, 2]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_designed_torsion_falls_back_to_hermite_passes(self, seed, monkeypatch):
+        # U * D * V with D a diagonal divisibility chain that ends in 2, 3, 4
+        # or 6 times more factors, and U, V products of random elementary
+        # operations: the invariant factors are exactly D's nonzero entries,
+        # and the torsion sends smith_normal_form to the fallback
+        rng = random.Random(700 + seed)
+        nrows, ncols = rng.randint(6, 12), rng.randint(6, 12)
+        rank = rng.randint(3, min(nrows, ncols))
+        tail = [rng.choice((2, 3, 4, 6))]
+        while len(tail) < rank - 1 and rng.random() < 0.5:
+            tail.append(tail[-1] * rng.choice((1, 2, 3)))
+        chain = [1] * (rank - len(tail)) + tail
+        dense = [[0] * ncols for _ in range(nrows)]
+        for i, d in enumerate(chain):
+            dense[i][i] = d
+        for _ in range(3 * (nrows + ncols)):
+            q = rng.choice((-2, -1, 1, 2))
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(nrows), 2)
+                dense[i] = [a + q * b for a, b in zip(dense[i], dense[j])]
+            else:
+                i, j = rng.sample(range(ncols), 2)
+                for row in dense:
+                    row[i] += q * row[j]
+        m = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        dense_calls = []
+        fallback = exactla._dense_snf
+
+        def spy(rows):
+            dense_calls.append(len(rows))
+            return fallback(rows)
+
+        monkeypatch.setattr(exactla, "_dense_snf", spy)
+        assert list(smith_normal_form(m).diagonal) == chain
+        assert dense_calls == [rank]
+        assert sympy_invariants(m, ncols) == chain
 
     def test_divisibility_chain(self):
         rng = random.Random(99)

@@ -24,14 +24,13 @@ from m36.labels import (
     divisor_index,
     duality,
     enumerate_divisors,
-    intersects,
     pair,
     perm_compose,
     perm_inverse,
     singular_point,
-    s2_triple_relations,
     triple,
 )
+from oracles import intersects, s2_triple_relations
 
 divisors_st = st.sampled_from(DIVISORS)
 perms_st = st.permutations((1, 2, 3, 4, 5, 6)).map(tuple)

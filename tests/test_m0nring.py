@@ -16,6 +16,25 @@ from m36.m0nring import (
 )
 
 
+def normal_form(ring, element, degree):
+    """Reduce a homogeneous {monomial: coeff} element by the ring's rref of
+    that degree to its normal form on the admissible basis (inadmissible
+    monomials are zero)."""
+    index = {m: i for i, m in enumerate(ring.monomials[degree])}
+    rref = ring.rref[degree]
+    vec = {}
+    for mono, coeff in element.items():
+        assert len(mono) == degree
+        pos = index.get(tuple(sorted(mono)))
+        if pos is not None:
+            vec[pos] = vec.get(pos, 0) + coeff
+    for c in [c for c in vec if c in rref]:
+        coeff = vec.pop(c)
+        for col, v in rref[c].items():
+            vec[col] = vec.get(col, 0) - coeff * v
+    return {ring.monomials[degree][i]: v for i, v in sorted(vec.items()) if v}
+
+
 @pytest.fixture(scope="module")
 def r4():
     return build_m0n(4)
@@ -96,7 +115,7 @@ class TestKeelRelations:
                         {a, b} <= other and {c, d} <= side
                     ):
                         vec[(gi,)] = 1
-                nfs.append(ring.normal_form(vec, 1))
+                nfs.append(normal_form(ring, vec, 1))
             assert nfs[0] == nfs[1] == nfs[2]
 
 
@@ -113,7 +132,7 @@ class TestPsi:
                 others = [m for m in range(1, n + 1) if m != i]
                 base = None
                 for refs in itertools.permutations(others, 2):
-                    nf = ring.normal_form(m0n_psi(i, ring, refs), 1)
+                    nf = normal_form(ring, m0n_psi(i, ring, refs), 1)
                     if base is None:
                         base = nf
                     else:
@@ -174,7 +193,7 @@ class TestIntegration:
         for gi in (0, 3, 7):
             d = {(gi,): 1}
             direct = m0n_integrate(r5.multiply(d, psi1), r5)
-            nf = r5.normal_form(d, 1)
+            nf = normal_form(r5, d, 1)
             via_nf = m0n_integrate(r5.multiply(nf, psi1), r5)
             assert direct == via_nf
 
