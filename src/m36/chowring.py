@@ -307,19 +307,17 @@ def _insert_sorted(mono, d):
 
 def _row_stream(generators, monomials_lower, index):
     """Deterministic relation-row stream for one degree: multiplier monomials
-    in reverse lexicographic order, generators in order.  Rows are
-    (id, {col: coeff}) with id = (monomial position, generator position).
-    """
-    for mpos in range(len(monomials_lower) - 1, -1, -1):
-        m = monomials_lower[mpos]
-        for gpos, g in enumerate(generators):
+    in reverse lexicographic order, generators in order; rows are
+    {col: coeff}."""
+    for m in reversed(monomials_lower):
+        for g in generators:
             row = {}
             for d, c in g.items():
                 col = index.get(_insert_sorted(m, d))
                 if col is not None:
                     row[col] = c
             if row:
-                yield (mpos, gpos), row
+                yield row
 
 
 @dataclass
@@ -340,9 +338,8 @@ class DegreeData:
 class GradedQuotientTable:
     """Immutable per-degree quotient data for one resolution config."""
 
-    def __init__(self, config, complex_, degrees, runtime_ms):
+    def __init__(self, config, degrees, runtime_ms):
         self.config = config
-        self.complex = complex_
         self.degrees = degrees
         self.runtime_ms = runtime_ms
         self._functional = None
@@ -370,7 +367,7 @@ class GradedQuotientTable:
 
     def relation_row_stream(self, k):
         """All degree-k relation rows from the sixty linear generators, as
-        (id, {col: coeff}) pairs."""
+        {col: coeff} dicts."""
         return _row_stream(
             _linear_relation_vectors(),
             self.degrees[k - 1].monomials,
@@ -419,7 +416,7 @@ def build_quotient(cfg, mode="two-prime"):
         ncols = len(monomials[k])
         index = {m: i for i, m in enumerate(monomials[k])}
         ech = IntEchelon()
-        for _rid, row in _row_stream(generators, monomials[k - 1], index):
+        for row in _row_stream(generators, monomials[k - 1], index):
             ech.insert(row)
         rref = ech.rref()
         degrees.append(
@@ -438,7 +435,6 @@ def build_quotient(cfg, mode="two-prime"):
 
     table = GradedQuotientTable(
         config=cfg,
-        complex_=complex_,
         degrees=degrees,
         runtime_ms=int((time.monotonic() - t0) * 1000),
     )

@@ -22,18 +22,18 @@ Rationals print as "p/q" strings.  Output is deterministic for a fixed
 
 `integrate` and `restrict` evaluate products in the ring of the config
 (chowring.multiply), never in the free polynomial ring, so (K+B)^4 costs a
-fraction of a second.  Before any table is built, the expression is read
-once for its nominal degrees: an atom has degree 1, a number degree 0, a sum
-the union and a product the sums of its factors' degrees.  These contain
-every degree the free-ring expansion can have.  When they lie in {4} (for
-`restrict`: when no product passes degree 4) the quotient value is exact and
-the check is decided.  Otherwise the expression is expanded in the free ring
-as before, which decides the homogeneity check and the degree-cap error
-exactly; a product that is zero only in the quotient, such as F[12]*F[13]
-on the all-P1 config, still makes a degree-2 integrand that is refused.
-Syntax errors and wrong degrees exit 2 before any table is built.  Tables
-come from chowring.table, one per config for the whole process; the mode is
-only a label echoed in reports.
+fraction of a second.  The expression is parsed once into a tree, which is
+read twice.  The first reading gives its nominal degrees: an atom has degree
+1, a number degree 0, a sum the union and a product the sums of its factors'
+degrees.  These contain every degree the free-ring expansion can have.  When
+they lie in {4} (for `restrict`: when no product passes degree 4) the second
+reading takes the value in the quotient and the check is decided.
+Otherwise it expands the tree in the free ring, which decides the
+homogeneity check and the degree-cap error exactly; a product that is zero
+only in the quotient, such as F[12]*F[13] on the all-P1 config, still makes
+a degree-2 integrand that is refused.  Syntax errors and wrong degrees exit
+2 before any table is built.  Tables come from chowring.table, one per
+config for the whole process; the mode is only a label echoed in reports.
 """
 
 from __future__ import annotations
@@ -79,127 +79,55 @@ def _tokenize(text):
                 )
             break
         pos = m.end()
-        if m.group("name"):
-            out.append(("atom", (m.group("name"), m.group("args"))))
-        elif m.group("kb"):
-            out.append(("atom", (m.group("kb"), "")))
-        elif m.group("number"):
+        if m.group("number"):
             out.append(("number", m.group("number")))
-        else:
+        elif m.group("op"):
             out.append(("op", m.group("op")))
+        else:
+            atom = m.group("name") or m.group("kb")
+            out.append(("atom", (atom, m.group("args") or "")))
     return out
 
 
 def _atom_element(name, args):
     groups = [g.strip() for g in args.split(",")] if args.strip() else []
     digits = [[int(ch) for ch in g] for g in groups]
-    try:
-        if name == "E":
-            if len(digits) != 1 or len(digits[0]) != 3:
-                raise ValueError("E takes one group of three lines")
-            return chowring.RingElement.from_divisor(labels.triple(tuple(digits[0])))
-        if name == "F":
-            if len(digits) != 1 or len(digits[0]) != 2:
-                raise ValueError("F takes one group of two lines")
-            return chowring.RingElement.from_divisor(labels.pair(tuple(digits[0])))
-        if name == "G":
-            if len(digits) != 3 or any(len(g) != 2 for g in digits):
-                raise ValueError("G takes three pairs")
-            return chowring.RingElement.from_divisor(
-                labels.cyclic(*[tuple(g) for g in digits])
-            )
-        if name == "psi":
-            if len(digits) != 2 or any(len(g) != 1 for g in digits):
-                raise ValueError("psi takes two single lines")
-            return classes.psi(digits[0][0], digits[1][0])
-        if name == "phi":
-            if len(digits) != 2 or any(len(g) != 1 for g in digits):
-                raise ValueError("phi takes two single lines")
-            return classes.phi(digits[0][0], digits[1][0])
-        if name == "delta":
-            return classes.delta(digits)
-        if name == "K":
-            return classes.canonical_divisor()
-        if name == "B":
-            return classes.total_boundary()
-    except ValueError as e:
-        raise UsageError(str(e))
+    if name == "E":
+        if len(digits) != 1 or len(digits[0]) != 3:
+            raise ValueError("E takes one group of three lines")
+        return chowring.RingElement.from_divisor(labels.triple(tuple(digits[0])))
+    if name == "F":
+        if len(digits) != 1 or len(digits[0]) != 2:
+            raise ValueError("F takes one group of two lines")
+        return chowring.RingElement.from_divisor(labels.pair(tuple(digits[0])))
+    if name == "G":
+        if len(digits) != 3 or any(len(g) != 2 for g in digits):
+            raise ValueError("G takes three pairs")
+        return chowring.RingElement.from_divisor(
+            labels.cyclic(*[tuple(g) for g in digits])
+        )
+    if name in ("psi", "phi"):
+        if len(digits) != 2 or any(len(g) != 1 for g in digits):
+            raise ValueError("%s takes two single lines" % name)
+        atom = classes.psi if name == "psi" else classes.phi
+        return atom(digits[0][0], digits[1][0])
+    if name == "delta":
+        return classes.delta(digits)
+    if name == "K":
+        return classes.canonical_divisor()
+    if name == "B":
+        return classes.total_boundary()
     raise UsageError("unknown atom %r" % name)
 
 
-class _FreeRing:
-    """Parser values in the free polynomial ring on the 65 divisors."""
-
-    atom = staticmethod(_atom_element)
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-    pow = staticmethod(operator.pow)
-
-    @staticmethod
-    def number(q):
-        return chowring.RingElement.one() * q
-
-
-class _QuotientRing(_FreeRing):
-    """Parser values in the ring of one table: products drop inadmissible
-    monomials as they form."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def mul(self, a, b):
-        return chowring.multiply(a, b, self.table)
-
-    def pow(self, a, n):
-        return chowring.power(a, n, self.table)
-
-
-class _NominalDegrees:
-    """Parser values that are sets of nominal degrees, a superset of the
-    degrees of the free-ring value.  Atoms are still built, so bad labels
-    fail as in the free ring.  `exceeded` records a product whose nominal
-    degree passed 4: the free ring may or may not refuse it."""
-
-    def __init__(self):
-        self.exceeded = False
-
-    def atom(self, name, args):
-        _atom_element(name, args)
-        return frozenset((1,))
-
-    @staticmethod
-    def number(_q):
-        return frozenset((0,))
-
-    @staticmethod
-    def add(a, b):
-        return a | b
-
-    sub = add
-
-    @staticmethod
-    def neg(a):
-        return a
-
-    def mul(self, a, b):
-        out = frozenset(x + y for x in a for y in b)
-        if max(out) > chowring.MAX_DEGREE:
-            self.exceeded = True
-        return out
-
-    def pow(self, a, n):
-        out = frozenset((0,))
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-
 class _Parser:
-    def __init__(self, tokens, ring):
+    """Tokens to a tree of ("atom", element), ("number", q), ("neg", a),
+    ("sum", [(sign, a), ...]) and ("product", [(a, n), ...]) for the product
+    of the a^n.  The lists are flat, so a long sum is a shallow tree; a^n is
+    [(a, n)], so a base is read once and a^0 still reads it."""
+
+    def __init__(self, tokens):
         self.tokens = tokens
-        self.ring = ring
         self.pos = 0
 
     def peek(self):
@@ -213,53 +141,43 @@ class _Parser:
         return tok
 
     def expr(self):
-        out = self.term()
+        terms = [(1, self.term())]
         while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            out = self.ring.add(out, rhs) if op == "+" else self.ring.sub(out, rhs)
-        return out
+            sign = 1 if self.take()[1] == "+" else -1
+            terms.append((sign, self.term()))
+        return terms[0][1] if len(terms) == 1 else ("sum", terms)
 
     def term(self):
-        out = self.factor()
+        factors = [(self.factor(), 1)]
         while self.peek() == ("op", "*"):
             self.take()
-            try:
-                out = self.ring.mul(out, self.factor())
-            except ValueError as e:
-                raise UsageError(str(e))
-        return out
+            factors.append((self.factor(), 1))
+        return factors[0][0] if len(factors) == 1 else ("product", factors)
 
     def factor(self):
-        tok = self.peek()
-        if tok == ("op", "-"):
+        if self.peek() == ("op", "-"):
             self.take()
-            return self.ring.neg(self.factor())
+            return ("neg", self.factor())
         out = self.base()
         if self.peek() == ("op", "^"):
             self.take()
             kind, val = self.take()
             if kind != "number" or "/" in val:
                 raise UsageError("exponent must be a nonnegative integer")
-            n = int(val)
-            if n > chowring.MAX_DEGREE:
+            if int(val) > chowring.MAX_DEGREE:
                 raise UsageError("exponent exceeds the top degree")
-            try:
-                out = self.ring.pow(out, n)
-            except ValueError as e:
-                raise UsageError(str(e))
+            out = ("product", [(out, int(val))])
         return out
 
     def base(self):
         kind, val = self.take()
         if kind == "atom":
-            return self.ring.atom(*val)
+            return ("atom", _atom_element(*val))
         if kind == "number":
             try:
-                q = Fraction(val)
+                return ("number", Fraction(val))
             except ZeroDivisionError:
                 raise UsageError("zero denominator in %r" % val)
-            return self.ring.number(q)
         if (kind, val) == ("op", "("):
             out = self.expr()
             if self.take() != ("op", ")"):
@@ -268,43 +186,95 @@ class _Parser:
         raise UsageError("unexpected token %r" % (val,))
 
 
-def parse_expression(text, ring=None):
-    """The value of an expression; by default in the free polynomial ring."""
+def _parse(text):
     tokens = _tokenize(text)
     if not tokens:
         raise UsageError("empty expression")
-    parser = _Parser(tokens, ring or _FreeRing)
-    out = parser.expr()
+    parser = _Parser(tokens)
+    tree = _as_usage_error(parser.expr)
     if parser.peek() is not None:
         raise UsageError("trailing input after expression")
+    return tree
+
+
+def _as_usage_error(fn, *args):
+    """fn(*args), the parser or a fold of its tree, with too deep a nesting
+    and the ValueErrors of bad labels and of the degree cap as UsageError."""
+    try:
+        return fn(*args)
+    except RecursionError:
+        raise UsageError("expression nested too deeply") from None
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _nominal_degrees(tree):
+    """The nominal degrees of a tree, or None once a product passes degree
+    4: the free ring may or may not refuse it."""
+    kind, val = tree
+    if kind == "atom":
+        return {1}
+    if kind == "number":
+        return {0}
+    if kind == "neg":
+        return _nominal_degrees(val)
+    if kind == "sum":
+        terms = [_nominal_degrees(term) for _sign, term in val]
+        return None if None in terms else set().union(*terms)
+    out = {0}
+    for factor, n in val:
+        degrees = _nominal_degrees(factor)
+        if degrees is None:
+            return None
+        for _ in range(n):
+            out = {x + y for x in out for y in degrees}
+            if max(out) > chowring.MAX_DEGREE:
+                return None
     return out
 
 
-def _nominal_degrees(text):
-    """The nominal degrees of an expression, or None when a product passed
-    degree 4 and only the free ring can tell what happens.  Errors are the
-    free ring's own: up to the first such product both read alike."""
-    ring = _NominalDegrees()
-    try:
-        degrees = parse_expression(text, ring)
-    except UsageError:
-        if ring.exceeded:
-            return None
-        raise
-    return None if ring.exceeded else degrees
+def _value(tree, mul):
+    """The value of a tree, with products taken left to right by mul:
+    operator.mul in the free ring, or chowring.multiply in a quotient."""
+    kind, val = tree
+    if kind == "atom":
+        return val
+    if kind == "number":
+        return chowring.RingElement.one() * val
+    if kind == "neg":
+        return -_value(val, mul)
+    if kind == "sum":
+        out = chowring.RingElement.zero()
+        for sign, term in val:
+            v = _value(term, mul)
+            out = out + v if sign > 0 else out - v
+        return out
+    out = chowring.RingElement.one()
+    for factor, n in val:
+        v = _value(factor, mul)
+        for _ in range(n):
+            out = mul(out, v)
+    return out
+
+
+def parse_expression(text):
+    """The value of an expression in the free polynomial ring."""
+    return _as_usage_error(_value, _parse(text), operator.mul)
 
 
 def _evaluate(text, cfg, degree=None):
     """An expression's value in the ring of cfg; with degree given, it must
     be zero or homogeneous of that degree.  The quotient evaluation runs when
     the nominal degrees settle the check, the free ring otherwise."""
-    nominal = _nominal_degrees(text)
-    if nominal is None or (degree is not None and not nominal <= {degree}):
-        e = parse_expression(text)
-        if degree is not None and not e.is_zero() and e.degrees() != [degree]:
-            raise UsageError("integrand must be homogeneous of degree %d" % degree)
-        return e
-    return parse_expression(text, _QuotientRing(chowring.table(cfg)))
+    tree = _parse(text)
+    nominal = _as_usage_error(_nominal_degrees, tree)
+    if nominal is not None and (degree is None or nominal <= {degree}):
+        mul = functools.partial(chowring.multiply, t=chowring.table(cfg))
+        return _as_usage_error(_value, tree, mul)
+    e = _as_usage_error(_value, tree, operator.mul)
+    if degree is not None and not e.is_zero() and e.degrees() != [degree]:
+        raise UsageError("integrand must be homogeneous of degree %d" % degree)
+    return e
 
 
 def _parse_point(text):

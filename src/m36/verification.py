@@ -397,7 +397,7 @@ def crit_property_suites():
     func = chowring._integration_functional(table)
     sweep_rows = 0
     sweep_ok = True
-    for _rid, row in table.relation_row_stream(4):
+    for row in table.relation_row_stream(4):
         total = 0
         for c, v in row.items():
             total += v * func.get(c, 0)

@@ -127,6 +127,9 @@ class TestExitCodes:
             ("(K+B)^4", "1502"),
             ("F[12]*F[34]*F[56]*G[12,34,56]", "1"),
             ("E[123]*E[124]*F[12]*F[12]", "0"),
+            ("F[12]^0*psi[1,2]^4", "0"),
+            ("(psi[1,2]^2)^2", "0"),
+            ("(psi[5,6]*psi[6,5])^2", "1"),
         ]
         for expr, want in cases:
             rc = main(["integrate", expr, "--mode", "exact", "--format", "csv"])
@@ -156,6 +159,51 @@ class TestExitCodes:
         # nominal degree 5, but the free ring cancels first
         assert main(["integrate", "(F[12]-F[12])*F[12]^4", "--format", "csv"]) == 0
         assert capsys.readouterr().out == "0\n"
+        # a zeroth power still reads its base
+        assert main(["integrate", "(F[12]^4*F[13])^0*psi[1,2]^4"]) == 2
+        assert "exceeds degree 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("psi[1,2]^4*psi[1,3]", "product exceeds degree 4"),
+            # the whole expression is parsed before any product is formed,
+            # so a later syntax or label error is the one reported
+            ("psi[1,2]^4*psi[1,3] +", "unexpected end of expression"),
+            ("psi[1,2]^4*psi[1,3]*E[12]", "E takes one group of three lines"),
+        ],
+    )
+    def test_parse_errors_before_degree_cap(self, capsys, text, message):
+        assert main(["integrate", text]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            ("(" * 200 + "F[12]" + ")" * 200, 0),
+            ("+".join(["F[12]"] * 5000), 0),
+            ("(" * 400 + "F[12]" + ")" * 400, 2),
+            ("F[12]+" + "-" * 3000 + "F[12]", 2),
+        ],
+        ids=["parens-200", "sum-5000", "parens-400", "minus-3000"],
+    )
+    def test_deep_nesting_is_a_usage_error(self, capsys, text, code):
+        assert main(["restrict", text, "--point", "12,34,56"]) == code
+        err = capsys.readouterr().err
+        assert err == ("error: expression nested too deeply\n" if code else "")
+
+    def test_atoms_built_once(self, monkeypatch, capsys, table):
+        chowring._integration_functional(table)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return psi(*args)
+
+        monkeypatch.setattr(cli.classes, "psi", counted)
+        assert main(["integrate", "psi[1,2]*psi[2,3]*psi[3,1]*psi[4,5]"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "9"
+        assert calls == [(1, 2), (2, 3), (3, 1), (4, 5)]
 
     @pytest.mark.parametrize(
         "text", ["F[12]", "F[12]*F[13]", "F[12", "E[12]", "F[12]^4*F[12]", "1/0"]

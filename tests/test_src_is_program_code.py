@@ -1,12 +1,14 @@
 """Every function, method and UPPERCASE constant in src/m36 is named by the
-program itself.
+program itself, and every attribute it stores is read by it.
 
 A definition that only tests reach belongs in tests/ (oracles.py or the test
 module that uses it), not in the package.  The scan is by name: a
 definition counts as used when some Name or attribute in src/m36 outside the
 definition's own lines carries its name, so a recursive helper with no other
 caller is still caught.  Dunder methods are the interpreter's to call and
-are skipped.
+are skipped.  Attributes are the fields declared in class bodies (dataclass
+fields) and the self.x assigned in __init__; one counts as read when some
+attribute load in src/m36 outside its own assignment carries its name.
 """
 
 import ast
@@ -17,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "m36"
 # Program code that no code in src/m36 calls, each kept for a stated reader.
 ALLOWED = {
     "cli._table": "benchmark/child.py calls it",
+    "cli.parse_expression": "benchmark/child.py and selfcheck.py call it",
     "exactla.ModpEchelon.kernel_basis": "benchmark/tracing.py wraps it",
     "labels.perm_compose": "planned caller: the S6 config census (ROADMAP F)",
     "labels.perm_inverse": "planned caller: the S6 config census (ROADMAP F)",
@@ -57,24 +60,60 @@ def _definitions(tree, module):
     return out
 
 
+def _attributes(tree, module):
+    """(qualified name, first line, last line) of every field declared in a
+    class body and every self.x assigned in a class's __init__."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        prefix = "%s.%s." % (module, cls.name)
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                out.append((prefix + node.target.id, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for stmt in ast.walk(node):
+                    if isinstance(stmt, ast.Assign):
+                        targets = stmt.targets
+                    elif isinstance(stmt, ast.AnnAssign):
+                        targets = [stmt.target]
+                    else:
+                        continue
+                    for target in targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                        ):
+                            out.append(
+                                (prefix + target.attr, stmt.lineno, stmt.end_lineno)
+                            )
+    return out
+
+
 def _scan():
-    """(definitions, references) over src/m36: references are (name, module,
-    line) for every Name read and every attribute."""
-    defs, refs = [], []
+    """(definitions, references, attributes, reads) over src/m36: references
+    are (name, module, line) for every Name read and every attribute, reads
+    the same for every attribute load."""
+    defs, refs, attrs, reads = [], [], [], []
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defs.extend((module,) + d for d in _definitions(tree, module))
+        attrs.extend((module,) + a for a in _attributes(tree, module))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.append((node.id, module, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.append((node.attr, module, node.lineno))
-    return defs, refs
+                if isinstance(node.ctx, ast.Load):
+                    reads.append((node.attr, module, node.lineno))
+    return defs, refs, attrs, reads
 
 
-def _unnamed():
-    defs, refs = _scan()
+def _unnamed(defs, refs):
+    """Qualified names of defs that no reference outside their own lines
+    carries."""
     named = {}
     for name, module, line in refs:
         named.setdefault(name, []).append((module, line))
@@ -90,15 +129,25 @@ def _unnamed():
 
 
 def test_every_definition_is_named_by_the_program():
-    unnamed = _unnamed() - set(ALLOWED)
+    defs, refs, _attrs, _reads = _scan()
+    unnamed = _unnamed(defs, refs) - set(ALLOWED)
     assert not unnamed, (
         "defined in src/m36 but never named there; move test-only code to "
         "tests/ or delete it: %s" % sorted(unnamed)
     )
 
 
+def test_every_attribute_is_read_by_the_program():
+    _defs, _refs, attrs, reads = _scan()
+    unread = _unnamed(attrs, reads) - set(ALLOWED)
+    assert not unread, (
+        "stored in src/m36 but never read there; delete it or move it to "
+        "tests/: %s" % sorted(unread)
+    )
+
+
 def test_allowlist_names_existing_definitions():
-    defs, _ = _scan()
-    qualnames = {qualname for _module, qualname, _a, _b in defs}
+    defs, _refs, attrs, _reads = _scan()
+    qualnames = {qualname for _module, qualname, _a, _b in defs + attrs}
     assert set(ALLOWED) <= qualnames, sorted(set(ALLOWED) - qualnames)
     assert all(reason for reason in ALLOWED.values())
