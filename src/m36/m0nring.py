@@ -30,9 +30,6 @@ class M0nDivisor:
     n: int
     part: tuple
 
-    def name(self):
-        return "D[%s]" % "".join(str(m) for m in self.part)
-
 
 def m0n_divisor(n, marks):
     marks = frozenset(marks)

@@ -1,7 +1,7 @@
 """Exact linear algebra kernel, cross-checked against sympy on small inputs."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -16,9 +16,30 @@ from m36.exactla import (
     reduce_row,
     smith_from_echelon,
     smith_normal_form,
+    submul,
     xgcd,
 )
 from oracles import nullspace_basis
+
+
+def euclidean_insert(pivots, row):
+    """Plain Euclidean insertion with rightmost pivots and no size reduction
+    of the other entries: the reference whose leads the Hermite-reduced
+    IntEchelon must reproduce, since leads are invariants of the lattice."""
+    row = {c: v for c, v in row.items() if v}
+    while row:
+        lead = max(row)
+        b = pivots.get(lead)
+        if b is None:
+            pivots[lead] = row if row[lead] > 0 else {c: -v for c, v in row.items()}
+            return
+        g, s, t = xgcd(b[lead], row[lead])
+        du, cu = b[lead] // g, row[lead] // g
+        cols = b.keys() | row.keys()
+        newb = {c: s * b.get(c, 0) + t * row.get(c, 0) for c in cols}
+        row = {c: du * row.get(c, 0) - cu * b.get(c, 0) for c in cols}
+        pivots[lead] = {c: v for c, v in newb.items() if v}
+        row = {c: v for c, v in row.items() if v}
 
 
 def random_matrix(rng, nrows, ncols, density=0.4, lo=-4, hi=4):
@@ -291,6 +312,83 @@ class TestEchelonInternals:
         assert row == {0: 2, 1: 0}
         assert smith_from_echelon(ech).diagonal == (2,)
         assert smith_normal_form([{0: 2, 1: 0}]).diagonal == (2,)
+
+
+class TestHermiteInsert:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_basis_stays_hermite_reduced(self, seed):
+        # sparse {-1, 0, 1}-heavy rows like the program's, or dense rows with
+        # larger entries; every third row is an integer combination of rows
+        # already inserted, so it lies in the lattice
+        rng = random.Random(1100 + seed)
+        ncols = rng.randint(4, 14)
+        if seed % 2:
+            rows = random_matrix(rng, 2 * ncols, ncols, density=0.6, lo=-9, hi=9)
+        else:
+            rows = random_matrix(rng, 2 * ncols, ncols, density=0.25, lo=-2, hi=2)
+        ech = IntEchelon()
+        reference = {}
+        seen = []
+        in_span = 0
+        for i, row in enumerate(rows):
+            if i % 3 == 2 and seen:
+                row = {}
+                for r in rng.sample(seen, min(3, len(seen))):
+                    submul(row, r, rng.choice((-3, -1, 1, 2)))
+                before = {lead: dict(r) for lead, r in ech.pivots.items()}
+                assert ech.insert(row) is None
+                assert ech.pivots == before
+                in_span += 1
+            else:
+                ech.insert(row)
+                euclidean_insert(reference, row)
+                seen.append(row)
+            leads = {lead: r[lead] for lead, r in ech.pivots.items()}
+            assert leads == {lead: r[lead] for lead, r in reference.items()}
+            assert all(v > 0 for v in leads.values())
+            for lead, r in ech.pivots.items():
+                assert max(r) == lead
+                for c, v in r.items():
+                    if c != lead and c in leads:
+                        assert 0 <= v < leads[c], (lead, c, v, leads[c])
+        assert in_span > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_input_stays_small(self, seed):
+        # 32 x 33, density 0.3, entries in [-99, 99]: plain Euclidean
+        # insertion took 35 s here and reached 3.9 million bits
+        rng = random.Random(seed)
+        m = random_matrix(rng, 32, 33, density=0.3, lo=-99, hi=99)
+        ech = IntEchelon()
+        for row in m:
+            ech.insert(row)
+        entries = [v for r in ech.pivots.values() for v in r.values()]
+        assert all(abs(v).bit_length() < 1000 for v in entries)
+        dm = DomainMatrix.from_Matrix(to_sympy(m, 33)).convert_to(sympy.ZZ)
+        assert ech.rank == dm.rank() == 32
+        # some lead is too large for trial division, so the Hermite passes
+        # give the invariant factors; with full row rank their product is
+        # the gcd of the maximal minors
+        assert max(r[lead] for lead, r in ech.pivots.items()) > 2**32
+        minors = [
+            int(dm.extract(list(range(32)), [c for c in range(33) if c != j]).det())
+            for j in range(33)
+        ]
+        assert prod(smith_from_echelon(ech).diagonal) == gcd(*minors)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_invariant_factors_match_sympy(self, seed):
+        rng = random.Random(1200 + seed)
+        nrows = rng.randint(8, 14)
+        m = random_matrix(rng, nrows, nrows + 1, density=0.3, lo=-99, hi=99)
+        assert list(smith_normal_form(m).diagonal) == sympy_invariants(m, nrows + 1)
+
+    def test_unfactored_lead_falls_back_to_hermite_passes(self):
+        # a lead with no prime factor below the trial-division limit is not
+        # factored; the Hermite passes decide instead
+        p, q = 2**61 - 1, 2**31 - 1  # both prime
+        assert smith_normal_form([{0: p}]).diagonal == (p,)
+        assert smith_normal_form([{0: p * q, 1: q}, {1: p}]).diagonal == (1, p * p * q)
 
 
 @pytest.mark.parametrize("seed", range(6))
