@@ -190,14 +190,6 @@ class RingElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = RingElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return isinstance(other, RingElement) and self.coeffs == other.coeffs
 
@@ -388,13 +380,12 @@ def build_quotient(cfg, mode="two-prime"):
     rows of degree 1 are the sixty linear generators themselves; every higher
     degree multiplies the degree-1 pivot rows, a basis of the same relation
     lattice, sorted by lead.  Row order changes the cost, not the result.
-    With the Hermite-reduced insert, a row that dies costs a step per pivot
-    column it holds, and most of the cost is reducing stored rows when a
-    new pivot appears.  On the all-line-fiber build, reverse multiplier
-    order spends 0.20, 0.66-0.71 and 0.61-0.66 s inserting degrees 2, 3 and
-    4, and forward order 1.27-1.39, 0.31-0.32 and 0.29-0.31 s; reverse
-    stays because the whole build is faster (2.0-2.1 s against 2.4-2.6 s,
-    three runs each on 2 cores, CPython 3.11.7; BENCH_11.json).
+    On the all-line-fiber build, reverse multiplier order spends a median
+    0.20, 2.0 and 2.2 s on degrees 2, 3 and 4, and forward order 1.4, 1.5
+    and 1.5 s.  The whole build takes the same CPU time either way (medians
+    4.48 and 4.52 s over 13 alternating runs each, 2 shared cores, CPython
+    3.11.7), so reverse stays: its pivot entries are smaller (5 bits in
+    degree 2 against 11) and its peak memory is 1 MB lower.
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in

@@ -20,10 +20,8 @@ from . import labels
 from .chowring import (
     RingElement,
     VerificationError,
-    apply_perm_element,
     clear_denominators,
     integrate,
-    is_zero_in,
     m36_subring_membership,
     multiply,
     normal_form,

@@ -9,10 +9,9 @@ Rows arrive one at a time; each is reduced against the current basis and
 either dies (it was in the span) or becomes a new pivot row.  Over Z the
 reduction uses Euclidean exchanges, so row operations stay unimodular and
 the row-span lattice is preserved exactly; no row is ever divided by its
-content.  The basis is kept in Hermite form as rows arrive (every pivot
-row's entry at another pivot column lies in [0, that column's lead)), so
-a row already in the lattice dies in one step per pivot column it holds.
-That gives three things at once:
+content.  Each pivot row is reduced once, when it is stored: its entry at
+every smaller pivot column then lies in [0, that column's lead).  That
+gives three things at once:
 
   * the rank (number of pivot rows),
   * a torsion certificate: the pivot rows are triangular on their lead
@@ -31,15 +30,13 @@ number appears only where chowring reads a value out.
 
 Only when the rank drops at some lead prime does the Smith normal form fall
 back to alternating Hermite passes over the echelon rows: insert them into
-an IntEchelon, which leaves them in Hermite form, transpose, and repeat
-until the matrix is diagonal.
+an IntEchelon, transpose, and repeat until the matrix is diagonal.
 
 Matrices in this project have entries almost entirely in {-1, 0, 1} and very
-sparse rows, which is why this pure-Python kernel is fast enough.  The
-Hermite form keeps the pivot rows small: their largest entry has 3, 6, 5
-and 3 bits in degrees 1 to 4 of the all-line-fiber build, 3, 6, 4 and 3 on
-all plane fibers, and 3, 6, 5 and 3 on a mixed config with seven plane
-fibers.
+sparse rows, which is why this pure-Python kernel is fast enough.  Reducing
+each row as it is stored keeps the pivot rows small: their largest entry
+has 3, 5, 4 and 4 bits in degrees 1 to 4 of the all-line-fiber build, the
+same on all plane fibers and on a mixed config with seven plane fibers.
 """
 
 from __future__ import annotations
@@ -116,15 +113,13 @@ def reduce_row(row, reduced):
 
 
 class IntEchelon:
-    """Insertion echelon over Z with rightmost (largest-column) pivots, kept
-    in Hermite-reduced form as rows arrive: a pivot row's entry at any other
-    pivot column c lies in [0, lead of c), so it is absent under a unit
-    lead."""
+    """Insertion echelon over Z with rightmost (largest-column) pivots.  A
+    row is reduced once, when it is stored: its entry at each smaller pivot
+    column c then lies in [0, lead of c).  Rows stored earlier are not
+    reduced again when a pivot appears below their lead."""
 
     def __init__(self):
         self.pivots = {}
-        self._holders = {}  # column -> leads of the other rows with an entry there
-        self._nonunit = set()  # pivot columns whose lead is not 1
 
     @property
     def rank(self):
@@ -136,16 +131,11 @@ class IntEchelon:
         copied without its zero entries, so the caller's dict is unchanged
         and a zero never becomes a lead.
 
-        Because the basis is Hermite-reduced, eliminating the row's top
-        pivot column brings in no other pivot column under a unit lead, so
-        a row already in the lattice dies after one step per pivot column
-        it holds.  A new pivot row is reduced at the smaller pivot columns;
-        then, as when an exchange lowers a lead, the rows holding its column
-        are reduced against it.  Every step is unimodular, so the lattice
-        and its leads are those of plain Euclidean insertion, and the
-        reduction keeps entries small: three seeded dense 32 x 33 matrices
-        with entries in [-99, 99] go in within 0.02 s with pivot entries of
-        at most 216 bits, where plain Euclidean insertion took 35 s and
+        Every step is unimodular, so the lattice and its leads are those of
+        plain Euclidean insertion.  Reducing each pivot row as it is stored
+        keeps entries small: three seeded dense 32 x 33 matrices with
+        entries in [-99, 99] go in within 0.006 s each with pivot entries
+        of at most 216 bits, where plain Euclidean insertion took 35 s and
         reached 3.9 million bits."""
         pivots = self.pivots
         row = {c: v for c, v in row.items() if v}
@@ -155,7 +145,7 @@ class IntEchelon:
             if b is None:
                 if row[lead] < 0:
                     row = {c: -v for c, v in row.items()}
-                self._store(lead, row, ())
+                self._store(lead, row)
                 return lead
             c, d = row[lead], b[lead]
             if c % d == 0:
@@ -176,20 +166,18 @@ class IntEchelon:
                     if nv:
                         newrow[col] = nv
                 # the lead coefficient of newb is g > 0
-                self._store(lead, newb, b.keys())
+                self._store(lead, newb)
                 row = newrow  # lead eliminated
         return None
 
-    def _reduce(self, lead, cols):
-        """Reduce the row stored at lead at the pivot columns cols, and at
-        those the reduction brings in, into [0, that column's lead), largest
-        column first.  Each step subtracts a row with a smaller lead, so the
-        columns already reduced stay so, and only a non-unit lead can bring
-        one in."""
+    def _store(self, lead, row):
+        """Put row in the basis at lead, reduced at every smaller pivot
+        column into [0, that column's lead), largest column first.  Each
+        step subtracts a row with a smaller lead, so the columns already
+        reduced stay so; the pivot columns it brings in are queued.  Dicts
+        never shrink after deletes, so the row is stored rebuilt."""
         pivots = self.pivots
-        nonunit = self._nonunit
-        row = pivots[lead]
-        heap = [-c for c in cols]
+        heap = [-c for c in row if c < lead and c in pivots]
         heapify(heap)
         while heap:
             c = -heappop(heap)
@@ -199,81 +187,11 @@ class IntEchelon:
             b = pivots[c]
             q = v // b[c]
             if q:
-                self._submul(lead, row, b, q)
-                for x in nonunit:
-                    if x < c and x in b:
+                submul(row, b, q)
+                for x in b:
+                    if x < c and x in pivots:
                         heappush(heap, -x)
-
-    def _submul(self, lead, row, b, q):
-        """submul on the row stored at lead, moving the column index with
-        the entries that appear and vanish."""
-        holders = self._holders
-        get = row.get
-        for col, v in b.items():
-            old = get(col)
-            if old is None:
-                row[col] = -q * v
-                s = holders.get(col)
-                if s is None:
-                    holders[col] = {lead}
-                else:
-                    s.add(lead)
-            else:
-                old -= q * v
-                if old:
-                    row[col] = old
-                else:
-                    del row[col]
-                    s = holders[col]
-                    if len(s) == 1:
-                        del holders[col]
-                    else:
-                        s.remove(lead)
-
-    def _store(self, lead, row, old):
-        """Put row in the basis at lead, replacing the row whose columns are
-        old, and restore the Hermite form: move the column index over,
-        reduce the row at the smaller pivot columns, then reduce the rows
-        that hold column lead.  Dicts never shrink after deletes, so the row
-        is rebuilt."""
-        pivots = self.pivots
-        pivots[lead] = row = dict(row)
-        if row[lead] == 1:
-            self._nonunit.discard(lead)
-        else:
-            self._nonunit.add(lead)
-        holders = self._holders
-        for c in old - row.keys():
-            s = holders[c]
-            s.discard(lead)
-            if not s:
-                del holders[c]
-        for c in row.keys() - old:
-            if c != lead:
-                holders.setdefault(c, set()).add(lead)
-        self._reduce(lead, [c for c in row if c < lead and c in pivots])
-        self._lower(lead)
-
-    def _lower(self, lead):
-        """Reduce every other row's entry at column lead into [0, the new
-        lead), after a pivot row appeared there or its lead fell, and
-        re-reduce what that changes below lead.  A row that shrank is
-        rebuilt, and _submul drops the index sets it empties, so neither
-        keeps the space of entries it lost."""
-        pivots = self.pivots
-        b = pivots[lead]
-        d = b[lead]
-        carried = [c for c in self._nonunit if c < lead and c in b]
-        for r_lead in list(self._holders.get(lead, ())):
-            r = pivots[r_lead]
-            q = r[lead] // d
-            if q:
-                n = len(r)
-                self._submul(r_lead, r, b, q)
-                if carried:
-                    self._reduce(r_lead, carried)
-                if len(r) < n:
-                    pivots[r_lead] = dict(r)
+        pivots[lead] = dict(row)
 
     def rref(self):
         """Fully reduced rows over Q as {lead: (num, den)}: the row
@@ -433,20 +351,21 @@ def smith_from_echelon(ech):
 def _dense_snf(rows):
     """Nonzero invariant factors of {col: coeff} rows, which it copies, by
     alternating Hermite passes (Kannan and Bachem, SIAM J. Comput. 8, 1979).
-    A pass inserts the rows into an IntEchelon, which leaves them in Hermite
-    form (each pivot row's entries at the smaller pivot columns in [0, that
-    lead)), and transposes: old column c becomes a row {old lead: entry},
-    and the rows go in by descending c.  The passes stop when every pivot
-    row has a single entry.
+    A pass inserts the rows into an IntEchelon and transposes: old column c
+    becomes a row {old lead: entry}, and the rows go in by descending c.
+    The passes stop when every pivot row has a single entry.
 
-    They end: the largest lead d is alone in its column, so the transposed
-    row {lead: d} goes in first at the largest column, and the next pivot
-    there is the gcd of d and the old lead row.  Either it is smaller than
-    d, or it is {lead: d} again, alone in its row and column for good, and
-    the next largest lead goes the same way.  The Hermite form keeps the
-    other entries small: on 3,000 seeded random dense matrices up to
-    16 x 16 with entries in [-9, 9], the largest entry of the first pass had
-    65 bits, against 15,824 under plain Euclidean insertion."""
+    They end, and the argument needs only rightmost pivots.  Every row ends
+    at its lead, so the largest pivot column L is the largest column and
+    its lead d is the only entry there.  The transposed row {L: d} goes in
+    first, and the next pivot at L is the gcd of d and the old row at L.
+    Either it is smaller than d, or d divides that row: then every later
+    entry at L is reduced away, {L: d} stays alone in its row and column
+    for good, and the next largest pivot column goes the same way.
+    Reducing each row as it is stored keeps the other entries small: on
+    3,000 seeded random dense matrices of 2 to 16 rows and columns with
+    entries in [-9, 9], the largest entry of any pass had 62 bits, against
+    4,062 in the first pass of plain Euclidean insertion."""
     while True:
         pivots = _echelon(rows).pivots
         if all(len(row) == 1 for row in pivots.values()):

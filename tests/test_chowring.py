@@ -94,13 +94,6 @@ class TestRingElement:
         with pytest.raises(ValueError):
             f4 * f
 
-    def test_pow(self):
-        f = F(1, 2) - G((1, 2), (3, 4), (5, 6))
-        assert f ** 0 == RingElement.one()
-        assert f ** 2 == f * f
-        with pytest.raises(ValueError):
-            f ** -1
-
     @given(linear_st, linear_st)
     def test_commutative(self, a, b):
         assert a * b == b * a
@@ -293,7 +286,8 @@ class TestNormalForm:
         # triples sharing two lines never meet, nor does a pair meet a
         # cyclic whose matching avoids it
         assert is_zero_in(E(1, 2, 3) * E(1, 2, 4), table)
-        assert is_zero_in(F(1, 3) * G((1, 2), (3, 4), (5, 6)) ** 2, table)
+        g = G((1, 2), (3, 4), (5, 6))
+        assert is_zero_in(F(1, 3) * g * g, table)
 
     def test_idempotent_and_linear(self, table):
         e = F(1, 2) * F(1, 2) + E(1, 2, 3) * G((1, 2), (3, 4), (5, 6))
@@ -306,7 +300,8 @@ class TestNormalForm:
         )
 
     def test_normal_form_supported_on_basis(self, table):
-        e = G((1, 2), (3, 4), (5, 6)) ** 2
+        g = G((1, 2), (3, 4), (5, 6))
+        e = g * g
         nf = normal_form(e, table)
         basis = set(table.basis_monomials(2))
         assert nf.coeffs
@@ -329,7 +324,8 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(F(1, 2), table)
         with pytest.raises(ValueError):
-            integrate(RingElement.one() + F(1, 2) ** 4, table)
+            f = F(1, 2)
+            integrate(RingElement.one() + f * f * f * f, table)
         assert integrate(RingElement.zero(), table) == 0
 
     def test_relation_times_cube_is_zero(self, table):
@@ -446,7 +442,8 @@ class TestQuotientProduct:
             free = RingElement.one()
             quot = RingElement.one()
             for atom, n in factors:
-                free = free * atom ** n
+                for _ in range(n):
+                    free = free * atom
                 quot = multiply(quot, power(atom, n, t), t)
             assert quot == _pruned(free, t)
             assert normal_form(quot, t) == normal_form(free, t)

@@ -24,8 +24,8 @@ from oracles import nullspace_basis
 
 def euclidean_insert(pivots, row):
     """Plain Euclidean insertion with rightmost pivots and no size reduction
-    of the other entries: the reference whose leads the Hermite-reduced
-    IntEchelon must reproduce, since leads are invariants of the lattice."""
+    of the other entries: the reference whose leads IntEchelon must
+    reproduce, since leads are invariants of the lattice."""
     row = {c: v for c, v in row.items() if v}
     while row:
         lead = max(row)
@@ -317,9 +317,12 @@ class TestEchelonInternals:
 class TestHermiteInsert:
     @pytest.mark.parametrize("seed", range(16))
     def test_basis_stays_hermite_reduced(self, seed):
-        # sparse {-1, 0, 1}-heavy rows like the program's, or dense rows with
-        # larger entries; every third row is an integer combination of rows
-        # already inserted, so it lies in the lattice
+        # each row is Hermite-reduced once, when it is stored: a new pivot
+        # row, and a row rewritten by a Euclidean exchange, hold every
+        # smaller pivot column's entry in [0, that column's lead).  Rows
+        # are sparse {-1, 0, 1}-heavy ones like the program's, or dense ones
+        # with larger entries; every third row is an integer combination of
+        # rows already inserted, so it lies in the lattice
         rng = random.Random(1100 + seed)
         ncols = rng.randint(4, 14)
         if seed % 2:
@@ -330,28 +333,38 @@ class TestHermiteInsert:
         reference = {}
         seen = []
         in_span = 0
+        stored = 0
         for i, row in enumerate(rows):
+            before = {lead: dict(r) for lead, r in ech.pivots.items()}
             if i % 3 == 2 and seen:
                 row = {}
                 for r in rng.sample(seen, min(3, len(seen))):
                     submul(row, r, rng.choice((-3, -1, 1, 2)))
-                before = {lead: dict(r) for lead, r in ech.pivots.items()}
                 assert ech.insert(row) is None
                 assert ech.pivots == before
                 in_span += 1
             else:
-                ech.insert(row)
+                new = ech.insert(row)
                 euclidean_insert(reference, row)
                 seen.append(row)
+                if new is not None:
+                    stored += 1
+                    r = ech.pivots[new]
+                    assert new not in before
+                    for c, v in r.items():
+                        if c < new and c in ech.pivots:
+                            assert 0 <= v < ech.pivots[c][c], (new, c, v)
+                for lead, r in ech.pivots.items():
+                    if lead != new and r != before[lead]:
+                        # exchanged before any new pivot appeared
+                        for c, v in r.items():
+                            if c < lead and c in before:
+                                assert 0 <= v < before[c][c], (lead, c, v)
             leads = {lead: r[lead] for lead, r in ech.pivots.items()}
             assert leads == {lead: r[lead] for lead, r in reference.items()}
             assert all(v > 0 for v in leads.values())
-            for lead, r in ech.pivots.items():
-                assert max(r) == lead
-                for c, v in r.items():
-                    if c != lead and c in leads:
-                        assert 0 <= v < leads[c], (lead, c, v, leads[c])
-        assert in_span > 0
+            assert all(max(r) == lead for lead, r in ech.pivots.items())
+        assert in_span > 0 and stored > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_input_stays_small(self, seed):
