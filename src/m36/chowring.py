@@ -13,15 +13,18 @@ admissible monomials modulo the projections of {linear relation x admissible
 monomial of degree k-1}.  Those projections are exact: any product landing on
 an inadmissible monomial lies in the monomial ideal.
 
-Every degree from 1 to 4 is built by the same loop: all of its relation rows
-go into one integer echelon form with rightmost pivots (so the
-lexicographically smallest monomials survive as the basis), which gives the
-rank, the reduced rows for normal forms and the torsion certificate of the
-whole relation lattice.  The expected rank profile (1, 51, 127+|S2|, 51, 1)
-is a theorem; meeting it is asserted, and a computed mismatch raises
-VerificationError rather than a report with different numbers.
-Torsion-freeness is certified in every degree by the local-prime rank check
-of exactla.smith_from_echelon.
+Every degree from 1 to 4 is built by the same function, _eliminate: all of
+its relation rows go into one integer echelon form with rightmost pivots (so
+the lexicographically smallest monomials survive as the basis), which gives
+the rank, the reduced rows for normal forms and the torsion certificate of
+the whole relation lattice.  Degree 1 is built first, in the calling
+process, because its pivot rows generate the relations of every higher
+degree; degrees 2, 3 and 4 then depend on nothing else, and they run side by
+side in worker processes (see build_quotient).  The expected rank profile
+(1, 51, 127+|S2|, 51, 1) is a theorem; meeting it is asserted, and a
+computed mismatch raises VerificationError rather than a report with
+different numbers.  Torsion-freeness is certified in every degree by the
+local-prime rank check of exactla.smith_from_echelon.
 
 RingElement is the free polynomial ring and knows no config.  multiply,
 product and power evaluate products in the quotient instead: a product
@@ -48,6 +51,7 @@ functional reads its values.
 
 from __future__ import annotations
 
+import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -320,6 +324,8 @@ class DegreeData:
     torsion: tuple
     rref: dict  # {lead: (num, den)}, the rational row e_lead + num/den
     basis_cols: tuple
+    # the degree's own elimination, timed in the process that ran it: a pool
+    # worker for degrees 2-4, whose times overlap
     runtime_ms: int = 0
 
 
@@ -328,7 +334,9 @@ class DegreeData:
 
 
 class GradedQuotientTable:
-    """Immutable per-degree quotient data for one resolution config."""
+    """Immutable per-degree quotient data for one resolution config.
+    runtime_ms is the wall time of the whole build, degrees run side by side
+    included."""
 
     def __init__(self, config, degrees, runtime_ms):
         self.config = config
@@ -371,21 +379,56 @@ def _expected_profile(cfg):
     return (1, 51, 127 + len(cfg.s2), 51, 1)
 
 
+def _eliminate(generators, lower, monomials):
+    """One degree: every row of _row_stream(generators, lower) on the columns
+    `monomials` goes into one IntEchelon, then rref and smith_from_echelon
+    run once.  Returns the echelon and the degree's DegreeData fields after
+    index, in order: (rank, torsion, rref, basis_cols, runtime_ms)."""
+    t0 = time.monotonic()
+    ncols = len(monomials)
+    index = {m: i for i, m in enumerate(monomials)}
+    ech = IntEchelon()
+    for row in _row_stream(generators, lower, index):
+        ech.insert(row)
+    rref = ech.rref()
+    return ech, (
+        ncols - ech.rank,
+        smith_from_echelon(ech).diagonal,
+        rref,
+        tuple(c for c in range(ncols) if c not in rref),
+        int((time.monotonic() - t0) * 1000),
+    )
+
+
+def _degree(generators, lower, monomials):
+    """_eliminate without the echelon: all that a pool worker sends back."""
+    return _eliminate(generators, lower, monomials)[1]
+
+
 def build_quotient(cfg, mode="two-prime"):
     """Construct the graded quotient table for a resolution config, with rank
     and torsion certified exactly over Z in every degree.
 
-    One loop builds degrees 1 to 4 alike: every relation row of the degree
-    goes into one IntEchelon, then rref and smith_from_echelon run once.  The
-    rows of degree 1 are the sixty linear generators themselves; every higher
-    degree multiplies the degree-1 pivot rows, a basis of the same relation
-    lattice, sorted by lead.  Row order changes the cost, not the result.
-    On the all-line-fiber build, reverse multiplier order spends a median
-    0.20, 2.0 and 2.2 s on degrees 2, 3 and 4, and forward order 1.4, 1.5
-    and 1.5 s.  The whole build takes the same CPU time either way (medians
-    4.48 and 4.52 s over 13 alternating runs each, 2 shared cores, CPython
-    3.11.7), so reverse stays: its pivot entries are smaller (5 bits in
-    degree 2 against 11) and its peak memory is 1 MB lower.
+    Every degree is built alike by _eliminate.  The rows of degree 1 are the
+    sixty linear generators themselves; every higher degree multiplies the
+    degree-1 pivot rows, a basis of the same relation lattice, sorted by
+    lead.  So once degree 1 is built in this process, degrees 4, 3 and 2
+    (longest first) are independent, and they run side by side in a pool of
+    min(3, usable CPUs) worker processes, or one after another here when
+    only one CPU is usable.  The workers get every input as an argument,
+    so any start method builds the same table, and the pool is joined
+    before build_quotient returns or raises.  Row order changes the cost,
+    not the result: reverse multiplier order gives smaller pivot entries
+    than forward order (5 bits in degree 2 against 11) for the same CPU
+    time.
+
+    On the all-line-fiber config, over 10 builds each in fresh processes
+    alternating with builds in one process (2 shared cores, CPython
+    3.11.7), the build takes a median 2.6 s of wall time (2.3-2.9) against
+    4.9 s (4.1-5.6) in one process, and 4.6 s of CPU time in this process
+    and its workers together against 4.9 s.  Degrees 2, 3 and 4 take a
+    median 0.17, 2.2 and 2.3 s in their workers, so the build waits for
+    the slower of degrees 3 and 4.
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in
@@ -396,38 +439,31 @@ def build_quotient(cfg, mode="two-prime"):
     expected = _expected_profile(cfg)
     complex_ = build_complex(cfg)
     monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
+    ech, fields = _eliminate(_linear_relation_vectors(), monomials[0], monomials[1])
+    built = {0: (1, (), {}, (0,), 0), 1: fields}  # degree 0: nothing to eliminate
+    generators = [ech.pivots[lead] for lead in sorted(ech.pivots)]
+    ks = (4, 3, 2)
+    jobs = (
+        [generators] * len(ks),
+        [monomials[k - 1] for k in ks],
+        [monomials[k] for k in ks],
+    )
+    workers = min(len(ks), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        # imported here: concurrent.futures.process takes tens of ms to
+        # import, which a process that builds no table should not pay
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the default start method: on Linux before Python 3.14 it forks,
+        # which was about 0.2 s faster per all-P1 build than spawn
+        with ProcessPoolExecutor(workers) as pool:
+            built.update(zip(ks, pool.map(_degree, *jobs)))
+    else:
+        built.update(zip(ks, map(_degree, *jobs)))
     degrees = [
-        DegreeData(
-            monomials=tuple(monomials[0]),
-            index={(): 0},
-            rank=1,
-            torsion=(),
-            rref={},
-            basis_cols=(0,),
-        )
+        DegreeData(tuple(m), {mono: i for i, mono in enumerate(m)}, *built[k])
+        for k, m in enumerate(monomials)
     ]
-    generators = _linear_relation_vectors()
-    for k in range(1, MAX_DEGREE + 1):
-        tk = time.monotonic()
-        ncols = len(monomials[k])
-        index = {m: i for i, m in enumerate(monomials[k])}
-        ech = IntEchelon()
-        for row in _row_stream(generators, monomials[k - 1], index):
-            ech.insert(row)
-        rref = ech.rref()
-        degrees.append(
-            DegreeData(
-                monomials=tuple(monomials[k]),
-                index=index,
-                rank=ncols - ech.rank,
-                torsion=smith_from_echelon(ech).diagonal,
-                rref=rref,
-                basis_cols=tuple(c for c in range(ncols) if c not in rref),
-                runtime_ms=int((time.monotonic() - tk) * 1000),
-            )
-        )
-        if k == 1:
-            generators = [ech.pivots[lead] for lead in sorted(ech.pivots)]
 
     table = GradedQuotientTable(
         config=cfg,

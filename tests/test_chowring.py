@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +33,7 @@ from m36.chowring import (
     normal_form,
     power,
     product,
+    VerificationError,
     ranks_report,
     restrict_to_fiber,
 )
@@ -257,6 +263,87 @@ class TestBuildQuotient:
                     entries.append((lead, col, f.numerator, f.denominator))
             text = "\n".join("%d %d %d %d" % e for e in sorted(entries))
             assert hashlib.sha256(text.encode()).hexdigest() == want[str(k)], k
+
+
+class TestParallelBuild:
+    """Degrees 2-4 are built in pool workers when more than one CPU is
+    usable, and in this process by the same function when only one is."""
+
+    @staticmethod
+    def _usable_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)))
+
+    @pytest.mark.parametrize("name", ["table", "table_mixed"])
+    def test_one_cpu_build_matches_the_pool(self, request, monkeypatch, name):
+        pooled = request.getfixturevalue(name)
+        self._usable_cpus(monkeypatch, 1)
+        serial = build_quotient(pooled.config)
+        assert len(serial.degrees) == len(pooled.degrees)
+        for a, b in zip(serial.degrees, pooled.degrees):
+            assert (a.monomials, a.index, a.rank, a.torsion, a.rref, a.basis_cols) == (
+                b.monomials, b.index, b.rank, b.torsion, b.rref, b.basis_cols
+            )
+        assert serial.ranks == pooled.ranks
+        assert serial.torsion_free == pooled.torsion_free
+
+    def test_no_worker_outlives_the_build(self, monkeypatch, table_mixed):
+        cfg = table_mixed.config
+        self._usable_cpus(monkeypatch, 2)
+        assert build_quotient(cfg).ranks == table_mixed.ranks
+        assert multiprocessing.active_children() == []
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers inherit the patched function")
+        smith = chowring.smith_from_echelon
+
+        def failing(ech):
+            # degree-1 pivots lie on the 65 divisor columns
+            if max(ech.pivots) >= len(labels.DIVISORS):
+                raise VerificationError("raised in a worker")
+            return smith(ech)
+
+        monkeypatch.setattr(chowring, "smith_from_echelon", failing)
+        with pytest.raises(VerificationError, match="raised in a worker"):
+            build_quotient(cfg)
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _python(code):
+        """Standard output of a fresh interpreter running code on this m36."""
+        src = str(Path(chowring.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported by the first build, so start-up stays cheap
+        assert self._python(
+            "import sys, m36.cli, m36.chowring\n"
+            "print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))"
+        ) == "[]"
+
+    def test_spawned_workers_build_the_same_table(self, table, tmp_path):
+        # every input reaches a worker as an argument, so workers that import
+        # chowring afresh instead of forking build the same degrees
+        out = tmp_path / "degrees.pickle"
+        self._python(
+            "import multiprocessing, os, pickle\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "os.sched_getaffinity = lambda _pid: {0, 1}\n"
+            "from m36 import chowring, labels\n"
+            "t = chowring.build_quotient(labels.config_all_p1())\n"
+            "with open(%r, 'wb') as fh:\n"
+            "    pickle.dump([(dd.rank, dd.torsion, dd.rref, dd.basis_cols)"
+            " for dd in t.degrees], fh)" % str(out)
+        )
+        with open(out, "rb") as fh:
+            spawned = pickle.load(fh)
+        assert spawned == [
+            (dd.rank, dd.torsion, dd.rref, dd.basis_cols) for dd in table.degrees
+        ]
 
 
 class TestNormalForm:

@@ -46,10 +46,10 @@ SHARED = {
     "chowring.FiberValue.is_zero": "chowring: restrict_to_fiber(e, pt, t).is_zero()",
     "chowring.multiply": "verification: chowring.multiply(gens[i], gens[j], table)",
     "m0nring.M0nRing.multiply": "verification: ring5.multiply(...)",
-    "exactla.IntEchelon.rank": "chowring.build_quotient: ncols - ech.rank",
+    "exactla.IntEchelon.rank": "chowring._eliminate: ncols - ech.rank",
     "exactla.ModpEchelon.rank": "exactla.smith_from_echelon: local.rank",
     "exactla.SmithInvariants.rank": "boundarycomplex.reduced_homology: snfs[k].rank",
-    "exactla.IntEchelon.insert": "chowring.build_quotient: ech.insert(row)",
+    "exactla.IntEchelon.insert": "chowring._eliminate: ech.insert(row)",
     "exactla.ModpEchelon.insert": "exactla.smith_from_echelon: local.insert(row)",
 }
 
