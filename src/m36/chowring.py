@@ -379,30 +379,55 @@ def _expected_profile(cfg):
     return (1, 51, 127 + len(cfg.s2), 51, 1)
 
 
-def _eliminate(generators, lower, monomials):
-    """One degree: every row of _row_stream(generators, lower) on the columns
-    `monomials` goes into one IntEchelon, then rref and smith_from_echelon
-    run once.  Returns the echelon and the degree's DegreeData fields after
-    index, in order: (rank, torsion, rref, basis_cols, runtime_ms)."""
+def _eliminate(generators, lower, index):
+    """One degree: every row of _row_stream(generators, lower, index) goes
+    into one IntEchelon, then rref and smith_from_echelon run once.  Returns
+    the echelon and, by name, the degree's DegreeData fields other than
+    monomials and index."""
     t0 = time.monotonic()
-    ncols = len(monomials)
-    index = {m: i for i, m in enumerate(monomials)}
+    ncols = len(index)
     ech = IntEchelon()
     for row in _row_stream(generators, lower, index):
         ech.insert(row)
     rref = ech.rref()
-    return ech, (
-        ncols - ech.rank,
-        smith_from_echelon(ech).diagonal,
-        rref,
-        tuple(c for c in range(ncols) if c not in rref),
-        int((time.monotonic() - t0) * 1000),
+    return ech, dict(
+        rank=ncols - ech.rank,
+        torsion=smith_from_echelon(ech).diagonal,
+        rref=rref,
+        basis_cols=tuple(c for c in range(ncols) if c not in rref),
+        runtime_ms=int((time.monotonic() - t0) * 1000),
     )
 
 
-def _degree(generators, lower, monomials):
+def _degree(generators, lower, index):
     """_eliminate without the echelon: all that a pool worker sends back."""
-    return _eliminate(generators, lower, monomials)[1]
+    return _eliminate(generators, lower, index)[1]
+
+
+def _pool_workers(jobs):
+    """How many worker processes run `jobs` degrees side by side: one per
+    usable CPU, at most jobs, or 0 where the degrees run one after another
+    in this process instead.  They run here with one usable CPU, where the
+    fork start method does not exist (Windows), and in a daemonic process,
+    which may have no children.  The pool always forks: a forked worker
+    re-runs nothing of the calling script, so a caller needs no
+    `if __name__ == "__main__"` guard under any default start method (spawn
+    on macOS and Windows, forkserver on Linux from Python 3.14)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows
+        cpus = os.cpu_count() or 1
+    if min(jobs, cpus) < 2:
+        return 0
+    # imported here, like concurrent.futures in build_quotient: a process
+    # that builds no table should not pay for importing multiprocessing
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    if multiprocessing.current_process().daemon:
+        return 0
+    return min(jobs, cpus)
 
 
 def build_quotient(cfg, mode="two-prime"):
@@ -414,13 +439,12 @@ def build_quotient(cfg, mode="two-prime"):
     degree-1 pivot rows, a basis of the same relation lattice, sorted by
     lead.  So once degree 1 is built in this process, degrees 4, 3 and 2
     (longest first) are independent, and they run side by side in a pool of
-    min(3, usable CPUs) worker processes, or one after another here when
-    only one CPU is usable.  The workers get every input as an argument,
-    so any start method builds the same table, and the pool is joined
-    before build_quotient returns or raises.  Row order changes the cost,
-    not the result: reverse multiplier order gives smaller pivot entries
-    than forward order (5 bits in degree 2 against 11) for the same CPU
-    time.
+    min(3, usable CPUs) forked worker processes, or one after another here
+    where _pool_workers finds no pool possible.  The workers get every
+    input as an argument, and the pool is joined before build_quotient
+    returns or raises.  Row order changes the cost, not the result: reverse
+    multiplier order gives smaller pivot entries than forward order (5 bits
+    in degree 2 against 11) for the same CPU time.
 
     On the all-line-fiber config, over 10 builds each in fresh processes
     alternating with builds in one process (2 shared cores, CPython
@@ -428,7 +452,9 @@ def build_quotient(cfg, mode="two-prime"):
     4.9 s (4.1-5.6) in one process, and 4.6 s of CPU time in this process
     and its workers together against 4.9 s.  Degrees 2, 3 and 4 take a
     median 0.17, 2.2 and 2.3 s in their workers, so the build waits for
-    the slower of degrees 3 and 4.
+    the slower of degrees 3 and 4.  Memory grows instead: over 8 builds
+    each, the process and its workers together peak at a median 41 MB of
+    proportional set size, against 24 MB in one process.
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in
@@ -439,31 +465,42 @@ def build_quotient(cfg, mode="two-prime"):
     expected = _expected_profile(cfg)
     complex_ = build_complex(cfg)
     monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
-    ech, fields = _eliminate(_linear_relation_vectors(), monomials[0], monomials[1])
-    built = {0: (1, (), {}, (0,), 0), 1: fields}  # degree 0: nothing to eliminate
+    indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
+    ech, fields = _eliminate(_linear_relation_vectors(), monomials[0], indexes[1])
+    built = {1: fields}
     generators = [ech.pivots[lead] for lead in sorted(ech.pivots)]
     ks = (4, 3, 2)
     jobs = (
         [generators] * len(ks),
         [monomials[k - 1] for k in ks],
-        [monomials[k] for k in ks],
+        [indexes[k] for k in ks],
     )
-    workers = min(len(ks), len(os.sched_getaffinity(0)))
-    if workers > 1:
+    workers = _pool_workers(len(ks))
+    if workers:
         # imported here: concurrent.futures.process takes tens of ms to
         # import, which a process that builds no table should not pay
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # the default start method: on Linux before Python 3.14 it forks,
-        # which was about 0.2 s faster per all-P1 build than spawn
-        with ProcessPoolExecutor(workers) as pool:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
             built.update(zip(ks, pool.map(_degree, *jobs)))
     else:
         built.update(zip(ks, map(_degree, *jobs)))
     degrees = [
-        DegreeData(tuple(m), {mono: i for i, mono in enumerate(m)}, *built[k])
-        for k, m in enumerate(monomials)
+        DegreeData(
+            monomials=tuple(monomials[0]),
+            index=indexes[0],
+            rank=1,
+            torsion=(),
+            rref={},
+            basis_cols=(0,),
+        )
     ]
+    for k in range(1, MAX_DEGREE + 1):
+        degrees.append(
+            DegreeData(monomials=tuple(monomials[k]), index=indexes[k], **built[k])
+        )
 
     table = GradedQuotientTable(
         config=cfg,

@@ -266,8 +266,8 @@ class TestBuildQuotient:
 
 
 class TestParallelBuild:
-    """Degrees 2-4 are built in pool workers when more than one CPU is
-    usable, and in this process by the same function when only one is."""
+    """Degrees 2-4 are built in forked pool workers when more than one CPU
+    is usable, and in this process by the same function otherwise."""
 
     @staticmethod
     def _usable_cpus(monkeypatch, n):
@@ -286,13 +286,34 @@ class TestParallelBuild:
         assert serial.ranks == pooled.ranks
         assert serial.torsion_free == pooled.torsion_free
 
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, workers in [(None, 0), (1, 0), (2, 2), (8, 3)]:
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert chowring._pool_workers(3) == workers
+
+    def test_no_pool_without_fork_or_in_a_daemon(self, monkeypatch):
+        self._usable_cpus(monkeypatch, 4)
+        assert chowring._pool_workers(3) == 3
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert chowring._pool_workers(3) == 0
+        with monkeypatch.context() as m:
+            # daemonic processes, such as multiprocessing.Pool workers, may
+            # not have children
+            daemon = multiprocessing.Process(daemon=True)
+            m.setattr(multiprocessing, "current_process", lambda: daemon)
+            assert chowring._pool_workers(3) == 0
+
     def test_no_worker_outlives_the_build(self, monkeypatch, table_mixed):
         cfg = table_mixed.config
-        self._usable_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if chowring._pool_workers(3) != 2:
+            pytest.skip("no fork start method: degrees 2-4 run in this process")
         assert build_quotient(cfg).ranks == table_mixed.ranks
         assert multiprocessing.active_children() == []
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("only forked workers inherit the patched function")
         smith = chowring.smith_from_echelon
 
         def failing(ech):
@@ -301,18 +322,19 @@ class TestParallelBuild:
                 raise VerificationError("raised in a worker")
             return smith(ech)
 
+        # forked workers inherit the patch
         monkeypatch.setattr(chowring, "smith_from_echelon", failing)
         with pytest.raises(VerificationError, match="raised in a worker"):
             build_quotient(cfg)
         assert multiprocessing.active_children() == []
 
     @staticmethod
-    def _python(code):
-        """Standard output of a fresh interpreter running code on this m36."""
+    def _python(*args):
+        """Standard output of a fresh interpreter run with args on this m36."""
         src = str(Path(chowring.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            [sys.executable, *args], capture_output=True, text=True, env=env
         )
         assert out.returncode == 0, out.stderr
         return out.stdout.strip()
@@ -320,16 +342,18 @@ class TestParallelBuild:
     def test_import_loads_no_process_pool(self):
         # the pool is imported by the first build, so start-up stays cheap
         assert self._python(
+            "-c",
             "import sys, m36.cli, m36.chowring\n"
             "print(sorted(m for m in sys.modules if m in "
-            "('concurrent.futures.process', 'multiprocessing')))"
+            "('concurrent.futures.process', 'multiprocessing')))",
         ) == "[]"
 
-    def test_spawned_workers_build_the_same_table(self, table, tmp_path):
-        # every input reaches a worker as an argument, so workers that import
-        # chowring afresh instead of forking build the same degrees
+    def test_script_without_main_guard_under_spawn(self, table, tmp_path):
+        # the pool forks whatever the default start method, so a script
+        # that builds at top level is not re-run in the workers
+        script = tmp_path / "build.py"
         out = tmp_path / "degrees.pickle"
-        self._python(
+        script.write_text(
             "import multiprocessing, os, pickle\n"
             "multiprocessing.set_start_method('spawn')\n"
             "os.sched_getaffinity = lambda _pid: {0, 1}\n"
@@ -337,11 +361,12 @@ class TestParallelBuild:
             "t = chowring.build_quotient(labels.config_all_p1())\n"
             "with open(%r, 'wb') as fh:\n"
             "    pickle.dump([(dd.rank, dd.torsion, dd.rref, dd.basis_cols)"
-            " for dd in t.degrees], fh)" % str(out)
+            " for dd in t.degrees], fh)\n" % str(out)
         )
+        self._python(str(script))
         with open(out, "rb") as fh:
-            spawned = pickle.load(fh)
-        assert spawned == [
+            built = pickle.load(fh)
+        assert built == [
             (dd.rank, dd.torsion, dd.rref, dd.basis_cols) for dd in table.degrees
         ]
 
