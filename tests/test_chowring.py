@@ -201,6 +201,12 @@ class TestBuildQuotient:
         assert table.torsion_certified_degrees == (0, 1, 2, 3, 4)
         assert table.admissible_counts() == (1, 65, 600, 2500, 6785)
 
+    def test_degree_zero_is_the_unit(self, table):
+        # degree 0 goes through the same elimination, with no relation rows
+        dd = table.degrees[0]
+        assert (dd.monomials, dd.index) == (((),), {(): 0})
+        assert (dd.rank, dd.torsion, dd.rref, dd.basis_cols) == (1, (), {}, (0,))
+
     def test_two_prime_matches(self, table):
         # the mode is a report label: one certified table serves both, and
         # the reports differ in the label alone
@@ -317,8 +323,9 @@ class TestParallelBuild:
         smith = chowring.smith_from_echelon
 
         def failing(ech):
-            # degree-1 pivots lie on the 65 divisor columns
-            if max(ech.pivots) >= len(labels.DIVISORS):
+            # degree-1 pivots lie on the 65 divisor columns, and degree 0
+            # has none
+            if max(ech.pivots, default=0) >= len(labels.DIVISORS):
                 raise VerificationError("raised in a worker")
             return smith(ech)
 

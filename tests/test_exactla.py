@@ -112,51 +112,80 @@ class TestRank:
         m = [{0: 2, 1: 1}, {0: 4, 1: 0}]
         before = [dict(r) for r in m]
         assert rank_over_rationals(m) == 2
-        assert smith_normal_form(m).diagonal == (1, 4)
+        assert smith_normal_form(m) == (1, 4)
         assert m == before
 
 
 class TestSmith:
     def test_diag_2_3(self):
         m = [{0: 2}, {1: 3}]
-        assert smith_normal_form(m).diagonal == (1, 6)
+        assert smith_normal_form(m) == (1, 6)
 
     def test_torsion_detected(self):
         m = [{0: 2, 1: 0}, {1: 2}]
-        s = smith_normal_form(m)
-        assert s.diagonal == (2, 2)
+        assert smith_normal_form(m) == (2, 2)
 
     def test_unit_case(self):
         m = [{0: 1, 1: 4}, {1: 1, 2: -7}]
         s = smith_normal_form(m)
-        assert s.diagonal == (1, 1)
-        assert s.rank == 2
+        assert s == (1, 1)
+        assert len(s) == 2
+        assert smith_normal_form([]) == ()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_sympy(self, seed):
         rng = random.Random(200 + seed)
         ncols = rng.randint(1, 7)
         m = random_matrix(rng, rng.randint(1, 7), ncols)
-        assert list(smith_normal_form(m).diagonal) == sympy_invariants(m, ncols)
+        assert list(smith_normal_form(m)) == sympy_invariants(m, ncols)
 
-    def test_saturated_lead_two_is_certified_locally(self, monkeypatch):
-        # leads 2 and 2, yet the lattice is saturated: full rank mod 2
-        # certifies it without the dense Smith form
+    def test_saturated_lead_two_goes_through_hermite_passes(self, monkeypatch):
+        # leads 2 and 2, yet the lattice is saturated: the Hermite passes
+        # find that every invariant factor is 1
         m = [{0: 1, 1: 2}, {1: 1, 2: 2}]
         ech = IntEchelon()
         for row in m:
             ech.insert(dict(row))
         assert sorted(r[lead] for lead, r in ech.pivots.items()) == [2, 2]
+        dense_calls = []
+        dense = exactla._dense_snf
 
-        def no_dense(rows):
-            raise AssertionError("dense Smith form ran")
+        def spy(rows):
+            dense_calls.append(len(rows))
+            return dense(rows)
 
-        monkeypatch.setattr(exactla, "_dense_snf", no_dense)
-        assert smith_from_echelon(ech).diagonal == (1, 1)
+        monkeypatch.setattr(exactla, "_dense_snf", spy)
+        assert smith_from_echelon(ech) == (1, 1)
+        assert dense_calls == [2]
         assert sympy_invariants(m, 3) == [1, 1]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_leads_skip_hermite_passes(self, seed, monkeypatch):
+        # rows with a 1 at their rightmost column, each further right than
+        # the last, give pivot rows whose leads are all 1: the invariant
+        # factors are then all 1 without any Hermite pass.  Degree 4 and
+        # the boundary matrices of the homology take this path
+        rng = random.Random(1300 + seed)
+        m = []
+        for lead in sorted(rng.sample(range(12), rng.randint(1, 8))):
+            row = {c: rng.randint(-5, 5) for c in range(lead)}
+            row[lead] = 1
+            m.append(row)
+        m += [{c: 2 * v for c, v in row.items()} for row in m[:2]]
+        ech = IntEchelon()
+        for row in m:
+            ech.insert(row)
+        assert all(r[lead] == 1 for lead, r in ech.pivots.items())
+
+        def no_dense(rows):
+            raise AssertionError("Hermite passes ran")
+
+        monkeypatch.setattr(exactla, "_dense_snf", no_dense)
+        assert smith_from_echelon(ech) == (1,) * ech.rank
+        assert sympy_invariants(m, 12) == [1] * ech.rank
+
     def test_two_torsion_falls_back_to_dense(self, monkeypatch):
-        # the rank drops mod 2, so the dense Smith form finds Z/2
+        # a lead 2 sends the pivot rows to the Hermite passes, which find Z/2
         m = [{0: 1, 1: 1}, {0: 1, 1: 3}]
         ech = IntEchelon()
         for row in m:
@@ -169,7 +198,7 @@ class TestSmith:
             return dense(rows)
 
         monkeypatch.setattr(exactla, "_dense_snf", spy)
-        assert smith_from_echelon(ech).diagonal == (1, 2)
+        assert smith_from_echelon(ech) == (1, 2)
         assert dense_calls == [2]
         assert sympy_invariants(m, 2) == [1, 2]
 
@@ -178,7 +207,7 @@ class TestSmith:
         # U * D * V with D a diagonal divisibility chain that ends in 2, 3, 4
         # or 6 times more factors, and U, V products of random elementary
         # operations: the invariant factors are exactly D's nonzero entries,
-        # and the torsion sends smith_normal_form to the fallback
+        # and the torsion sends smith_normal_form to the Hermite passes
         rng = random.Random(700 + seed)
         nrows, ncols = rng.randint(6, 12), rng.randint(6, 12)
         rank = rng.randint(3, min(nrows, ncols))
@@ -207,7 +236,7 @@ class TestSmith:
             return fallback(rows)
 
         monkeypatch.setattr(exactla, "_dense_snf", spy)
-        assert list(smith_normal_form(m).diagonal) == chain
+        assert list(smith_normal_form(m)) == chain
         assert dense_calls == [rank]
         assert sympy_invariants(m, ncols) == chain
 
@@ -215,7 +244,7 @@ class TestSmith:
         rng = random.Random(99)
         for _ in range(6):
             m = random_matrix(rng, 6, 6, density=0.7)
-            d = smith_normal_form(m).diagonal
+            d = smith_normal_form(m)
             for a, b in zip(d, d[1:]):
                 assert b % a == 0
 
@@ -310,8 +339,8 @@ class TestEchelonInternals:
         assert ech.insert(row) == 0
         assert ech.pivots == {0: {0: 2}}
         assert row == {0: 2, 1: 0}
-        assert smith_from_echelon(ech).diagonal == (2,)
-        assert smith_normal_form([{0: 2, 1: 0}]).diagonal == (2,)
+        assert smith_from_echelon(ech) == (2,)
+        assert smith_normal_form([{0: 2, 1: 0}]) == (2,)
 
 
 class TestHermiteInsert:
@@ -379,29 +408,29 @@ class TestHermiteInsert:
         assert all(abs(v).bit_length() < 1000 for v in entries)
         dm = DomainMatrix.from_Matrix(to_sympy(m, 33)).convert_to(sympy.ZZ)
         assert ech.rank == dm.rank() == 32
-        # some lead is too large for trial division, so the Hermite passes
-        # give the invariant factors; with full row rank their product is
-        # the gcd of the maximal minors
+        # leads above 2^32 go through the Hermite passes like any lead
+        # that is not 1; with full row rank the product of the invariant
+        # factors is the gcd of the maximal minors
         assert max(r[lead] for lead, r in ech.pivots.items()) > 2**32
         minors = [
             int(dm.extract(list(range(32)), [c for c in range(33) if c != j]).det())
             for j in range(33)
         ]
-        assert prod(smith_from_echelon(ech).diagonal) == gcd(*minors)
+        assert prod(smith_from_echelon(ech)) == gcd(*minors)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_invariant_factors_match_sympy(self, seed):
         rng = random.Random(1200 + seed)
         nrows = rng.randint(8, 14)
         m = random_matrix(rng, nrows, nrows + 1, density=0.3, lo=-99, hi=99)
-        assert list(smith_normal_form(m).diagonal) == sympy_invariants(m, nrows + 1)
+        assert list(smith_normal_form(m)) == sympy_invariants(m, nrows + 1)
 
     def test_unfactored_lead_falls_back_to_hermite_passes(self):
-        # a lead with no prime factor below the trial-division limit is not
-        # factored; the Hermite passes decide instead
+        # leads with large prime factors are never factored: the Hermite
+        # passes decide
         p, q = 2**61 - 1, 2**31 - 1  # both prime
-        assert smith_normal_form([{0: p}]).diagonal == (p,)
-        assert smith_normal_form([{0: p * q, 1: q}, {1: p}]).diagonal == (1, p * p * q)
+        assert smith_normal_form([{0: p}]) == (p,)
+        assert smith_normal_form([{0: p * q, 1: q}, {1: p}]) == (1, p * p * q)
 
 
 @pytest.mark.parametrize("seed", range(6))
