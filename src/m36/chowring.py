@@ -445,17 +445,18 @@ def build_quotient(cfg, mode="two-prime"):
     input as an argument, and the pool is joined before build_quotient
     returns or raises.  Row order changes the cost, not the result: reverse
     multiplier order gives smaller pivot entries than forward order (5 bits
-    in degree 2 against 11) for the same CPU time.
+    in degree 2 against 11), and inserting degrees 2-4 takes 0.8-0.9 s of
+    CPU time against 1.6-1.7 s (three runs each).
 
     On the all-line-fiber config, over 10 builds each in fresh processes
     alternating with builds in one process (2 shared cores, CPython
-    3.11.7), the build takes a median 2.6 s of wall time (2.3-2.9) against
-    4.9 s (4.1-5.6) in one process, and 4.6 s of CPU time in this process
-    and its workers together against 4.9 s.  Degrees 2, 3 and 4 take a
-    median 0.17, 2.2 and 2.3 s in their workers, so the build waits for
-    the slower of degrees 3 and 4.  Memory grows instead: over 8 builds
-    each, the process and its workers together peak at a median 41 MB of
-    proportional set size, against 24 MB in one process.
+    3.11.7), the build takes a median 1.2 s of wall time (1.1-1.3) against
+    2.1 s (1.7-2.3) in one process, and 2.2 s of CPU time in this process
+    and its workers together against 2.1 s.  Degrees 2, 3 and 4 take a
+    median 0.25, 0.76 and 1.09 s in their workers, so the build waits for
+    degree 4.  Memory grows instead: over 8 builds each, the process and
+    its workers together peak at a median 47 MB of proportional set size,
+    against 28 MB in one process.
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in

@@ -10,8 +10,10 @@ either dies (it was in the span) or becomes a new pivot row.  Over Z the
 reduction uses Euclidean exchanges, so row operations stay unimodular and
 the row-span lattice is preserved exactly; no row is ever divided by its
 content.  Each pivot row is reduced once, when it is stored: its entry at
-every smaller pivot column then lies in [0, that column's lead).  That
-gives three things at once:
+every smaller pivot column then lies in [0, that column's lead).  A stored
+row goes stale as pivots appear below it, so insertion eliminates against
+a copy of each pivot row that is brought back to that reduced form when
+insertion reaches it stale.  The echelon gives three things at once:
 
   * the rank (number of pivot rows),
   * a torsion certificate: the pivot rows are triangular on their lead
@@ -27,8 +29,10 @@ number appears only where chowring reads a value out.
 When some lead is not 1, the Smith normal form comes from alternating
 Hermite passes over the echelon rows: insert them into an IntEchelon,
 transpose, and repeat until the matrix is diagonal.  On the program's
-tables that takes at most 0.11 s in any degree (2 shared cores, CPython
-3.11.7); degree 4 and the homology boundary matrices have only unit leads.
+tables that takes a median 0.11 to 0.12 s in degree 3, the most of any
+degree (5 runs each on all line fibers, all plane fibers and a mixed config
+with seven plane fibers; 2 shared cores, CPython 3.11.7); degree 4 and the
+homology boundary matrices have only unit leads.
 
 Matrices in this project have entries almost entirely in {-1, 0, 1} and very
 sparse rows, which is why this pure-Python kernel is fast enough.  Reducing
@@ -112,11 +116,19 @@ def reduce_row(row, reduced):
 class IntEchelon:
     """Insertion echelon over Z with rightmost (largest-column) pivots.  A
     row is reduced once, when it is stored: its entry at each smaller pivot
-    column c then lies in [0, lead of c).  Rows stored earlier are not
-    reduced again when a pivot appears below their lead."""
+    column c then lies in [0, lead of c).  pivots keeps each row as it was
+    stored, and it goes stale as pivots appear below its lead.  Insertion
+    subtracts _reduced[lead] instead: a copy of pivots[lead] brought back to
+    reduced form at every smaller pivot column when insert reaches it, so a
+    row in the span no longer walks a chain of stale rows one column at a
+    time (path compression, as in union-find: Tarjan, J. ACM 22, 1975).  On
+    the all-line-fiber build, inserting degrees 3 and 4 takes 65,493 and
+    123,495 submul calls, refreshes included, against 363,577 and 1,182,010
+    when each row eliminated against the stored rows."""
 
     def __init__(self):
         self.pivots = {}
+        self._reduced = {}
 
     @property
     def rank(self):
@@ -131,19 +143,19 @@ class IntEchelon:
         Every step is unimodular, so the lattice and its leads are those of
         plain Euclidean insertion.  Reducing each pivot row as it is stored
         keeps entries small: three seeded dense 32 x 33 matrices with
-        entries in [-99, 99] go in within 0.006 s each with pivot entries
+        entries in [-99, 99] go in within 0.01 s each with pivot entries
         of at most 216 bits, where plain Euclidean insertion took 35 s and
         reached 3.9 million bits."""
         pivots = self.pivots
         row = {c: v for c, v in row.items() if v}
         while row:
             lead = max(row)
-            b = pivots.get(lead)
-            if b is None:
+            if lead not in pivots:
                 if row[lead] < 0:
                     row = {c: -v for c, v in row.items()}
                 self._store(lead, row)
                 return lead
+            b = self._fresh(lead)
             c, d = row[lead], b[lead]
             if c % d == 0:
                 submul(row, b, c // d)
@@ -168,12 +180,51 @@ class IntEchelon:
         return None
 
     def _store(self, lead, row):
-        """Put row in the basis at lead, reduced at every smaller pivot
-        column into [0, that column's lead), largest column first.  Each
-        step subtracts a row with a smaller lead, so the columns already
-        reduced stay so; the pivot columns it brings in are queued.  Dicts
-        never shrink after deletes, so the row is stored rebuilt."""
+        """Put row in the basis at lead, reduced by _reduce.  It is its own
+        reduced copy until a pivot appears below it; the copy of the row it
+        replaces is dropped."""
+        self.pivots[lead] = self._reduced[lead] = self._reduce(row, lead)
+
+    def _fresh(self, lead):
+        """_reduced[lead], re-reduced first if it is stale: if it holds an
+        entry outside [0, lead of c) at some pivot column c.  The stale
+        copies reachable from it through such entries are found with a
+        stack, not recursion, since a chain can be as long as the matrix,
+        and refreshed in ascending lead order, so that each subtracts copies
+        already fresh."""
         pivots = self.pivots
+        reduced = self._reduced
+        stale = []
+        stack = [lead]
+        seen = {lead}
+        while stack:
+            x = stack.pop()
+            fresh = True
+            for c, v in reduced[x].items():
+                if c < x and c in pivots and not 0 <= v < pivots[c][c]:
+                    fresh = False
+                    if c not in seen:
+                        seen.add(c)
+                        stack.append(c)
+            if not fresh:
+                stale.append(x)
+        if stale:
+            stale.sort()
+            for x in stale:
+                reduced[x] = self._reduce(dict(reduced[x]), x)
+        return reduced[lead]
+
+    def _reduce(self, row, lead):
+        """Reduce row, in place, at every pivot column c below lead into
+        [0, lead of c), largest column first, by subtracting multiples of
+        _reduced[c].  Each step subtracts a row with a smaller lead, so the
+        columns already reduced stay so; the pivot columns it brings in are
+        queued.  The result depends only on row modulo the lattice of rows
+        with smaller leads, so subtracting a copy or the stored row gives
+        the same row.  Dicts never shrink after deletes, so it is returned
+        rebuilt."""
+        pivots = self.pivots
+        reduced = self._reduced
         heap = [-c for c in row if c < lead and c in pivots]
         heapify(heap)
         while heap:
@@ -181,14 +232,14 @@ class IntEchelon:
             v = row.get(c)
             if v is None:
                 continue
-            b = pivots[c]
+            b = reduced[c]
             q = v // b[c]
             if q:
                 submul(row, b, q)
                 for x in b:
                     if x < c and x in pivots:
                         heappush(heap, -x)
-        pivots[lead] = dict(row)
+        return dict(row)
 
     def rref(self):
         """Fully reduced rows over Q as {lead: (num, den)}: the row

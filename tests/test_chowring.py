@@ -252,6 +252,29 @@ class TestBuildQuotient:
             rows += 1
         assert rows >= 60
 
+    def test_stored_degree_one_rows_generate_the_stream(self, monkeypatch):
+        # degrees 2-4 multiply the degree-1 pivot rows as stored, so a
+        # sparser or denser basis of the same lattice changes how many
+        # products survive the admissibility filter: Hermite-reducing the
+        # stored rows in place gave 505 entries and 898, 8,214 and 33,937
+        # rows, all of the extra rows dying in the insert
+        monkeypatch.setattr(chowring, "_pool_workers", lambda jobs: 0)
+        row_stream = chowring._row_stream
+        streamed = {}
+
+        def counting(generators, lower, index):
+            rows = list(row_stream(generators, lower, index))
+            streamed[len(next(iter(index)))] = (sum(map(len, generators)), len(rows))
+            return rows
+
+        monkeypatch.setattr(chowring, "_row_stream", counting)
+        build_quotient(labels.config_all_p1())
+        assert {k: streamed[k] for k in (2, 3, 4)} == {
+            2: (404, 843),
+            3: (404, 7504),
+            4: (404, 30489),
+        }
+
     @pytest.mark.parametrize("name", ["table", "table_p2", "table_mixed"])
     def test_rref_matches_golden_digest(self, request, name):
         # the reduced rows, read as rationals, are pinned per degree by a

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel, cross-checked against sympy on small inputs."""
 
+import copy
 import random
 from math import gcd, prod
 
@@ -394,6 +395,41 @@ class TestHermiteInsert:
             assert all(v > 0 for v in leads.values())
             assert all(max(r) == lead for lead, r in ech.pivots.items())
         assert in_span > 0 and stored > 0
+        # each reduced copy is a lattice element with its pivot's lead: it
+        # dies in a copy of the echelon and leaves the stored rows alone.
+        # Brought up to date, it is reduced at every smaller pivot column
+        assert set(ech._reduced) == set(ech.pivots)
+        for lead, r in ech._reduced.items():
+            assert max(r) == lead and r[lead] == ech.pivots[lead][lead]
+            other = copy.deepcopy(ech)
+            assert other.insert(r) is None
+            assert other.pivots == ech.pivots
+        for lead in ech.pivots:
+            for c, v in ech._fresh(lead).items():
+                if c < lead and c in ech.pivots:
+                    assert 0 <= v < ech.pivots[c][c], (lead, c, v)
+
+    def test_chain_of_stale_rows_is_walked_once(self, monkeypatch):
+        # pivot i holds {i: 1, i - 1: -1}, stored from the top down, so no
+        # stored row is reduced at the pivots below it.  {i: 1, 0: -1} is
+        # the sum of pivots i, ..., 1: eliminating against the stored rows
+        # walks the chain, n(n+1)/2 submul calls in all.  The chain is also
+        # longer than the default recursion limit (1000)
+        n = 2000
+        ech = IntEchelon()
+        for i in range(n, 0, -1):
+            assert ech.insert({i: 1, i - 1: -1}) == i
+        calls = 0
+
+        def counting(row, b, q):
+            nonlocal calls
+            calls += 1
+            submul(row, b, q)
+
+        monkeypatch.setattr(exactla, "submul", counting)
+        for i in range(n, 0, -1):
+            assert ech.insert({i: 1, 0: -1}) is None
+        assert calls < 4 * n
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_input_stays_small(self, seed):
