@@ -304,14 +304,22 @@ def _insert_sorted(mono, d):
 def _row_stream(generators, monomials_lower, index):
     """Deterministic relation-row stream for one degree: multiplier monomials
     in reverse lexicographic order, generators in order; rows are
-    {col: coeff}."""
+    {col: coeff}, their keys in the order of the generator's own items.
+
+    For each multiplier m the column of m*d is looked up once per divisor d
+    of the generators' joint support, and every generator's row is read off
+    that map; products that are not admissible have no column and drop out.
+    The all-line-fiber degree-1 pivot rows hold 404 entries on 65 divisors,
+    so this forms 65 product monomials per multiplier instead of 404."""
+    support = sorted({d for g in generators for d in g})
     for m in reversed(monomials_lower):
+        cols = {}
+        for d in support:
+            col = index.get(_insert_sorted(m, d))
+            if col is not None:
+                cols[d] = col
         for g in generators:
-            row = {}
-            for d, c in g.items():
-                col = index.get(_insert_sorted(m, d))
-                if col is not None:
-                    row[col] = c
+            row = {cols[d]: c for d, c in g.items() if d in cols}
             if row:
                 yield row
 
@@ -450,13 +458,15 @@ def build_quotient(cfg, mode="two-prime"):
 
     On the all-line-fiber config, over 10 builds each in fresh processes
     alternating with builds in one process (2 shared cores, CPython
-    3.11.7), the build takes a median 1.2 s of wall time (1.1-1.3) against
-    2.1 s (1.7-2.3) in one process, and 2.2 s of CPU time in this process
-    and its workers together against 2.1 s.  Degrees 2, 3 and 4 take a
-    median 0.25, 0.76 and 1.09 s in their workers, so the build waits for
-    degree 4.  Memory grows instead: over 8 builds each, the process and
-    its workers together peak at a median 47 MB of proportional set size,
-    against 28 MB in one process.
+    3.11.7), the build takes a median 0.75 s of wall time (0.61-0.91)
+    against 1.19 s (0.84-1.43) in one process, and 1.43 s of CPU time in
+    this process and its workers together against 1.36 s.  Degrees 2, 3
+    and 4 take a median 0.16, 0.49 and 0.51 s in their workers.  With two
+    usable CPUs degree 2 starts only when a worker is done with degree 3
+    or 4, so the build waits for two degrees in one worker (degrees 3 and
+    2 together take a median 0.67 s), not for degree 4 alone.  Memory
+    grows instead: the process and its workers together peak at a median
+    42 MB of proportional set size, against 27 MB in one process.
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in

@@ -26,13 +26,15 @@ Bareiss (Math. Comp. 22, 1968): integer numerators over one denominator per
 row, so back-substitution is integer arithmetic throughout and a rational
 number appears only where chowring reads a value out.
 
-When some lead is not 1, the Smith normal form comes from alternating
-Hermite passes over the echelon rows: insert them into an IntEchelon,
-transpose, and repeat until the matrix is diagonal.  On the program's
-tables that takes a median 0.11 to 0.12 s in degree 3, the most of any
-degree (5 runs each on all line fibers, all plane fibers and a mixed config
-with seven plane fibers; 2 shared cores, CPython 3.11.7); degree 4 and the
-homology boundary matrices have only unit leads.
+When some lead is not 1, each unit-lead row still splits off an invariant
+factor 1, and the rest of the Smith normal form comes from alternating
+Hermite passes over the rows whose lead is not 1: insert them into an
+IntEchelon, transpose, and repeat until the matrix is diagonal.  On the
+program's tables that takes a median 0.009 to 0.013 s in degree 2, the
+most of any degree, and 0.001 s or less in degrees 1 and 3 (5 runs each on
+all line fibers, all plane fibers and a mixed config with seven plane
+fibers; 2 shared cores, CPython 3.11.7); degree 4 and the homology boundary
+matrices have only unit leads.
 
 Matrices in this project have entries almost entirely in {-1, 0, 1} and very
 sparse rows, which is why this pure-Python kernel is fast enough.  Reducing
@@ -348,12 +350,25 @@ def smith_normal_form(rows):
 
 def smith_from_echelon(ech):
     """Nonzero invariant factors, as a tuple, of a matrix already fed through
-    an IntEchelon.  The pivot rows are triangular on their lead columns, so
-    with every lead 1 they are all 1; otherwise the Hermite passes of
-    _dense_snf over the pivot rows decide."""
-    if all(row[lead] == 1 for lead, row in ech.pivots.items()):
-        return (1,) * ech.rank
-    return _dense_snf(ech.pivots.values())
+    an IntEchelon: a 1 for each unit lead, then the Hermite passes of
+    _dense_snf over the fresh copies of the rows whose lead is not 1.
+
+    The split holds because a fresh copy (see _fresh) has an entry in
+    [0, 1) = {0} at every smaller unit-lead column, and no entry right of
+    its own lead.  Every vector of the lattice with 0 at all unit-lead
+    columns is therefore a combination of the fresh non-unit copies: the
+    copy with its largest lead must carry a non-unit lead, and subtracting
+    it keeps those columns 0.  Each unit-lead row in turn expresses its
+    lead column through smaller columns, so the cokernel is the free group
+    on the other columns modulo the span of those copies, whose invariant
+    factors the passes find.  On the all-line-fiber build 5, 31 and 3
+    rows reach them in degrees 1 to 3, of 14, 473 and 2,449 pivot rows;
+    with every lead 1 no pass runs."""
+    nonunit = [lead for lead, row in ech.pivots.items() if row[lead] != 1]
+    units = (1,) * (ech.rank - len(nonunit))
+    if not nonunit:
+        return units
+    return units + _dense_snf([ech._fresh(lead) for lead in nonunit])
 
 
 def _dense_snf(rows):

@@ -8,13 +8,15 @@ import pickle
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from m36 import chowring, classes, labels
+from m36 import chowring, classes, exactla, labels
 from m36.chowring import (
     MAX_DEGREE,
     FiberValue,
@@ -57,6 +59,11 @@ linear_st = st.dictionaries(st.integers(0, 64), coeff_st, max_size=4).map(
 perms_st = st.permutations((1, 2, 3, 4, 5, 6)).map(tuple)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+# seven plane fibers, the rest lines
+MIXED_7 = labels.ResolutionConfig(
+    s2=frozenset(random.Random(36636).sample(SINGULAR_POINTS, 7))
+)
 
 
 def E(*idx):
@@ -194,6 +201,48 @@ class TestAdmissibleMonomials:
             assert tuple(sorted(set(m))) in faces
 
 
+def reference_row_stream(generators, monomials_lower, index):
+    """The relation rows entry by entry: each entry d of each generator forms
+    its product monomial m*d by sorted insertion and looks up its column."""
+    for m in reversed(monomials_lower):
+        for g in generators:
+            row = {}
+            for d, c in g.items():
+                pos = bisect_right(m, d)
+                col = index.get(m[:pos] + (d,) + m[pos:])
+                if col is not None:
+                    row[col] = c
+            if row:
+                yield row
+
+
+class TestRowStream:
+    @pytest.mark.parametrize(
+        "cfg,degrees",
+        [(config_all_p1(), (2, 3, 4)), (config_all_p2(), (2, 3)), (MIXED_7, (2, 3))],
+        ids=["all_p1", "all_p2", "mixed_7"],
+    )
+    def test_column_map_gives_the_per_entry_rows(self, cfg, degrees):
+        # the same rows in the same order, each with its keys in the same
+        # order, from the degree-1 pivot rows that build_quotient multiplies
+        # and from the sixty raw generators that relation_row_stream uses
+        complex_ = build_complex(cfg)
+        monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
+        indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
+        raw = chowring._linear_relation_vectors()
+        ech, _ = chowring._eliminate(raw, monomials[0], indexes[1])
+        pivot_rows = [ech.pivots[lead] for lead in sorted(ech.pivots)]
+        for generators, ks in ((pivot_rows, degrees), (raw, (1, 2))):
+            for k in ks:
+                args = (generators, monomials[k - 1], indexes[k])
+                pairs = zip_longest(
+                    chowring._row_stream(*args), reference_row_stream(*args)
+                )
+                for i, (got, want) in enumerate(pairs):
+                    assert got is not None and want is not None, (k, i)
+                    assert list(got.items()) == list(want.items()), (k, i)
+
+
 class TestBuildQuotient:
     def test_exact_all_p1(self, table):
         assert table.ranks == (1, 51, 127, 51, 1)
@@ -274,6 +323,31 @@ class TestBuildQuotient:
             3: (404, 7504),
             4: (404, 30489),
         }
+
+    def test_hermite_passes_get_only_non_unit_leads(self, monkeypatch):
+        # every lead of degrees 0 and 4 is 1, so no pass runs there; degrees
+        # 1-3 hand the passes only their 5, 31 and 3 non-unit-lead rows, of
+        # 14, 473 and 2,449 pivot rows
+        monkeypatch.setattr(chowring, "_pool_workers", lambda jobs: 0)
+        eliminate, dense = chowring._eliminate, exactla._dense_snf
+        degree = []
+        calls = {}
+
+        def tagging(generators, lower, index):
+            degree.append(len(next(iter(index))))
+            return eliminate(generators, lower, index)
+
+        def spy(rows):
+            assert all(row[max(row)] != 1 for row in rows)
+            calls.setdefault(degree[-1], []).append(len(rows))
+            return dense(rows)
+
+        monkeypatch.setattr(chowring, "_eliminate", tagging)
+        monkeypatch.setattr(exactla, "_dense_snf", spy)
+        t = build_quotient(config_all_p1())
+        assert sorted(degree) == [0, 1, 2, 3, 4]
+        assert calls == {1: [5], 2: [31], 3: [3]}
+        assert t.torsion_free
 
     @pytest.mark.parametrize("name", ["table", "table_p2", "table_mixed"])
     def test_rref_matches_golden_digest(self, request, name):

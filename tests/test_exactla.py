@@ -186,11 +186,13 @@ class TestSmith:
         assert sympy_invariants(m, 12) == [1] * ech.rank
 
     def test_two_torsion_falls_back_to_dense(self, monkeypatch):
-        # a lead 2 sends the pivot rows to the Hermite passes, which find Z/2
+        # a lead 2 sends its row, and only it, to the Hermite passes, which
+        # find Z/2; the unit-lead row gives the factor 1
         m = [{0: 1, 1: 1}, {0: 1, 1: 3}]
         ech = IntEchelon()
         for row in m:
             ech.insert(dict(row))
+        nonunit = sum(r[lead] != 1 for lead, r in ech.pivots.items())
         dense_calls = []
         dense = exactla._dense_snf
 
@@ -200,7 +202,7 @@ class TestSmith:
 
         monkeypatch.setattr(exactla, "_dense_snf", spy)
         assert smith_from_echelon(ech) == (1, 2)
-        assert dense_calls == [2]
+        assert dense_calls == [nonunit]
         assert sympy_invariants(m, 2) == [1, 2]
 
     @pytest.mark.parametrize("seed", range(8))
@@ -208,7 +210,7 @@ class TestSmith:
         # U * D * V with D a diagonal divisibility chain that ends in 2, 3, 4
         # or 6 times more factors, and U, V products of random elementary
         # operations: the invariant factors are exactly D's nonzero entries,
-        # and the torsion sends smith_normal_form to the Hermite passes
+        # and the torsion sends the non-unit-lead rows to the Hermite passes
         rng = random.Random(700 + seed)
         nrows, ncols = rng.randint(6, 12), rng.randint(6, 12)
         rank = rng.randint(3, min(nrows, ncols))
@@ -229,6 +231,8 @@ class TestSmith:
                 for row in dense:
                     row[i] += q * row[j]
         m = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        leads = exactla._echelon(m).pivots
+        nonunit = sum(r[lead] != 1 for lead, r in leads.items())
         dense_calls = []
         fallback = exactla._dense_snf
 
@@ -238,8 +242,45 @@ class TestSmith:
 
         monkeypatch.setattr(exactla, "_dense_snf", spy)
         assert list(smith_normal_form(m)) == chain
-        assert dense_calls == [rank]
+        assert dense_calls == [nonunit]
         assert sympy_invariants(m, ncols) == chain
+
+    def test_non_unit_rows_match_passes_over_all_pivot_rows(self):
+        # smith_from_echelon splits off a 1 per unit lead and hands the passes
+        # the fresh copies of the other rows; the passes over every pivot row
+        # must agree.  Dense, sparse and {-1, 0, 1} matrices, some with rows
+        # scaled by 2 or 3, and some whose non-unit copies are stale when
+        # smith_from_echelon runs
+        rng = random.Random(1600)
+        split = stale = 0
+        for i in range(300):
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            if i % 3 == 0:
+                m = random_matrix(rng, nrows, ncols, density=0.9, lo=-9, hi=9)
+            elif i % 3 == 1:
+                m = random_matrix(rng, nrows, ncols, density=0.25, lo=-6, hi=6)
+            else:
+                m = random_matrix(rng, nrows, ncols, density=0.5, lo=-1, hi=1)
+            m = [
+                {c: rng.choice((2, 3)) * v for c, v in row.items()}
+                if rng.random() < 0.2
+                else row
+                for row in m
+            ]
+            ech = exactla._echelon(m)
+            pivots = ech.pivots
+            want = exactla._dense_snf(list(pivots.values()))
+            nonunit = [lead for lead, r in pivots.items() if r[lead] != 1]
+            split += 0 < len(nonunit) < len(pivots)
+            stale += any(
+                not 0 <= v < pivots[c][c]
+                for lead in nonunit
+                for c, v in ech._reduced[lead].items()
+                if c < lead and c in pivots
+            )
+            assert smith_from_echelon(ech) == want, i
+        assert split >= 100
+        assert stale >= 50
 
     def test_divisibility_chain(self):
         rng = random.Random(99)
