@@ -625,19 +625,15 @@ def _pair(func, e, index):
     )
 
 
-def _integration_functional(t):
-    """The exact integer vector of monomial integrals in degree 4: the
-    functional annihilating the relation span (unique up to scale, since
-    degree 4 has corank 1), scaled to 1 on the normalizing psi monomial
-    psi[5,6]^2 psi[6,5]^2 of the published table.  It must come out
-    integral, which is to say the primitive functional gives +-1 there."""
-    if t._functional is not None:
-        return t._functional
-    from . import classes
-
-    dd = t.degrees[4]
+def top_functional(dd, normalizer):
+    """The integer functional on the columns of a corank-1 degree dd that
+    annihilates its relation span and takes the value 1 on the normalizing
+    class, given as {col: coeff}.  It is read off the rref at the one basis
+    column and must come out integral, which is to say the primitive
+    functional gives +-1 on the normalizing class; otherwise, or when dd
+    does not have corank 1, VerificationError."""
     if len(dd.basis_cols) != 1:
-        raise VerificationError("degree 4 does not have corank 1")
+        raise VerificationError("the top degree does not have corank 1")
     (j0,) = dd.basis_cols
     func = {j0: 1}
     func.update(
@@ -645,14 +641,28 @@ def _integration_functional(t):
         for lead, (num, den) in dd.rref.items()
         if j0 in num
     )
-    a, b = classes.psi(5, 6), classes.psi(6, 5)
-    total = _pair(func, product((a, a, b, b), t), dd.index)
+    total = Fraction(sum(c * func.get(col, 0) for col, c in normalizer.items()))
     if not total or any((v / total).denominator != 1 for v in func.values()):
         raise VerificationError(
-            "no integral functional is 1 on the normalizing psi-monomial "
+            "no integral functional is 1 on the normalizing class "
             "(the unscaled one gives %r there)" % (total,)
         )
-    t._functional = {c: int(v / total) for c, v in func.items()}
+    return {c: int(v / total) for c, v in func.items()}
+
+
+def _integration_functional(t):
+    """The exact integer vector of monomial integrals in degree 4: the
+    top_functional of degree 4, normalized on the psi monomial
+    psi[5,6]^2 psi[6,5]^2 of the published table."""
+    if t._functional is None:
+        from . import classes
+
+        dd = t.degrees[4]
+        a, b = classes.psi(5, 6), classes.psi(6, 5)
+        psi_monomial = product((a, a, b, b), t).coeffs
+        t._functional = top_functional(
+            dd, {dd.index[m]: c for m, c in psi_monomial.items()}
+        )
     return t._functional
 
 

@@ -1,16 +1,17 @@
-"""Keel's presentation of A*(M-bar_{0,n}) for n up to 6.
+"""Keel's presentation of A*(M-bar_{0,n}) for n up to 6, built by the
+engine that builds the tables of the six-lines space.
 
-This module is deliberately self-contained: it carries its own little
-fraction-arithmetic elimination instead of reusing the main engine, because
-its whole purpose is to be an independent oracle.  The moduli spaces of
-stable rational curves have completely understood intersection theory (ranks,
-psi-classes, the multinomial formula for top intersections), so running the
-same generate-relations-then-quotient recipe here and comparing against the
-classical answers validates the recipe itself.
+The moduli spaces of stable rational curves have completely understood
+intersection theory, so M0nRing is a known-answer test of that engine: its
+answers are checked against classical results that owe nothing to the code.
+Keel (Trans. AMS 330, 1992) gives the ranks and shows that the Chow groups
+are free, which M0nRing certifies from the invariant factors of every
+degree; the psi integrals must match the multinomial formula.
 
 Boundary divisors are indexed by a side of the defining partition of the
 marks; the canonical representative is the side not containing n.  Two
 divisors multiply to zero unless their partitions are nested or disjoint,
+so the boundary complex is the flag complex of that compatibility graph,
 and for every 4-subset of marks the three ways of splitting it two against
 two give linearly equivalent divisor sums.
 """
@@ -21,6 +22,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+
+from . import chowring
+from .boundarycomplex import SimplicialComplex, _clique_faces
 
 
 @dataclass(frozen=True, order=True)
@@ -57,41 +61,39 @@ def m0n_compatible(a, b):
     return sa <= sb or sb <= sa or not (sa & sb)
 
 
-def _rref_fractions(rows):
-    """Tiny dense-free RREF over Q; rows are {col: coeff} dicts.  Returns
-    {pivot_col: {col: coeff}} with the implicit pivot entry equal to 1."""
-    pivots = {}
-    for raw in rows:
-        row = {c: Fraction(v) for c, v in raw.items() if v}
-        while row:
-            lead = max(row)
-            b = pivots.get(lead)
-            if b is None:
-                lv = row.pop(lead)
-                pivots[lead] = {c: v / lv for c, v in row.items()}
-                break
-            coeff = row.pop(lead)
-            for c, v in b.items():
-                nv = row.get(c, 0) - coeff * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-    for lead in sorted(pivots):
-        row = pivots[lead]
-        for c in [c for c in row if c in pivots]:
-            coeff = row.pop(c)
-            for col, v in pivots[c].items():
-                nv = row.get(col, 0) - coeff * v
-                if nv:
-                    row[col] = nv
-                else:
-                    row.pop(col, None)
-    return pivots
+def _separating(gens, a, b):
+    """Indices of the divisors among gens whose partition puts the marks a
+    on one side and the marks b on the other."""
+    a, b = set(a), set(b)
+    out = []
+    for gi, g in enumerate(gens):
+        side = set(g.part)
+        if (a <= side and not b & side) or (b <= side and not a & side):
+            out.append(gi)
+    return out
+
+
+def _keel_generators(gens, n):
+    """For every 4-subset, the three two-against-two splits give equal
+    divisor sums; the pairwise differences as {generator index: coeff}.  No
+    divisor separates two of the splits, so each difference is a union."""
+    out = []
+    for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
+        first, *rest = (
+            _separating(gens, ab, cd)
+            for ab, cd in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
+        )
+        for other in rest:
+            out.append({**dict.fromkeys(first, 1), **dict.fromkeys(other, -1)})
+    return out
 
 
 class M0nRing:
-    """Graded quotient data for A*(M-bar_{0,n}), degrees 0 through n-3."""
+    """Graded quotient data for A*(M-bar_{0,n}), degrees 0 through n-3: one
+    chowring.DegreeData per degree, built from the admissible monomials and
+    Keel's linear relations.  Raises VerificationError unless every
+    invariant factor is 1 and the top degree has an integral functional
+    that is 1 on a point."""
 
     def __init__(self, n):
         if not 4 <= n <= 6:
@@ -101,74 +103,40 @@ class M0nRing:
         self.gens = m0n_divisors(n)
         self.gen_index = {g: i for i, g in enumerate(self.gens)}
         ng = len(self.gens)
-        self._compat = [
-            [m0n_compatible(self.gens[i], self.gens[j]) for j in range(ng)]
-            for i in range(ng)
-        ]
-        self.monomials = {0: [()]}
-        for k in range(1, self.top + 1):
-            self.monomials[k] = [
-                m
-                for m in itertools.combinations_with_replacement(range(ng), k)
-                if self._admissible(m)
-            ]
-        self._linear_gens = self._keel_linear_generators()
-        self.rref = {0: {}}
-        self.ranks = [1]
-        for k in range(1, self.top + 1):
-            index = {m: i for i, m in enumerate(self.monomials[k])}
-            rows = []
-            for lin in self._linear_gens:
-                for m in self.monomials[k - 1]:
-                    row = {}
-                    for g, coeff in lin.items():
-                        mono = tuple(sorted(m + (g,)))
-                        pos = index.get(mono)
-                        if pos is not None:
-                            row[pos] = row.get(pos, 0) + coeff
-                    if row:
-                        rows.append(row)
-            self.rref[k] = _rref_fractions(rows)
-            self.ranks.append(len(self.monomials[k]) - len(self.rref[k]))
-        if self.ranks[self.top] != 1:
-            raise AssertionError("top degree of the quotient is not rank 1")
-        self._functional = self._normalized_functional()
+        adj = [0] * ng
+        for i, j in itertools.combinations(range(ng), 2):
+            if m0n_compatible(self.gens[i], self.gens[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        complex_ = SimplicialComplex(
+            vertices=tuple(self.gens), faces=tuple(_clique_faces(adj, ng))
+        )
+        keel = _keel_generators(self.gens, n)
+        self.degrees = []
+        lower = ()
+        for k in range(self.top + 1):
+            monomials = chowring.admissible_monomials(complex_, k)
+            index = {m: i for i, m in enumerate(monomials)}
+            self.degrees.append(
+                chowring.DegreeData(
+                    monomials=tuple(monomials),
+                    index=index,
+                    **chowring._degree(keel, lower, index),
+                )
+            )
+            lower = monomials
+        if any(d != 1 for dd in self.degrees for d in dd.torsion):
+            raise chowring.VerificationError(
+                "A*(M-bar_{0,%d}) has torsion, against Keel's theorem" % n
+            )
+        top = self.degrees[self.top]
+        self._functional = chowring.top_functional(
+            top, {top.index[self._chain_monomial()]: 1}
+        )
 
-    def _admissible(self, mono):
-        compat = self._compat
-        for a, b in itertools.combinations(set(mono), 2):
-            if not compat[a][b]:
-                return False
-        return True
-
-    def _keel_linear_generators(self):
-        """For every 4-subset, the three two-against-two splits give equal
-        divisor sums; emit the pairwise differences."""
-        out = []
-        for quad in itertools.combinations(range(1, self.n + 1), 4):
-            i, j, k, l = quad
-            splits = (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
-            vecs = []
-            for (a, b), (c, d) in splits:
-                vec = {}
-                for gi, g in enumerate(self.gens):
-                    side = set(g.part)
-                    other = set(range(1, self.n + 1)) - side
-                    if ({a, b} <= side and {c, d} <= other) or (
-                        {a, b} <= other and {c, d} <= side
-                    ):
-                        vec[gi] = 1
-                vecs.append(vec)
-            for other in vecs[1:]:
-                diff = dict(vecs[0])
-                for gi, v in other.items():
-                    nv = diff.get(gi, 0) - v
-                    if nv:
-                        diff[gi] = nv
-                    else:
-                        diff.pop(gi, None)
-                out.append(diff)
-        return out
+    @property
+    def ranks(self):
+        return tuple(dd.rank for dd in self.degrees)
 
     def _chain_monomial(self):
         """A nested chain of boundary divisors cutting out a point: the marks
@@ -178,50 +146,25 @@ class M0nRing:
             chain.append(self.gen_index[m0n_divisor(self.n, range(1, size + 1))])
         return tuple(sorted(chain))
 
-    def _normalized_functional(self):
-        k = self.top
-        rref = self.rref[k]
-        free = [i for i in range(len(self.monomials[k])) if i not in rref]
-        if len(free) != 1:
-            raise AssertionError("expected exactly one free top monomial")
-        j0 = free[0]
-        func = {j0: Fraction(1)}
-        for lead, row in rref.items():
-            if j0 in row:
-                func[lead] = -row[j0]
-        chain = self._chain_monomial()
-        pos = {m: i for i, m in enumerate(self.monomials[k])}[chain]
-        scale = func.get(pos, Fraction(0))
-        if scale == 0:
-            raise AssertionError("chain monomial vanishes; cannot normalize")
-        return {i: v / scale for i, v in func.items()}
-
-    # -- public queries ----------------------------------------------------
-
-    def degree_ranks(self):
-        return tuple(self.ranks)
+    def _monomial(self, mono):
+        """mono as a sorted tuple; ValueError unless it has at most the top
+        degree and every entry is an index into gens."""
+        if len(mono) > self.top:
+            raise ValueError("monomial exceeds the top degree")
+        if any(i not in range(len(self.gens)) for i in mono):
+            raise ValueError("unknown generator index in %r" % (mono,))
+        return tuple(sorted(mono))
 
     def multiply(self, a, b):
-        """Product of two {monomial: coeff} elements; monomials carrying an
-        incompatible pair are dropped on the spot."""
-        out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = tuple(sorted(ma + mb))
-                if len(mono) > self.top:
-                    raise ValueError("product exceeds the top degree")
-                if not self._admissible(mono):
-                    continue
-                nv = out.get(mono, 0) + ca * cb
-                if nv:
-                    out[mono] = nv
-                else:
-                    del out[mono]
-        return out
-
-
-def build_m0n(n):
-    return M0nRing(n)
+        """Product of two {monomial: coeff} elements in the quotient:
+        product monomials that are not admissible are dropped as they
+        form."""
+        return chowring._collect(
+            (mono, ca * cb)
+            for ma, ca in a.items()
+            for mb, cb in b.items()
+            if (mono := self._monomial(ma + mb)) in self.degrees[len(mono)].index
+        )
 
 
 def m0n_psi(i, ring, refs=None):
@@ -237,32 +180,23 @@ def m0n_psi(i, ring, refs=None):
     j, k = refs
     if len({i, j, k}) != 3:
         raise ValueError("reference marks must differ from i and each other")
-    out = {}
-    for gi, g in enumerate(ring.gens):
-        side = set(g.part)
-        other = set(range(1, n + 1)) - side
-        if (i in side and {j, k} <= other) or (i in other and {j, k} <= side):
-            out[(gi,)] = 1
-    return out
+    return {(gi,): 1 for gi in _separating(ring.gens, {i}, {j, k})}
 
 
 def m0n_integrate(x, ring):
     """Top-degree integral; x is a {monomial: coeff} element or a bare
-    monomial tuple of generator indices."""
+    monomial tuple of generator indices.  Inadmissible monomials integrate
+    to 0."""
     if isinstance(x, tuple):
         x = {x: 1}
+    index = ring.degrees[ring.top].index
     total = Fraction(0)
-    index = {m: i for i, m in enumerate(ring.monomials[ring.top])}
     for mono, coeff in x.items():
         if len(mono) != ring.top:
             raise ValueError("integrand must have degree %d" % ring.top)
-        mono = tuple(sorted(mono))
-        pos = index.get(mono)
-        if pos is None:
-            if not ring._admissible(mono):
-                continue
-            raise ValueError("unknown monomial %r" % (mono,))
-        total += coeff * ring._functional.get(pos, Fraction(0))
+        col = index.get(ring._monomial(mono))
+        if col is not None:
+            total += coeff * ring._functional.get(col, 0)
     if total.denominator == 1:
         return int(total)
     return total

@@ -201,9 +201,10 @@ def crit_m0n_oracles():
     ok = True
     details = {}
     want_ranks = {4: (1, 1), 5: (1, 5, 1), 6: (1, 16, 16, 1)}
+    rings = {}
     for n in (4, 5, 6):
-        ring = m0nring.build_m0n(n)
-        good = tuple(ring.degree_ranks()) == want_ranks[n]
+        ring = rings[n] = m0nring.M0nRing(n)
+        good = ring.ranks == want_ranks[n]
         psis = [m0nring.m0n_psi(i, ring) for i in range(1, n + 1)]
         for expo in itertools.product(range(n - 2), repeat=n):
             if sum(expo) != n - 3:
@@ -221,7 +222,7 @@ def crit_m0n_oracles():
         details["n%d" % n] = "ok" if good else "bad"
         ok = ok and good
 
-    ring5 = m0nring.build_m0n(5)
+    ring5 = rings[5]
 
     def psi_lines(i, j):
         rest = [m for m in range(1, 6) if m not in (i, j)]

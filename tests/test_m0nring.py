@@ -1,12 +1,16 @@
 """The stable-curve oracle: Keel rings, psi-classes, multinomial integrals."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from m0n_common import compositions  # noqa: F401  (shared helper below)
+from m36 import chowring
+from m36.chowring import VerificationError, top_functional
+from m36.exactla import reduce_row
 from m36.m0nring import (
-    build_m0n,
+    M0nRing,
     m0n_compatible,
     m0n_divisor,
     m0n_divisors,
@@ -17,37 +21,33 @@ from m36.m0nring import (
 
 
 def normal_form(ring, element, degree):
-    """Reduce a homogeneous {monomial: coeff} element by the ring's rref of
-    that degree to its normal form on the admissible basis (inadmissible
+    """Reduce a homogeneous {monomial: int} element by the ring's rref of
+    that degree to its normal form on the basis monomials (inadmissible
     monomials are zero)."""
-    index = {m: i for i, m in enumerate(ring.monomials[degree])}
-    rref = ring.rref[degree]
-    vec = {}
+    dd = ring.degrees[degree]
+    row = {}
     for mono, coeff in element.items():
         assert len(mono) == degree
-        pos = index.get(tuple(sorted(mono)))
+        pos = dd.index.get(tuple(sorted(mono)))
         if pos is not None:
-            vec[pos] = vec.get(pos, 0) + coeff
-    for c in [c for c in vec if c in rref]:
-        coeff = vec.pop(c)
-        for col, v in rref[c].items():
-            vec[col] = vec.get(col, 0) - coeff * v
-    return {ring.monomials[degree][i]: v for i, v in sorted(vec.items()) if v}
+            row[pos] = row.get(pos, 0) + coeff
+    num, den = reduce_row(row, dd.rref)
+    return {dd.monomials[c]: Fraction(v, den) for c, v in sorted(num.items())}
 
 
 @pytest.fixture(scope="module")
 def r4():
-    return build_m0n(4)
+    return M0nRing(4)
 
 
 @pytest.fixture(scope="module")
 def r5():
-    return build_m0n(5)
+    return M0nRing(5)
 
 
 @pytest.fixture(scope="module")
 def r6():
-    return build_m0n(6)
+    return M0nRing(6)
 
 
 class TestDivisors:
@@ -80,19 +80,55 @@ class TestDivisors:
 
 class TestRanks:
     def test_n4(self, r4):
-        assert r4.degree_ranks() == (1, 1)
+        assert r4.ranks == (1, 1)
 
     def test_n5(self, r5):
-        assert r5.degree_ranks() == (1, 5, 1)
+        assert r5.ranks == (1, 5, 1)
 
     def test_n6(self, r6):
-        assert r6.degree_ranks() == (1, 16, 16, 1)
+        assert r6.ranks == (1, 16, 16, 1)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
-            build_m0n(3)
+            M0nRing(3)
         with pytest.raises(ValueError):
-            build_m0n(7)
+            M0nRing(7)
+
+
+class TestKeelCertificate:
+    """Keel's theorem: every Chow group of M-bar_{0,n} is free over Z."""
+
+    def test_every_invariant_factor_is_one(self, r4, r5, r6):
+        for ring in (r4, r5, r6):
+            for dd in ring.degrees:
+                assert len(dd.torsion) == len(dd.rref)
+                assert all(d == 1 for d in dd.torsion)
+
+    def test_pivot_row_counts(self, r4, r5, r6):
+        for ring, want in ((r4, (2,)), (r5, (5, 24)), (r6, (9, 114, 339))):
+            assert tuple(len(dd.rref) for dd in ring.degrees[1:]) == want
+
+    def test_torsion_is_refused(self, monkeypatch):
+        def with_a_two(ech):
+            return (1,) * (ech.rank - 1) + (2,) if ech.rank else ()
+
+        monkeypatch.setattr(chowring, "smith_from_echelon", with_a_two)
+        with pytest.raises(VerificationError, match="torsion"):
+            M0nRing(5)
+
+    def test_top_functional_is_integral(self, r4, r5, r6):
+        for ring in (r4, r5, r6):
+            assert ring._functional
+            assert all(type(v) is int for v in ring._functional.values())
+
+    def test_top_functional_refuses_bad_input(self, r6):
+        top = r6.degrees[r6.top]
+        chain = top.index[r6._chain_monomial()]
+        with pytest.raises(VerificationError, match="corank 1"):
+            top_functional(r6.degrees[2], {0: 1})
+        with pytest.raises(VerificationError, match="integral"):
+            top_functional(top, {chain: 2})
+        assert top_functional(top, {chain: 1}) == r6._functional
 
 
 class TestKeelRelations:
@@ -185,6 +221,13 @@ class TestIntegration:
     def test_wrong_degree(self, r5):
         with pytest.raises(ValueError):
             m0n_integrate({((0,)): 1}, r5)
+
+    def test_generator_index_out_of_range(self, r5):
+        for mono in ((0, 99), (-1, 3), (3, 10)):
+            with pytest.raises(ValueError, match="unknown generator index"):
+                m0n_integrate({mono: 1}, r5)
+            with pytest.raises(ValueError, match="unknown generator index"):
+                r5.multiply({(mono[0],): 1}, {(mono[1],): 1})
 
     def test_divisor_times_psi_consistency(self, r5):
         # integrate D * psi1 two ways: directly, and after replacing D by its

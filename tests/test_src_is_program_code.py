@@ -46,7 +46,9 @@ SHARED = {
     "chowring.RingElement.is_zero": "chowring.is_zero_in: normal_form(e, t).is_zero()",
     "chowring.FiberValue.is_zero": "chowring: restrict_to_fiber(e, pt, t).is_zero()",
     "chowring.multiply": "verification: chowring.multiply(gens[i], gens[j], table)",
-    "m0nring.M0nRing.multiply": "verification: ring5.multiply(...)",
+    "m0nring.M0nRing.multiply": "verification: ring.multiply(acc, psis[i])",
+    "chowring.GradedQuotientTable.ranks": "chowring.build_quotient: table.ranks",
+    "m0nring.M0nRing.ranks": "verification.crit_m0n_oracles: ring.ranks",
     "exactla.IntEchelon.rank": "chowring._eliminate: ncols - ech.rank",
     "exactla.ModpEchelon.rank": (
         "no caller in src/m36; the ech.rank reads reach IntEchelon.rank"
@@ -66,11 +68,7 @@ SHARED_FIELDS = {
     "boundarycomplex.HomologySummary.torsion": (
         "boundarycomplex.homology_report: h.torsion"
     ),
-    "chowring.DegreeData.monomials": (
-        "chowring.GradedQuotientTable.admissible_counts: dd.monomials"
-    ),
     "chowring.DegreeData.rank": "chowring.GradedQuotientTable.ranks: dd.rank",
-    "chowring.DegreeData.rref": "chowring.normal_form: reduce_row(row, dd.rref)",
     "chowring.DegreeData.torsion": (
         "chowring.GradedQuotientTable.torsion_free: dd.torsion"
     ),
@@ -78,7 +76,9 @@ SHARED_FIELDS = {
         "chowring._integration_functional: t._functional"
     ),
     "chowring.GradedQuotientTable.runtime_ms": "chowring.ranks_report: t.runtime_ms",
-    "m0nring.M0nRing._functional": "m0nring.m0n_integrate: ring._functional.get(...)",
+    "m0nring.M0nRing._functional": (
+        "m0nring.m0n_integrate: ring._functional.get(col, 0)"
+    ),
     "verification.CriterionResult.runtime_ms": "cli: r.runtime_ms in the verify report",
 }
 
