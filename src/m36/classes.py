@@ -12,6 +12,7 @@ boundary curves) are taken in that table's ring with chowring.multiply.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from fractions import Fraction
 from importlib import resources
@@ -80,12 +81,15 @@ def pullback_r(k, ij):
 # psi and phi
 
 
+@functools.cache
 def psi(i, j, n=None, k=None):
     """The cotangent class of the marked point cut by line j on line i.
 
     Any admissible (n, k) gives the same class modulo relations; the default
     takes n largest outside {i, j} and k smallest among the rest, which is
-    the representative used everywhere else in this package."""
+    the representative used everywhere else in this package.  Each class is
+    built once per process: no RingElement is changed after it is made, so
+    every caller can share it."""
     if i == j or not {i, j} <= LINESET:
         raise ValueError("psi needs two distinct lines, got %r, %r" % (i, j))
     rest = sorted(LINESET - {i, j})

@@ -21,8 +21,10 @@ Rationals print as "p/q" strings.  Output is deterministic for a fixed
 (command, config, mode) except for the wall-clock runtime_ms fields.
 
 `integrate` and `restrict` evaluate products in the ring of the config
-(chowring.multiply), never in the free polynomial ring, so (K+B)^4 costs a
-fraction of a second.  The expression is parsed once into a tree, which is
+(chowring.multiply), never in the free polynomial ring: on a built
+all-P1 table `integrate "(K+B)^4"` takes a median 0.04-0.06 s (2 shared
+cores, CPython 3.11.7), where its free-ring expansion took half a
+minute.  The expression is parsed once into a tree, which is
 read twice.  The first reading gives its nominal degrees: an atom has degree
 1, a number degree 0, a sum the union and a product the sums of its factors'
 degrees.  These contain every degree the free-ring expansion can have.  When

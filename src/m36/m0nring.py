@@ -156,15 +156,13 @@ class M0nRing:
         return tuple(sorted(mono))
 
     def multiply(self, a, b):
-        """Product of two {monomial: coeff} elements in the quotient:
-        product monomials that are not admissible are dropped as they
-        form."""
-        return chowring._collect(
-            (mono, ca * cb)
-            for ma, ca in a.items()
-            for mb, cb in b.items()
-            if (mono := self._monomial(ma + mb)) in self.degrees[len(mono)].index
+        """Product of two {monomial: coeff} elements in the quotient, by
+        chowring.quotient_product over the ring's product tables."""
+        a, b = (
+            chowring._collect((self._monomial(m), c) for m, c in x.items())
+            for x in (a, b)
         )
+        return chowring.quotient_product(a, b, self.degrees)
 
 
 def m0n_psi(i, ring, refs=None):

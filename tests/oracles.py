@@ -9,6 +9,7 @@ from the unresolved complex.  The sympy-backed tests check the kernels; the
 counts and relations are checked against the program.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
@@ -76,4 +77,16 @@ def multiplicative_relation_generators(cfg):
                 out.append((i, j))
     for rel in s2_triple_relations(cfg):
         out.append(tuple(sorted(labels.divisor_index(d) for d in rel)))
+    return out
+
+
+def reference_product_table(lower, index, width):
+    """The product table entry by entry, as a list: for each monomial m of
+    lower and each divisor d < width, the column in index of m*d, formed by
+    sorted insertion, or 0xFFFF where m*d is not admissible."""
+    out = []
+    for m in lower:
+        for d in range(width):
+            pos = bisect_right(m, d)
+            out.append(index.get(m[:pos] + (d,) + m[pos:], 0xFFFF))
     return out

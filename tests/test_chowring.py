@@ -50,7 +50,11 @@ from m36.labels import (
     singular_point,
     triple,
 )
-from oracles import admissible_count_formula, multiplicative_relation_generators
+from oracles import (
+    admissible_count_formula,
+    multiplicative_relation_generators,
+    reference_product_table,
+)
 
 coeff_st = st.integers(min_value=-4, max_value=4)
 linear_st = st.dictionaries(st.integers(0, 64), coeff_st, max_size=4).map(
@@ -311,8 +315,8 @@ class TestBuildQuotient:
         row_stream = chowring._row_stream
         streamed = {}
 
-        def counting(generators, lower, index):
-            rows = list(row_stream(generators, lower, index))
+        def counting(generators, lower, index, products):
+            rows = list(row_stream(generators, lower, index, products))
             streamed[len(next(iter(index)))] = (sum(map(len, generators)), len(rows))
             return rows
 
@@ -701,6 +705,132 @@ class TestQuotientProduct:
     def test_kb4(self, table):
         kb = classes.canonical_divisor() + classes.total_boundary()
         assert integrate(power(kb, 4, table), table) == 1502
+
+
+def reference_multiply(a, b, t):
+    """The quotient product term pair by term pair: each product monomial is
+    sorted and looked up, each coefficient a Fraction or int product."""
+    if a.coeffs and b.coeffs:
+        if max(map(len, a.coeffs)) + max(map(len, b.coeffs)) > MAX_DEGREE:
+            raise ValueError("product exceeds degree 4")
+    indexes = [dd.index for dd in t.degrees]
+    right = [(mb, cb) for mb, cb in b.coeffs.items() if mb in indexes[len(mb)]]
+    out = {}
+    for ma, ca in a.coeffs.items():
+        if ma not in indexes[len(ma)]:
+            continue
+        for mb, cb in right:
+            mono = tuple(sorted(ma + mb))
+            if mono in indexes[len(mono)]:
+                out[mono] = out.get(mono, 0) + ca * cb
+    return RingElement({m: c for m, c in out.items() if c})
+
+
+def _random_element(rng, t, degrees):
+    """Up to 12 terms of the given degrees: mostly admissible monomials,
+    some arbitrary sorted tuples (most of them inadmissible), int and
+    Fraction coefficients."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 12)):
+        k = rng.choice(degrees)
+        if rng.random() < 0.75:
+            mono = rng.choice(t.degrees[k].monomials)
+        else:
+            mono = tuple(sorted(rng.randrange(65) for _ in range(k)))
+        c = rng.randint(-3, 3)
+        if rng.random() < 0.3:
+            c = Fraction(c, rng.randint(2, 6))
+        coeffs[mono] = c
+    return RingElement(coeffs)
+
+
+class TestProductByColumn:
+    """multiply, which steps columns through the product tables, against
+    the sort-and-hash product it replaced."""
+
+    @pytest.mark.parametrize(
+        "cfg", [config_all_p1(), config_all_p2(), MIXED_7],
+        ids=["all_p1", "all_p2", "mixed_7"],
+    )
+    def test_matches_reference(self, cfg):
+        t = chowring.table(cfg)
+        rng = random.Random(36636)
+        inadmissible = 0
+        for _ in range(150):
+            da = rng.randint(0, MAX_DEGREE)
+            db = rng.randint(0, MAX_DEGREE - da)
+            # mixed degrees, the constant term included
+            a = _random_element(rng, t, range(da + 1))
+            b = _random_element(rng, t, range(db + 1))
+            got = multiply(a, b, t)
+            assert got == reference_multiply(a, b, t)
+            assert all(got.coeffs.values())
+            ints = all(type(c) is int for e in (a, b) for c in e.coeffs.values())
+            if ints:
+                assert all(type(c) is int for c in got.coeffs.values())
+            inadmissible += sum(
+                m not in t.degrees[len(m)].index for e in (a, b) for m in e.coeffs
+            )
+        assert inadmissible
+
+    def test_cancellation_to_zero(self, table):
+        # the cross terms of (x + y)(x - y) cancel and leave no entry, and
+        # scales that cancel leave the zero element
+        x, y = F(1, 2), F(3, 4)
+        got = multiply(x + y, x - y, table)
+        assert got == reference_multiply(x + y, x - y, table)
+        cross = tuple(sorted(next(iter(x.coeffs)) + next(iter(y.coeffs))))
+        assert cross in table.degrees[2].index and cross not in got.coeffs
+        third = Fraction(1, 3)
+        zero = multiply(x.scale(third), y, table) - multiply(x, y.scale(third), table)
+        assert zero.is_zero()
+
+    def test_degree_cap(self, table):
+        a = RingElement({table.degrees[3].monomials[5]: Fraction(1, 2)})
+        b = RingElement({(0, 1): 1, (): 2})
+        with pytest.raises(ValueError, match="product exceeds degree 4"):
+            multiply(a, b, table)
+        with pytest.raises(ValueError, match="product exceeds degree 4"):
+            reference_multiply(a, b, table)
+        # an inadmissible monomial still counts toward the cap
+        with pytest.raises(ValueError, match="product exceeds degree 4"):
+            multiply(RingElement({(0, 0, 0, 0): 1}), RingElement({(1,): 1}), table)
+
+    @pytest.mark.parametrize("name", ["table", "table_p2"])
+    def test_product_tables_entry_by_entry(self, request, name):
+        degrees = request.getfixturevalue(name).degrees
+        assert len(degrees[0].products) == 0
+        for k in range(1, MAX_DEGREE + 1):
+            got = degrees[k].products
+            assert got.typecode == "H"
+            assert got.tolist() == reference_product_table(
+                degrees[k - 1].monomials, degrees[k].index, len(labels.DIVISORS)
+            ), k
+
+    def test_product_tables_fit_the_budget(self, table):
+        sizes = [dd.products.itemsize * len(dd.products) for dd in table.degrees]
+        assert sum(sizes) <= 450_000
+
+
+class TestPsiCache:
+    def test_cached_psi_is_unchanged_by_queries(self, capsys):
+        from m36 import cli
+
+        rng = random.Random(19)
+        for _ in range(30):
+            (i, j), (k, l) = rng.sample(classes.PSI_PAIRS, 2)
+            text = "psi[%d,%d]^2*psi[%d,%d]*(psi[%d,%d]-1/2*phi[%d,%d])" % (
+                i, j, k, l, j, i, i, j
+            )
+            assert cli.main(["integrate", text]) == 0
+        for pt in SINGULAR_POINTS[:12]:
+            text = "psi[1,2]*psi[3,4]+K+B"
+            point = ",".join("%d%d" % p for p in pt.matching)
+            assert cli.main(["restrict", text, "--point", point]) == 0
+        capsys.readouterr()
+        assert len(classes.PSI_PAIRS) == 30
+        for i, j in classes.PSI_PAIRS:
+            assert classes.psi(i, j) == classes.psi.__wrapped__(i, j)
 
 
 class TestFiberRestriction:

@@ -1,6 +1,7 @@
 """The stable-curve oracle: Keel rings, psi-classes, multinomial integrals."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from m0n_common import compositions  # noqa: F401  (shared helper below)
 from m36 import chowring
 from m36.chowring import VerificationError, top_functional
 from m36.exactla import reduce_row
+from oracles import reference_product_table
 from m36.m0nring import (
     M0nRing,
     m0n_compatible,
@@ -239,6 +241,52 @@ class TestIntegration:
             nf = normal_form(r5, d, 1)
             via_nf = m0n_integrate(r5.multiply(nf, psi1), r5)
             assert direct == via_nf
+
+
+class TestProductTables:
+    """M0nRing.multiply reads the product tables chowring builds for every
+    degree: 65 slots per multiplier monomial, of which M(0,n) uses the
+    first len(gens)."""
+
+    def test_entry_by_entry(self, r5, r6):
+        for ring in (r5, r6):
+            assert len(ring.degrees[0].products) == 0
+            for k in range(1, ring.top + 1):
+                want = reference_product_table(
+                    ring.degrees[k - 1].monomials, ring.degrees[k].index, 65
+                )
+                assert ring.degrees[k].products.tolist() == want, (ring.n, k)
+
+    def test_multiply_matches_pairwise_product(self, r6):
+        # the product term pair by term pair, each monomial sorted and looked
+        # up, on seeded elements of mixed degree with int and Fraction
+        # coefficients and unsorted or inadmissible monomials
+        rng = random.Random(36636)
+        ngens = len(r6.gens)
+
+        def element(degree):
+            out = {}
+            for _ in range(rng.randint(1, 8)):
+                k = rng.randint(0, degree)
+                mono = tuple(rng.randrange(ngens) for _ in range(k))
+                c = rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-2, 3)))
+                out[mono] = out.get(mono, 0) + c
+            return out
+
+        for _ in range(200):
+            da = rng.randint(0, r6.top)
+            a, b = element(da), element(r6.top - da)
+            want = {}
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    mono = tuple(sorted(ma + mb))
+                    if mono in r6.degrees[len(mono)].index:
+                        want[mono] = want.get(mono, 0) + ca * cb
+            assert r6.multiply(a, b) == {m: c for m, c in want.items() if c}
+
+    def test_degree_cap(self, r5):
+        with pytest.raises(ValueError, match="exceeds"):
+            r5.multiply({(0, 3): 1}, {(5,): 1})
 
 
 class TestLinesOracle:
