@@ -18,12 +18,12 @@ rows (degree 0 has none) go into one integer echelon form with rightmost
 pivots (so the lexicographically smallest monomials survive as the basis),
 which gives the rank, the reduced rows for normal forms and the torsion
 certificate of the whole relation lattice.  Degree 1 is built first, in the
-calling process, because its pivot rows generate the relations of every
-higher degree; degrees 2, 3 and 4 then depend on nothing else, and they run
-side by side in worker processes (see build_quotient).  The expected rank
-profile (1, 51, 127+|S2|, 51, 1) is a theorem; meeting it is asserted, and
-a computed mismatch raises VerificationError rather than a report with
-different numbers.  Torsion-freeness is certified in every degree by the
+calling process, because the linear relations that open its pivots generate
+the relations of every higher degree; degrees 2, 3 and 4 then depend on
+nothing else, and they run side by side in worker processes (see
+build_quotient).  The expected rank profile (1, 51, 127+|S2|, 51, 1) is a
+theorem; meeting it is asserted, and a computed mismatch raises
+VerificationError rather than a report with different numbers.  Torsion-freeness is certified in every degree by the
 invariant factors of exactla.smith_from_echelon.
 
 RingElement is the free polynomial ring and knows no config.  multiply,
@@ -341,12 +341,13 @@ def _row_stream(generators, monomials_lower, index, products=None):
     (built here from monomials_lower and index when products is not
     given), and every generator's row is read off that slice; products
     that are not admissible have no column and drop out.  On the
-    all-line-fiber config the degree-4 stream of the degree-1 pivot rows
-    (30,489 rows) takes a median 0.07-0.09 s, plus 0.011-0.014 s for its
-    table, against 0.15-0.18 s when each multiplier formed its 65 product
-    monomials by sorted insertion and looked them up; degree 3 (7,504 rows)
-    takes 0.021-0.023 s plus 0.005 s against 0.046-0.047 s (three runs,
-    2 shared cores)."""
+    all-line-fiber config the degree-4 stream of the 14 relations that
+    build_quotient multiplies (26,082 rows of mean length 2.75) takes a
+    median 0.043 s, plus 0.008 s for its table, against 0.077 s for the 14
+    degree-1 pivot rows as stored (30,489 rows of mean length 3.95);
+    degree 3 (6,580 rows of mean length 3.52) takes 0.017 s plus 0.004 s
+    against 0.023 s (7,504 rows of mean length 5.15).  Five runs each in
+    one process, 2 shared cores, CPython 3.11.7."""
     if products is None:
         products = _product_table(monomials_lower, index)
     for i in reversed(range(len(monomials_lower))):
@@ -452,6 +453,17 @@ def _eliminate(generators, lower, index):
     )
 
 
+def _opening_relations(relations):
+    """The relations that open a pivot when one IntEchelon takes them in
+    order: the generators of degrees 2-4."""
+    ech = IntEchelon()
+    return [r for r in relations if ech.insert(r) is not None]
+
+
+def _leads(ech):
+    return {c: row[c] for c, row in ech.pivots.items()}
+
+
 def _degree(generators, lower, index):
     """_eliminate without the echelon: all that a pool worker sends back."""
     return _eliminate(generators, lower, index)[1]
@@ -488,29 +500,36 @@ def build_quotient(cfg, mode="two-prime"):
     and torsion certified exactly over Z in every degree.
 
     Every degree is built alike by _eliminate.  The rows of degree 1 are the
-    sixty linear generators themselves; every higher degree multiplies the
-    degree-1 pivot rows, a basis of the same relation lattice, sorted by
-    lead.  So once degree 1 is built in this process, degrees 4, 3 and 2
-    (longest first) are independent, and they run side by side in a pool of
-    min(3, usable CPUs) forked worker processes, or one after another here
-    where _pool_workers finds no pool possible.  The workers get every
-    input as an argument, and the pool is joined before build_quotient
-    returns or raises.  Row order changes the cost, not the result: reverse
-    multiplier order gives smaller pivot entries than forward order (5 bits
-    in degree 2 against 11), and inserting degrees 2-4 takes 0.8-0.9 s of
-    CPU time against 1.6-1.7 s (three runs each).
+    sixty linear generators themselves.  Every higher degree multiplies the
+    ones among them that open a pivot when degree 1 takes them in order:
+    14 rows of 20 entries, where the degree-1 pivot rows hold 404 entries
+    after their reduction at store time.  Every degree-k relation lattice
+    is the degree-1 lattice times the monomials of degree k-1, so any
+    Z-basis of it gives the same tables; the 14 are certified to be one on
+    every build, since their own echelon must have the leads of degree 1
+    (nested lattices with the same pivot columns and lead products are
+    equal), or VerificationError.  So once degree 1 is built in this
+    process, degrees 4, 3 and 2 (longest first) are independent, and they
+    run side by side in a pool of min(3, usable CPUs) forked worker
+    processes, or one after another here where _pool_workers finds no pool
+    possible.  The workers get every input as an argument, and the pool is
+    joined before build_quotient returns or raises.  Row order changes the
+    cost, not the result: reverse multiplier order gives smaller pivot
+    entries than forward order (5 bits in degree 2 against 10), and
+    inserting degrees 2-4 takes 0.46-0.63 s of CPU time against 1.12-1.43 s
+    (three runs each).
 
     On the all-line-fiber config, over 10 builds each in fresh processes
     alternating with builds in one process (2 shared cores, CPython
-    3.11.7), the build takes a median 0.75 s of wall time (0.61-0.91)
-    against 1.19 s (0.84-1.43) in one process, and 1.43 s of CPU time in
-    this process and its workers together against 1.36 s.  Degrees 2, 3
-    and 4 take a median 0.16, 0.49 and 0.51 s in their workers.  With two
-    usable CPUs degree 2 starts only when a worker is done with degree 3
-    or 4, so the build waits for two degrees in one worker (degrees 3 and
-    2 together take a median 0.67 s), not for degree 4 alone.  Memory
-    grows instead: the process and its workers together peak at a median
-    42 MB of proportional set size, against 27 MB in one process.
+    3.11.7), the build takes a median 0.51 s of wall time (0.42-0.57)
+    against 0.68 s (0.55-0.91) in one process, and 0.83 s of CPU time in
+    this process and its workers together against 0.68 s.  Degrees 2, 3
+    and 4 take a median 0.10, 0.32 and 0.24 s in their workers.  With two
+    usable CPUs degree 2 starts when the first worker is done, and degree
+    4 ended before degree 3 in 9 of the 10 builds; degrees 4 and 2
+    together take a median 0.35 s, about as long as degree 3 alone.
+    Memory grows instead: the process and its workers together peak at a
+    median 46 MB of proportional set size, against 27 MB in one process.
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in
@@ -522,9 +541,18 @@ def build_quotient(cfg, mode="two-prime"):
     complex_ = build_complex(cfg)
     monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
     indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
-    ech, fields = _eliminate(_linear_relation_vectors(), monomials[0], indexes[1])
+    relations = _linear_relation_vectors()
+    ech, fields = _eliminate(relations, monomials[0], indexes[1])
     built = {0: _degree((), (), indexes[0]), 1: fields}
-    generators = [ech.pivots[lead] for lead in sorted(ech.pivots)]
+    generators = _opening_relations(relations)
+    check = IntEchelon()
+    for g in generators:
+        check.insert(g)
+    if _leads(check) != _leads(ech):
+        raise VerificationError(
+            "the %d relations that open degree-1 pivots do not generate the "
+            "degree-1 relation lattice of %s" % (len(generators), cfg.name())
+        )
     ks = (4, 3, 2)
     jobs = (
         [generators] * len(ks),

@@ -270,13 +270,17 @@ KB_COEFFS = {
 }
 
 
+@functools.cache
 def canonical_divisor():
+    """K, built once per process like psi."""
     return RingElement(
         {(labels.divisor_index(d),): K_COEFFS[d.kind] for d in labels.DIVISORS}
     )
 
 
+@functools.cache
 def total_boundary():
+    """B, the sum of the 65 boundary divisors, built once per process."""
     return RingElement({(labels.divisor_index(d),): 1 for d in labels.DIVISORS})
 
 

@@ -30,7 +30,7 @@ When some lead is not 1, each unit-lead row still splits off an invariant
 factor 1, and the rest of the Smith normal form comes from alternating
 Hermite passes over the rows whose lead is not 1: insert them into an
 IntEchelon, transpose, and repeat until the matrix is diagonal.  On the
-program's tables that takes a median 0.009 to 0.013 s in degree 2, the
+program's tables that takes a median 0.002 to 0.004 s in degree 2, the
 most of any degree, and 0.001 s or less in degrees 1 and 3 (5 runs each on
 all line fibers, all plane fibers and a mixed config with seven plane
 fibers; 2 shared cores, CPython 3.11.7); degree 4 and the homology boundary
@@ -39,7 +39,7 @@ matrices have only unit leads.
 Matrices in this project have entries almost entirely in {-1, 0, 1} and very
 sparse rows, which is why this pure-Python kernel is fast enough.  Reducing
 each row as it is stored keeps the pivot rows small: their largest entry
-has 3, 5, 4 and 4 bits in degrees 1 to 4 of the all-line-fiber build, the
+has 3, 5, 3 and 2 bits in degrees 1 to 4 of the all-line-fiber build, the
 same on all plane fibers and on a mixed config with seven plane fibers.
 """
 
@@ -124,9 +124,9 @@ class IntEchelon:
     reduced form at every smaller pivot column when insert reaches it, so a
     row in the span no longer walks a chain of stale rows one column at a
     time (path compression, as in union-find: Tarjan, J. ACM 22, 1975).  On
-    the all-line-fiber build, inserting degrees 3 and 4 takes 65,493 and
-    123,495 submul calls, refreshes included, against 363,577 and 1,182,010
-    when each row eliminated against the stored rows."""
+    the all-line-fiber build, inserting degrees 3 and 4 takes 50,430 and
+    74,534 submul calls, refreshes included, against 238,513 and 752,006
+    when each row eliminates against the stored rows."""
 
     def __init__(self):
         self.pivots = {}

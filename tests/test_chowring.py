@@ -220,6 +220,18 @@ def reference_row_stream(generators, monomials_lower, index):
                 yield row
 
 
+def degree_one_pivot_rows(cfg):
+    """The admissible monomials of cfg by degree, their column indexes, and
+    the generators that degrees 2-4 multiplied before they took the opening
+    relations: the degree-1 pivot rows as stored, sorted by lead."""
+    complex_ = build_complex(cfg)
+    monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
+    indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
+    raw = chowring._linear_relation_vectors()
+    ech, _ = chowring._eliminate(raw, monomials[0], indexes[1])
+    return monomials, indexes, [ech.pivots[lead] for lead in sorted(ech.pivots)]
+
+
 class TestRowStream:
     @pytest.mark.parametrize(
         "cfg,degrees",
@@ -228,14 +240,10 @@ class TestRowStream:
     )
     def test_column_map_gives_the_per_entry_rows(self, cfg, degrees):
         # the same rows in the same order, each with its keys in the same
-        # order, from the degree-1 pivot rows that build_quotient multiplies
-        # and from the sixty raw generators that relation_row_stream uses
-        complex_ = build_complex(cfg)
-        monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
-        indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
+        # order, from the denser degree-1 pivot rows and from the sixty raw
+        # generators that relation_row_stream uses
+        monomials, indexes, pivot_rows = degree_one_pivot_rows(cfg)
         raw = chowring._linear_relation_vectors()
-        ech, _ = chowring._eliminate(raw, monomials[0], indexes[1])
-        pivot_rows = [ech.pivots[lead] for lead in sorted(ech.pivots)]
         for generators, ks in ((pivot_rows, degrees), (raw, (1, 2))):
             for k in ks:
                 args = (generators, monomials[k - 1], indexes[k])
@@ -305,28 +313,68 @@ class TestBuildQuotient:
             rows += 1
         assert rows >= 60
 
-    def test_stored_degree_one_rows_generate_the_stream(self, monkeypatch):
-        # degrees 2-4 multiply the degree-1 pivot rows as stored, so a
-        # sparser or denser basis of the same lattice changes how many
-        # products survive the admissibility filter: Hermite-reducing the
-        # stored rows in place gave 505 entries and 898, 8,214 and 33,937
-        # rows, all of the extra rows dying in the insert
+    def test_opening_relations_generate_the_stream(self, monkeypatch):
+        # degrees 2-4 multiply the 14 linear relations that open a degree-1
+        # pivot, 20 entries each, not the 14 degree-1 pivot rows as stored
+        # (404 entries, grown by Hermite reduction at store time, which
+        # streamed 843, 7,504 and 30,489 rows); the lattice is the same, so
+        # only the number of products that survive the admissibility filter
+        # changes, and all of the extra rows died in the insert
         monkeypatch.setattr(chowring, "_pool_workers", lambda jobs: 0)
         row_stream = chowring._row_stream
         streamed = {}
 
         def counting(generators, lower, index, products):
             rows = list(row_stream(generators, lower, index, products))
-            streamed[len(next(iter(index)))] = (sum(map(len, generators)), len(rows))
+            streamed[len(next(iter(index)))] = (
+                len(generators),
+                sum(map(len, generators)),
+                len(rows),
+            )
             return rows
 
         monkeypatch.setattr(chowring, "_row_stream", counting)
         build_quotient(labels.config_all_p1())
         assert {k: streamed[k] for k in (2, 3, 4)} == {
-            2: (404, 843),
-            3: (404, 7504),
-            4: (404, 30489),
+            2: (14, 280, 770),
+            3: (14, 280, 6580),
+            4: (14, 280, 26082),
         }
+
+    def test_every_relation_dies_against_the_opening_ones(self):
+        relations = chowring._linear_relation_vectors()
+        opening = chowring._opening_relations(relations)
+        assert len(opening) == 14
+        assert all(r in relations for r in opening)
+        ech = IntEchelon()
+        for r in opening:
+            assert ech.insert(r) is not None
+        assert [ech.insert(r) for r in relations] == [None] * 60
+
+    def test_dropping_an_opening_relation_fails_the_build(self, monkeypatch):
+        # the 14 are certified on every build: their echelon must have the
+        # leads of degree 1, else the lattices differ
+        opening = chowring._opening_relations
+        monkeypatch.setattr(
+            chowring, "_opening_relations", lambda relations: opening(relations)[1:]
+        )
+        with pytest.raises(VerificationError, match="13 relations"):
+            build_quotient(config_all_p1())
+
+    @pytest.mark.parametrize(
+        "cfg", [config_all_p1(), MIXED_7], ids=["all_p1", "mixed_7"]
+    )
+    def test_opening_relations_match_the_pivot_rows(self, cfg):
+        # the degree-1 pivot rows, which degrees 2-4 multiplied before, span
+        # the same lattice, so every output of degrees 2-4 is the same
+        monomials, indexes, pivot_rows = degree_one_pivot_rows(cfg)
+        opening = chowring._opening_relations(chowring._linear_relation_vectors())
+        for k in (2, 3, 4):
+            args = (monomials[k - 1], indexes[k])
+            old = chowring._degree(pivot_rows, *args)
+            new = chowring._degree(opening, *args)
+            for field in ("rank", "torsion", "rref", "basis_cols", "products"):
+                assert old[field] == new[field], (k, field)
 
     def test_hermite_passes_get_only_non_unit_leads(self, monkeypatch):
         # every lead of degrees 0 and 4 is 1, so no pass runs there; degrees
@@ -824,13 +872,17 @@ class TestPsiCache:
             )
             assert cli.main(["integrate", text]) == 0
         for pt in SINGULAR_POINTS[:12]:
-            text = "psi[1,2]*psi[3,4]+K+B"
             point = ",".join("%d%d" % p for p in pt.matching)
-            assert cli.main(["restrict", text, "--point", point]) == 0
+            for text in ("psi[1,2]*psi[3,4]+K+B", "K+B"):
+                assert cli.main(["restrict", text, "--point", point]) == 0
         capsys.readouterr()
         assert len(classes.PSI_PAIRS) == 30
         for i, j in classes.PSI_PAIRS:
             assert classes.psi(i, j) == classes.psi.__wrapped__(i, j)
+        # K and B are cached too, and the queries leave them as built
+        for atom in (classes.canonical_divisor, classes.total_boundary):
+            assert atom() is atom()
+            assert atom() == atom.__wrapped__()
 
 
 class TestFiberRestriction:
