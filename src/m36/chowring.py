@@ -39,13 +39,22 @@ Quotient products run by column.  Each degree k >= 1 keeps a product
 table: for every admissible monomial of degree k-1 and every divisor, the
 column of their product in degree k, or a mark that it is not admissible.
 The same table feeds the relation-row stream of the degree's elimination
-and quotient_product, which steps the columns of one factor through the
-tables one divisor of the other at a time and forms monomial keys only
-for its result.  On the all-line-fiber table (2 shared cores, CPython
-3.11.7) `integrate "(K+B)^4"` takes a median 0.04-0.06 s through the CLI,
-against 0.31-0.34 s when each term pair's monomial was sorted and looked
-up, and the 140 small queries of the benchmark's query round take
-0.10-0.14 s against 0.31-0.32 s.
+and quotient_product, the one product kernel, which takes a whole chain of
+factors: the running product stays integer numerators by (degree, column)
+across all of them, and monomial keys and Fractions are formed once, for
+the result.  A factor's divisors reach it through per-column divisor
+masks (DegreeData.masks), so only admissible products are visited: in the
+126 psi quartics of the benchmark's seed-1 query round, a mean 21%, 14%
+and 11% of the (running column, divisor) pairs of the second, third and
+fourth factor are admissible.  On the all-line-fiber table (2 shared
+cores, CPython 3.11.7; the range of the medians of six sittings, whose
+load varied, each timing this kernel and one pairwise product per factor
+alternately) `integrate "(K+B)^4"` takes 0.020-0.041 s through the CLI,
+against 0.034-0.065 s pairwise and 0.31-0.34 s when each term pair's
+monomial was sorted and looked up; the 140 small queries of the
+benchmark's seed-1 query round, run through cli.main in one process,
+take 0.035-0.079 s against 0.064-0.118 s pairwise and 0.31-0.32 s
+sorted.
 
 Sparse sums of elements go through exactla.submul, which adds a scaled
 row, and _collect, which sums (monomial, coefficient) terms of free
@@ -55,13 +64,14 @@ the same back-substitution that builds it.
 
 Inside the engine every coefficient is an integer: the rref rows are integer
 numerators over one row denominator.  Fraction appears only at the API
-boundary, where normal_form, quotient_product and integrate clear the
+boundary, where sums, normal_form, quotient_product and integrate clear the
 denominators of their inputs first and divide them back out of each
 result term, and where the integration functional reads its values.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from array import array
@@ -171,15 +181,30 @@ class RingElement:
             raise ValueError("element is not homogeneous (degrees %r)" % (ds,))
         return ds[0]
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        submul(out, other.coeffs, -1)
+    def _plus(self, other, sign):
+        """self + sign * other, summed in integers over the lcm of the two
+        denominators, with one Fraction made per distinct output value: K+B
+        has 65 terms and three values, and takes a median 38-49 us against
+        80-135 us for 65 Fraction additions (four sittings, 2 shared cores,
+        CPython 3.11.7)."""
+        scale_a, a = clear_denominators(self.coeffs)
+        scale_b, b = clear_denominators(other.coeffs)
+        scale = lcm(scale_a, scale_b)
+        if scale == scale_a:
+            out = dict(a)
+        else:
+            out = {m: c * (scale // scale_a) for m, c in a.items()}
+        submul(out, b, -sign * (scale // scale_b))
+        if scale != 1:
+            values = {c: Fraction(c, scale) for c in set(out.values())}
+            out = {m: values[c] for m, c in out.items()}
         return RingElement._raw(out)
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        submul(out, other.coeffs, 1)
-        return RingElement._raw(out)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return RingElement._raw({m: -c for m, c in self.coeffs.items()})
@@ -376,6 +401,18 @@ class DegreeData:
     # worker for degrees 2-4, whose times overlap
     runtime_ms: int = 0
 
+    @functools.cached_property
+    def masks(self):
+        """For each admissible monomial of one degree less, by column, the
+        divisors whose product with it is admissible, as the set bits of an
+        int: products read by row on first use, in the process that
+        multiplies, so neither the build nor its pool workers pay for it."""
+        products, none = self.products, _NO_COLUMN
+        return [
+            sum(1 << d for d, p in enumerate(products[i : i + _WIDTH]) if p != none)
+            for i in range(0, len(products), _WIDTH)
+        ]
+
 
 # --------------------------------------------------------------------------
 # the table
@@ -384,10 +421,13 @@ class DegreeData:
 class GradedQuotientTable:
     """Per-degree quotient data for one resolution config, not changed after
     the build except that _integration_functional fills in _functional on
-    first use: the product tables that multiply reads come back from the
-    build with their degrees.  On the all-line-fiber config they take
-    411,580 bytes together, 325,000 of them in degree 4.  runtime_ms is the
-    wall time of the whole build, degrees run side by side included."""
+    first use, and each degree's masks on the first product: the product
+    tables that multiply reads come back from the build with their degrees.
+    On the all-line-fiber config the tables take 411,580 bytes together,
+    325,000 of them in degree 4, and the masks at most 131,316 bytes,
+    counting each int as its own object; they are read off the tables in
+    11-17 ms.  runtime_ms is the wall time of the whole build, degrees run
+    side by side included."""
 
     def __init__(self, config, degrees, runtime_ms):
         self.config = config
@@ -431,17 +471,19 @@ def _expected_profile(cfg):
     return (1, 51, 127 + len(cfg.s2), 51, 1)
 
 
-def _eliminate(generators, lower, index):
+def _eliminate(generators, lower, index, opening=None):
     """One degree: every row of _row_stream(generators, lower, index) goes
     into one IntEchelon, then rref and smith_from_echelon run once.  Returns
     the echelon and, by name, the degree's DegreeData fields other than
-    monomials and index."""
+    monomials and index.  When opening is a list, the rows whose insert
+    opens a pivot are appended to it, in stream order."""
     t0 = time.monotonic()
     ncols = len(index)
     products = _product_table(lower, index)
     ech = IntEchelon()
     for row in _row_stream(generators, lower, index, products):
-        ech.insert(row)
+        if ech.insert(row) is not None and opening is not None:
+            opening.append(row)
     rref = ech.rref()
     return ech, dict(
         rank=ncols - ech.rank,
@@ -451,13 +493,6 @@ def _eliminate(generators, lower, index):
         products=products,
         runtime_ms=int((time.monotonic() - t0) * 1000),
     )
-
-
-def _opening_relations(relations):
-    """The relations that open a pivot when one IntEchelon takes them in
-    order: the generators of degrees 2-4."""
-    ech = IntEchelon()
-    return [r for r in relations if ech.insert(r) is not None]
 
 
 def _leads(ech):
@@ -541,10 +576,15 @@ def build_quotient(cfg, mode="two-prime"):
     complex_ = build_complex(cfg)
     monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
     indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
-    relations = _linear_relation_vectors()
-    ech, fields = _eliminate(relations, monomials[0], indexes[1])
+    opening = []
+    ech, fields = _eliminate(
+        _linear_relation_vectors(), monomials[0], indexes[1], opening
+    )
     built = {0: _degree((), (), indexes[0]), 1: fields}
-    generators = _opening_relations(relations)
+    # the opening rows, keyed by degree-1 column, as {divisor index: coeff}
+    generators = [
+        {monomials[1][col][0]: c for col, c in row.items()} for row in opening
+    ]
     check = IntEchelon()
     for g in generators:
         check.insert(g)
@@ -657,56 +697,87 @@ def normal_form(e, t):
     return RingElement(out)
 
 
-def quotient_product(a, b, degrees):
-    """The product of the {monomial: coeff} elements a and b in the quotient
-    whose DegreeData are degrees: the free product without its inadmissible
-    monomials.  It refuses products beyond the top degree, len(degrees) - 1.
+def quotient_product(factors, degrees):
+    """The product of the {monomial: coeff} elements factors, taken left to
+    right in the quotient whose DegreeData are degrees: the free product
+    without its inadmissible monomials, one when there are no factors.  Like
+    a left fold of pairwise products from one, it refuses a factor whose
+    longest monomial, admissible or not, takes the product so far beyond the
+    top degree, len(degrees) - 1, unless that product is already zero.
 
-    The product is taken by column.  The admissible terms of a become
-    (degree, column) once, and each monomial of b steps all of them through
-    the product tables one divisor at a time; a product that is not
-    admissible drops out at the first step that leaves the admissible
-    monomials, since every factor of an admissible monomial is admissible.
-    The coefficients are integers throughout: the denominators of a and b
-    are cleared first and divided out of each output term at the end."""
-    _check_degree_cap(a, b, len(degrees) - 1)
-    scale_a, a = clear_denominators(a)
-    scale_b, b = clear_denominators(b)
-    left = {}  # degree -> [(_WIDTH * column, coeff)], row offsets in a table
-    for mono, c in a.items():
-        col = degrees[len(mono)].index.get(mono)
-        if col is not None:
-            left.setdefault(len(mono), []).append((_WIDTH * col, c))
-    sums = [{} for _ in degrees]  # degree -> {column: coeff}
-    for mono, cb in b.items():
-        if mono not in degrees[len(mono)].index:
-            continue
-        if not mono:
-            for k, terms in left.items():
+    The product is taken by column.  The running product is integer
+    numerators keyed by (degree, column) over one denominator, the lcm of
+    the factors' denominators, and monomial keys and Fractions are formed
+    once, for the result.  A factor's admissible terms act on it by degree:
+    its constant scales it; its divisors, by the bits of the factor's divisor
+    mask that each running column's entry in DegreeData.masks shares, so
+    only admissible products are visited; each longer monomial steps all of
+    it through the product tables one divisor at a time, and a product that
+    is not admissible drops out at the first step that leaves the admissible
+    monomials, since every factor of an admissible monomial is admissible."""
+    top = len(degrees) - 1
+    running = [{0: 1}] + [{} for _ in range(top)]  # degree -> {column: int}
+    scale = 1
+    for factor in factors:
+        # zeros left by cancellation stay until the result; they add nothing
+        live = [k for k, terms in enumerate(running) if any(terms.values())]
+        if not live or not factor:
+            return {}
+        if live[-1] + max(map(len, factor)) > top:
+            raise ValueError("product exceeds degree %d" % top)
+        factor_scale, factor = clear_denominators(factor)
+        scale *= factor_scale
+        unit, mask, linear, longer = 0, 0, [0] * _WIDTH, []
+        for mono, c in factor.items():
+            if mono not in degrees[len(mono)].index:
+                continue
+            if not mono:
+                unit = c
+            elif len(mono) == 1:
+                mask |= 1 << mono[0]
+                linear[mono[0]] = c
+            else:
+                longer.append((mono, c))
+        sums = [{} for _ in degrees]
+        for k in live:
+            terms = running[k]
+            if unit:
                 acc = sums[k]
-                for o, c in terms:
-                    acc[o // _WIDTH] = acc.get(o // _WIDTH, 0) + c * cb
-            continue
-        *steps, last = mono
-        for k, terms in left.items():
-            for d in steps:
-                k += 1
-                products = degrees[k].products
-                terms = [
-                    (_WIDTH * p, c)
-                    for o, c in terms
-                    if (p := products[o + d]) != _NO_COLUMN
-                ]
-            products, acc = degrees[k + 1].products, sums[k + 1]
-            for o, c in terms:
-                p = products[o + last]
-                if p != _NO_COLUMN:
-                    acc[p] = acc.get(p, 0) + c * cb
-    scale = scale_a * scale_b
+                for col, v in terms.items():
+                    acc[col] = acc.get(col, 0) + v * unit
+            if mask:
+                dd, acc = degrees[k + 1], sums[k + 1]
+                products, masks = dd.products, dd.masks
+                for col, v in terms.items():
+                    hits = masks[col] & mask
+                    base = _WIDTH * col
+                    while hits:
+                        bit = hits & -hits
+                        d = bit.bit_length() - 1
+                        p = products[base + d]
+                        acc[p] = acc.get(p, 0) + v * linear[d]
+                        hits ^= bit
+            for mono, c in longer:
+                *steps, last = mono
+                j, cols = k, terms.items()
+                for d in steps:
+                    j += 1
+                    products = degrees[j].products
+                    cols = [
+                        (p, v)
+                        for col, v in cols
+                        if (p := products[_WIDTH * col + d]) != _NO_COLUMN
+                    ]
+                products, acc = degrees[j + 1].products, sums[j + 1]
+                for col, v in cols:
+                    p = products[_WIDTH * col + last]
+                    if p != _NO_COLUMN:
+                        acc[p] = acc.get(p, 0) + v * c
+        running = sums
     return {
         degrees[k].monomials[col]: v if scale == 1 else Fraction(v, scale)
-        for k, acc in enumerate(sums)
-        for col, v in acc.items()
+        for k, terms in enumerate(running)
+        for col, v in terms.items()
         if v
     }
 
@@ -714,19 +785,20 @@ def quotient_product(a, b, degrees):
 def multiply(a, b, t):
     """The product a*b in the ring of t, by quotient_product over the
     tables of t.  Like the free product it refuses products beyond degree
-    4.  The four products of (K+B)^4 take 0.04-0.07 s on the
-    all-line-fiber table, against 0.19-0.31 s by sorting and looking up
-    the monomial of each term pair (best of 3, four runs, 2 shared cores,
+    4, counting the monomials of a and b as given, admissible or not.
+    power(K+B, 4) is one chained quotient_product; on the all-line-fiber
+    table it takes a median 0.014-0.028 s (five sittings, alternating),
+    against 0.025-0.050 s for four pairwise products and 0.19-0.31 s by
+    sorting and looking up the monomial of each term pair (2 shared cores,
     CPython 3.11.7)."""
-    return RingElement._raw(quotient_product(a.coeffs, b.coeffs, t.degrees))
+    _check_degree_cap(a.coeffs, b.coeffs)
+    return RingElement._raw(quotient_product((a.coeffs, b.coeffs), t.degrees))
 
 
 def product(factors, t):
-    """The product of the factors in the ring of t, taken left to right."""
-    out = RingElement.one()
-    for f in factors:
-        out = multiply(out, f, t)
-    return out
+    """The product of the factors in the ring of t, taken left to right by
+    one quotient_product."""
+    return RingElement._raw(quotient_product([f.coeffs for f in factors], t.degrees))
 
 
 def power(e, n, t):
@@ -863,12 +935,20 @@ def _fiber_generator_image(d, pt, kind):
     return 1 if kind == labels.FIBER_P1 else -1
 
 
+@functools.cache
+def _fiber_images(pt, kind):
+    """_fiber_generator_image of every boundary divisor, by index, for one
+    fiber: restrict_to_fiber reads them per term."""
+    return tuple(_fiber_generator_image(d, pt, kind) for d in labels.DIVISORS)
+
+
 def restrict_to_fiber(e, pt, t):
     """Restriction of a class to the exceptional fiber over one singular
     point, using the fiber kind assigned by t's config."""
     if pt not in labels.SINGULAR_POINTS:
         raise ValueError("unknown singular point %r" % (pt,))
     kind = t.config.fiber(pt)
+    images = _fiber_images(pt, kind)
     cap = 2 if kind == labels.FIBER_P1 else 3
     coeffs = [0] * cap
     for mono, c in e.coeffs.items():
@@ -877,7 +957,7 @@ def restrict_to_fiber(e, pt, t):
             continue
         scalar = 1
         for i in mono:
-            scalar *= _fiber_generator_image(labels.DIVISORS[i], pt, kind)
+            scalar *= images[i]
             if not scalar:
                 break
         if scalar:
@@ -909,8 +989,9 @@ def m36_chow_ranks(t):
     rows = []
     for pt in labels.SINGULAR_POINTS:
         row = {}
+        images = _fiber_images(pt, labels.FIBER_P1)
         for j, mono in enumerate(basis):
-            v = _fiber_generator_image(labels.DIVISORS[mono[0]], pt, labels.FIBER_P1)
+            v = images[mono[0]]
             if v:
                 row[j] = v
         rows.append(row)

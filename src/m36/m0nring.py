@@ -157,12 +157,15 @@ class M0nRing:
 
     def multiply(self, a, b):
         """Product of two {monomial: coeff} elements in the quotient, by
-        chowring.quotient_product over the ring's product tables."""
+        chowring.quotient_product over the ring's product tables.  Like the
+        free product it refuses products beyond the top degree, counting
+        the monomials of a and b as given, admissible or not."""
         a, b = (
             chowring._collect((self._monomial(m), c) for m, c in x.items())
             for x in (a, b)
         )
-        return chowring.quotient_product(a, b, self.degrees)
+        chowring._check_degree_cap(a, b, self.top)
+        return chowring.quotient_product((a, b), self.degrees)
 
 
 def m0n_psi(i, ring, refs=None):

@@ -90,3 +90,33 @@ def reference_product_table(lower, index, width):
             pos = bisect_right(m, d)
             out.append(index.get(m[:pos] + (d,) + m[pos:], 0xFFFF))
     return out
+
+
+def reference_chain(factors, degrees):
+    """The product of {monomial: coeff} factors in the quotient whose
+    DegreeData are degrees, as the left fold from one of pairwise free
+    products, each restricted to admissible monomials: term pair by term
+    pair, every monomial sorted and looked up.  Each step refuses, with
+    ValueError, a nonzero product so far and a nonzero factor whose longest
+    monomials, admissible or not, pass the top degree together."""
+    top = len(degrees) - 1
+    out = {(): 1}
+    for factor in factors:
+        if out and factor and max(map(len, out)) + max(map(len, factor)) > top:
+            raise ValueError("product exceeds degree %d" % top)
+        terms = {}
+        for ma, ca in out.items():
+            for mb, cb in factor.items():
+                mono = tuple(sorted(ma + mb))
+                terms[mono] = terms.get(mono, 0) + ca * cb
+        out = {m: c for m, c in terms.items() if c and m in degrees[len(m)].index}
+    return out
+
+
+def reference_masks(products, width):
+    """For each row of a flat product table, the set of divisors d < width
+    whose entry is a column rather than 0xFFFF."""
+    return [
+        {d for d in range(width) if products[i + d] != 0xFFFF}
+        for i in range(0, len(products), width)
+    ]

@@ -15,10 +15,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = r"""
+import contextlib
 import inspect
+import io
+import json
 
 import tracing
 from m36 import chowring, cli, labels
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    return json.loads(out.getvalue())
+
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
@@ -29,8 +40,12 @@ inspect.signature(chowring.is_zero_in).bind(None, None)
 inspect.signature(chowring.build_quotient).bind(cfg, mode="exact")
 assert isinstance(chowring.GradedQuotientTable.torsion_certified_degrees, property)
 assert cli.parse_expression("F[12]*F[13]").degrees() == [2]
+# the integrate hook reads the integrand's coeffs and the table's degrees
+assert run(["integrate", "psi[5,6]^2*psi[6,5]^2"])["value"] == "1"
+assert run(["restrict", "K+B", "--point", "12,34,56"])["coefficients"] == ["0", "0"]
 spans = {rec[tracing.NAME] for rec in tracer.spans}
-assert {"cli.parse", "chowring.mul"} <= spans, spans
+want = {"cli.parse", "chowring.mul", "chowring.integrate", "chowring.restrict"}
+assert want <= spans, spans
 print("ok")
 """
 

@@ -41,6 +41,7 @@ from m36.chowring import (
 )
 from m36.boundarycomplex import build_complex
 from m36.exactla import IntEchelon, rank_over_rationals, reduce_row
+from m36.m0nring import M0nRing
 from m36.labels import (
     SINGULAR_POINTS,
     config_all_p1,
@@ -53,6 +54,8 @@ from m36.labels import (
 from oracles import (
     admissible_count_formula,
     multiplicative_relation_generators,
+    reference_chain,
+    reference_masks,
     reference_product_table,
 )
 
@@ -232,6 +235,17 @@ def degree_one_pivot_rows(cfg):
     return monomials, indexes, [ech.pivots[lead] for lead in sorted(ech.pivots)]
 
 
+def opening_relations():
+    """The linear relations whose row opens a pivot when degree 1 inserts
+    the sixty in order, as degree 1's elimination reports them.  Every
+    config admits all 65 divisors in degree 1, so columns are divisor
+    indices."""
+    index = {(d,): d for d in range(len(labels.DIVISORS))}
+    opening = []
+    chowring._eliminate(chowring._linear_relation_vectors(), [()], index, opening)
+    return opening
+
+
 class TestRowStream:
     @pytest.mark.parametrize(
         "cfg,degrees",
@@ -343,9 +357,11 @@ class TestBuildQuotient:
 
     def test_every_relation_dies_against_the_opening_ones(self):
         relations = chowring._linear_relation_vectors()
-        opening = chowring._opening_relations(relations)
+        opening = opening_relations()
         assert len(opening) == 14
-        assert all(r in relations for r in opening)
+        # the relations that a fresh echelon of the sixty alone finds opening
+        probe = IntEchelon()
+        assert opening == [r for r in relations if probe.insert(r) is not None]
         ech = IntEchelon()
         for r in opening:
             assert ech.insert(r) is not None
@@ -354,10 +370,15 @@ class TestBuildQuotient:
     def test_dropping_an_opening_relation_fails_the_build(self, monkeypatch):
         # the 14 are certified on every build: their echelon must have the
         # leads of degree 1, else the lattices differ
-        opening = chowring._opening_relations
-        monkeypatch.setattr(
-            chowring, "_opening_relations", lambda relations: opening(relations)[1:]
-        )
+        eliminate = chowring._eliminate
+
+        def dropping_first(generators, lower, index, opening=None):
+            out = eliminate(generators, lower, index, opening)
+            if opening:
+                del opening[0]
+            return out
+
+        monkeypatch.setattr(chowring, "_eliminate", dropping_first)
         with pytest.raises(VerificationError, match="13 relations"):
             build_quotient(config_all_p1())
 
@@ -368,7 +389,7 @@ class TestBuildQuotient:
         # the degree-1 pivot rows, which degrees 2-4 multiplied before, span
         # the same lattice, so every output of degrees 2-4 is the same
         monomials, indexes, pivot_rows = degree_one_pivot_rows(cfg)
-        opening = chowring._opening_relations(chowring._linear_relation_vectors())
+        opening = opening_relations()
         for k in (2, 3, 4):
             args = (monomials[k - 1], indexes[k])
             old = chowring._degree(pivot_rows, *args)
@@ -385,9 +406,9 @@ class TestBuildQuotient:
         degree = []
         calls = {}
 
-        def tagging(generators, lower, index):
+        def tagging(generators, lower, index, opening=None):
             degree.append(len(next(iter(index))))
-            return eliminate(generators, lower, index)
+            return eliminate(generators, lower, index, opening)
 
         def spy(rows):
             assert all(row[max(row)] != 1 for row in rows)
@@ -858,6 +879,147 @@ class TestProductByColumn:
     def test_product_tables_fit_the_budget(self, table):
         sizes = [dd.products.itemsize * len(dd.products) for dd in table.degrees]
         assert sum(sizes) <= 450_000
+
+
+def _ring_degrees(name):
+    """The DegreeData of a config's table or of a Keel ring, and its number
+    of divisors."""
+    if name.startswith("m0n"):
+        ring = M0nRing(int(name[3:]))
+        return ring.degrees, len(ring.gens)
+    cfg = {"all_p1": config_all_p1(), "all_p2": config_all_p2()}.get(name, MIXED_7)
+    return chowring.table(cfg).degrees, len(labels.DIVISORS)
+
+
+def _random_factor(rng, degrees, ngens, most):
+    """A {monomial: coeff} factor of at most degree most (at most 2), sorted
+    monomials: the zero factor one time in 20, one with only inadmissible
+    monomials one time in 10, else up to 6 terms, most of them admissible,
+    with int and Fraction coefficients."""
+    roll = rng.random()
+    if roll < 0.05:
+        return {}
+    out = {}
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randint(0, most)
+        if roll < 0.15 or rng.random() < 0.2:
+            mono = tuple(sorted(rng.randrange(ngens) for _ in range(k)))
+            if roll < 0.15 and mono in degrees[k].index:
+                continue
+        else:
+            mono = rng.choice(degrees[k].monomials)
+        c = rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)))
+        out[mono] = out.get(mono, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+RINGS = ["all_p1", "all_p2", "mixed_7", "m0n5", "m0n6"]
+
+
+class TestChainedProduct:
+    """quotient_product over a whole chain of factors against the left
+    fold of free products restricted to admissible monomials."""
+
+    @pytest.mark.parametrize("name", RINGS)
+    def test_matches_the_fold_of_free_products(self, name):
+        degrees, ngens = _ring_degrees(name)
+        top = len(degrees) - 1
+        rng = random.Random(2136 + len(name) + ngens)
+        outcomes = {"value": 0, "zero": 0, "raised": 0}
+        for _ in range(150):
+            factors, budget = [], top
+            for _ in range(rng.randint(2, 5)):
+                # mostly within the top degree, sometimes past it
+                most = min(2, budget) if rng.random() < 0.7 else 2
+                factors.append(_random_factor(rng, degrees, ngens, most))
+                budget = max(0, budget - most)
+            try:
+                want = reference_chain(factors, degrees)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    chowring.quotient_product(factors, degrees)
+                outcomes["raised"] += 1
+                continue
+            got = chowring.quotient_product(factors, degrees)
+            assert got == want
+            assert all(got.values())
+            if all(type(c) is int for f in factors for c in f.values()):
+                assert all(type(c) is int for c in got.values())
+            outcomes["value" if got else "zero"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    @pytest.mark.parametrize("name", RINGS)
+    def test_masks_match_the_product_tables(self, name):
+        degrees, _ngens = _ring_degrees(name)
+        for dd in degrees:
+            want = reference_masks(dd.products, chowring._WIDTH)
+            got = [{d for d in range(chowring._WIDTH) if m >> d & 1} for m in dd.masks]
+            assert got == want
+
+    def test_masks_are_built_by_the_first_product(self):
+        ring = M0nRing(6)
+        assert not any("masks" in vars(dd) for dd in ring.degrees)
+        ring.multiply({(0,): 1}, {(1,): 1})
+        assert "masks" in vars(ring.degrees[2])
+
+    def test_errors_match_the_pairwise_products(self, table):
+        # multiply counts the monomials of both factors as given; product
+        # and power, a fold from one, count the product so far as it is in
+        # the quotient, so a zero or inadmissible start refuses nothing
+        top3 = table.degrees[3].monomials[7]
+        # F12 and F13 never meet
+        (bad3,) = (F(1, 2) * F(1, 3) * F(1, 3)).coeffs
+        assert bad3 not in table.degrees[3].index
+        f = F(1, 2)
+        cases = [
+            (RingElement({top3: 1}), f.scale(Fraction(1, 2)) + F(3, 4) * F(5, 6)),
+            (RingElement({bad3: 1}), F(3, 4) * F(5, 6)),
+            (RingElement({bad3: 2, (1,): 1}), F(3, 4) * F(5, 6)),
+            (F(1, 2) * F(1, 3), F(3, 4) * F(5, 6) * F(1, 2)),
+            (RingElement.zero(), power(f, 4, table)),
+        ]
+        for a, b in cases:
+            want = _outcome(reference_multiply, a, b, table)
+            assert _outcome(multiply, a, b, table) == want
+            want = _outcome(_reference_product, (a, b), table)
+            assert _outcome(product, (a, b), table) == want
+        assert _outcome(multiply, *cases[1], table)[0] == "raised"
+        assert _outcome(product, cases[1], table)[0] == "value"
+        rng = random.Random(5)
+        for _ in range(60):
+            e = RingElement(_random_factor(rng, table.degrees, 65, 2))
+            n = rng.randint(0, 5)
+            want = _outcome(_reference_product, (e,) * n, table)
+            assert _outcome(power, e, n, table) == want
+
+    def test_m0n_errors_match_the_pairwise_products(self):
+        ring = M0nRing(5)
+        rng = random.Random(55)
+        raised = 0
+        for _ in range(200):
+            a = _random_factor(rng, ring.degrees, len(ring.gens), 2)
+            b = _random_factor(rng, ring.degrees, len(ring.gens), 2)
+            if a and b and max(map(len, a)) + max(map(len, b)) > ring.top:
+                with pytest.raises(ValueError, match="product exceeds degree 2"):
+                    ring.multiply(a, b)
+                raised += 1
+            else:
+                assert ring.multiply(a, b) == reference_chain((a, b), ring.degrees)
+        assert raised >= 20
+
+
+def _reference_product(factors, t):
+    out = RingElement.one()
+    for f in factors:
+        out = reference_multiply(out, f, t)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as e:
+        return "raised", str(e)
 
 
 class TestPsiCache:
