@@ -17,6 +17,7 @@ pruned graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import labels
 from .exactla import smith_normal_form
@@ -58,18 +59,23 @@ def _clique_faces(adj, n):
     return [tuple(face for face, _ in lvl) for lvl in levels]
 
 
+def flag_complex(vertices, meets):
+    """The flag complex on vertices of the graph whose edges join the
+    distinct vertices a, b with meets(a, b)."""
+    n = len(vertices)
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if meets(vertices[i], vertices[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return SimplicialComplex(tuple(vertices), tuple(_clique_faces(adj, n)))
+
+
 def build_complex(cfg=None):
     """The boundary complex; cfg=None gives the unresolved complex, a
     ResolutionConfig applies the per-point face removals."""
-    verts = labels.DIVISORS
-    n = len(verts)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if labels.intersects(verts[i], verts[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    faces = _clique_faces(adj, n)
+    unresolved = flag_complex(labels.DIVISORS, labels.intersects)
+    faces = unresolved.faces
     if cfg is not None:
         forbidden = []
         for pt in sorted(cfg.s1, key=lambda p: p.matching):
@@ -90,8 +96,8 @@ def build_complex(cfg=None):
                 if all(mask & req != req for req in forbidden):
                     kept.append(face)
             filtered.append(tuple(kept))
-        faces = filtered
-    return SimplicialComplex(vertices=tuple(verts), faces=tuple(faces))
+        faces = tuple(filtered)
+    return SimplicialComplex(unresolved.vertices, faces)
 
 
 _EDGE_TYPES = (

@@ -26,14 +26,15 @@ theorem; meeting it is asserted, and a computed mismatch raises
 VerificationError rather than a report with different numbers.  Torsion-freeness is certified in every degree by the
 invariant factors of exactla.smith_from_echelon.
 
-RingElement is the free polynomial ring and knows no config.  multiply,
-product and power evaluate products in the quotient instead: a product
+RingElement is the free polynomial ring and knows no config.  product
+and power evaluate products in the quotient instead: a product
 monomial that is not admissible is zero by the monomial relations, and
 since every factor of an admissible monomial is admissible the result is
 exactly the free product with its inadmissible monomials removed.  Normal
 forms, integrals and restrictions to exceptional fibers read only
 admissible monomials, so they take the same values on either product; the
-quotient product never expands the free ring.
+quotient product never expands the free ring.  Both refuse a product past
+degree 4 exactly where the free ring does (_check_degree_cap).
 
 Quotient products run by column.  Each degree k >= 1 keeps a product
 table: for every admissible monomial of degree k-1 and every divisor, the
@@ -113,11 +114,20 @@ def _collect(terms):
     return out
 
 
-def _check_degree_cap(a, b, top=MAX_DEGREE):
-    """Refuse the product of two nonzero {monomial: coeff} elements beyond
-    degree top up front, before any term is formed."""
-    if a and b and max(map(len, a)) + max(map(len, b)) > top:
-        raise ValueError("product exceeds degree %d" % top)
+def _check_degree_cap(factors, top=MAX_DEGREE):
+    """Refuse the product of the {monomial: coeff} factors, taken left to
+    right, once the lengths of their longest monomials, admissible or not,
+    pass top in sum before a zero factor ends the product.  The left fold of
+    free products from one raises at the same factor: the free ring has no
+    zero divisors, so a product of nonzero elements is nonzero and its
+    degree is the sum of theirs."""
+    total = 0
+    for f in factors:
+        if not f:
+            return
+        total += max(map(len, f))
+        if total > top:
+            raise ValueError("product exceeds degree %d" % top)
 
 
 def _check_monomial(mono):
@@ -216,7 +226,7 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
-            _check_degree_cap(self.coeffs, other.coeffs)
+            _check_degree_cap((self.coeffs, other.coeffs))
             right = other.coeffs.items()
             return RingElement._raw(
                 _collect(
@@ -357,14 +367,13 @@ def _product_table(lower, index):
 # per-degree elimination
 
 
-def _row_stream(generators, monomials_lower, index, products=None):
+def _row_stream(generators, monomials_lower, products):
     """Deterministic relation-row stream for one degree: multiplier monomials
     in reverse lexicographic order, generators in order; rows are
     {col: coeff}, their keys in the order of the generator's own items.
 
-    Each multiplier's columns are one slice of the degree's product table
-    (built here from monomials_lower and index when products is not
-    given), and every generator's row is read off that slice; products
+    Each multiplier's columns are one slice of the degree's product table,
+    and every generator's row is read off that slice; products
     that are not admissible have no column and drop out.  On the
     all-line-fiber config the degree-4 stream of the 14 relations that
     build_quotient multiplies (26,082 rows of mean length 2.75) takes a
@@ -373,8 +382,6 @@ def _row_stream(generators, monomials_lower, index, products=None):
     degree 3 (6,580 rows of mean length 3.52) takes 0.017 s plus 0.004 s
     against 0.023 s (7,504 rows of mean length 5.15).  Five runs each in
     one process, 2 shared cores, CPython 3.11.7."""
-    if products is None:
-        products = _product_table(monomials_lower, index)
     for i in reversed(range(len(monomials_lower))):
         cols = products[_WIDTH * i : _WIDTH * (i + 1)].tolist()
         for g in generators:
@@ -422,12 +429,12 @@ class GradedQuotientTable:
     """Per-degree quotient data for one resolution config, not changed after
     the build except that _integration_functional fills in _functional on
     first use, and each degree's masks on the first product: the product
-    tables that multiply reads come back from the build with their degrees.
-    On the all-line-fiber config the tables take 411,580 bytes together,
-    325,000 of them in degree 4, and the masks at most 131,316 bytes,
-    counting each int as its own object; they are read off the tables in
-    11-17 ms.  runtime_ms is the wall time of the whole build, degrees run
-    side by side included."""
+    tables that quotient_product reads come back from the build with their
+    degrees.  On the all-line-fiber config the tables take 411,580 bytes
+    together, 325,000 of them in degree 4, and the masks at most 131,316
+    bytes, counting each int as its own object; they are read off the
+    tables in 11-17 ms.  runtime_ms is the wall time of the whole build,
+    degrees run side by side included."""
 
     def __init__(self, config, degrees, runtime_ms):
         self.config = config
@@ -462,7 +469,6 @@ class GradedQuotientTable:
         return _row_stream(
             _linear_relation_vectors(),
             self.degrees[k - 1].monomials,
-            self.degrees[k].index,
             self.degrees[k].products,
         )
 
@@ -481,7 +487,7 @@ def _eliminate(generators, lower, index, opening=None):
     ncols = len(index)
     products = _product_table(lower, index)
     ech = IntEchelon()
-    for row in _row_stream(generators, lower, index, products):
+    for row in _row_stream(generators, lower, products):
         if ech.insert(row) is not None and opening is not None:
             opening.append(row)
     rref = ech.rref()
@@ -698,12 +704,11 @@ def normal_form(e, t):
 
 
 def quotient_product(factors, degrees):
-    """The product of the {monomial: coeff} elements factors, taken left to
-    right in the quotient whose DegreeData are degrees: the free product
-    without its inadmissible monomials, one when there are no factors.  Like
-    a left fold of pairwise products from one, it refuses a factor whose
-    longest monomial, admissible or not, takes the product so far beyond the
-    top degree, len(degrees) - 1, unless that product is already zero.
+    """The product of the sequence of {monomial: coeff} elements factors,
+    taken left to right in the quotient whose DegreeData are degrees: the
+    free product without its inadmissible monomials, one when there are no
+    factors.  Products beyond the top degree, len(degrees) - 1, are refused
+    by _check_degree_cap before any term is formed.
 
     The product is taken by column.  The running product is integer
     numerators keyed by (degree, column) over one denominator, the lcm of
@@ -716,6 +721,7 @@ def quotient_product(factors, degrees):
     is not admissible drops out at the first step that leaves the admissible
     monomials, since every factor of an admissible monomial is admissible."""
     top = len(degrees) - 1
+    _check_degree_cap(factors, top)
     running = [{0: 1}] + [{} for _ in range(top)]  # degree -> {column: int}
     scale = 1
     for factor in factors:
@@ -723,8 +729,6 @@ def quotient_product(factors, degrees):
         live = [k for k, terms in enumerate(running) if any(terms.values())]
         if not live or not factor:
             return {}
-        if live[-1] + max(map(len, factor)) > top:
-            raise ValueError("product exceeds degree %d" % top)
         factor_scale, factor = clear_denominators(factor)
         scale *= factor_scale
         unit, mask, linear, longer = 0, 0, [0] * _WIDTH, []
@@ -782,27 +786,18 @@ def quotient_product(factors, degrees):
     }
 
 
-def multiply(a, b, t):
-    """The product a*b in the ring of t, by quotient_product over the
-    tables of t.  Like the free product it refuses products beyond degree
-    4, counting the monomials of a and b as given, admissible or not.
-    power(K+B, 4) is one chained quotient_product; on the all-line-fiber
-    table it takes a median 0.014-0.028 s (five sittings, alternating),
-    against 0.025-0.050 s for four pairwise products and 0.19-0.31 s by
-    sorting and looking up the monomial of each term pair (2 shared cores,
-    CPython 3.11.7)."""
-    _check_degree_cap(a.coeffs, b.coeffs)
-    return RingElement._raw(quotient_product((a.coeffs, b.coeffs), t.degrees))
-
-
 def product(factors, t):
     """The product of the factors in the ring of t, taken left to right by
-    one quotient_product."""
+    one quotient_product.  power(K+B, 4) is one such chain; on the
+    all-line-fiber table it takes a median 0.014-0.028 s (five sittings,
+    alternating), against 0.025-0.050 s for four pairwise products and
+    0.19-0.31 s by sorting and looking up the monomial of each term pair (2
+    shared cores, CPython 3.11.7)."""
     return RingElement._raw(quotient_product([f.coeffs for f in factors], t.degrees))
 
 
 def power(e, n, t):
-    """e**n in the ring of t."""
+    """e**n in the ring of t, the product of n copies of e."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
     return product((e,) * n, t)
@@ -919,27 +914,20 @@ class FiberValue:
         return " + ".join(bits) if bits else "0"
 
 
-def _fiber_generator_image(d, pt, kind):
-    """Image of one boundary divisor in the fiber ring, as the coefficient of
-    the hyperplane variable (everything maps to a multiple of p resp. h)."""
-    if d.kind == labels.TRIPLE:
-        return 0
-    if d.kind == labels.PAIR:
-        hit = d.data in pt.matching
-        if not hit:
-            return 0
-        return -1 if kind == labels.FIBER_P1 else 1
-    hit = labels.matching_of_cyclic(d) == pt
-    if not hit:
-        return 0
-    return 1 if kind == labels.FIBER_P1 else -1
-
-
 @functools.cache
 def _fiber_images(pt, kind):
-    """_fiber_generator_image of every boundary divisor, by index, for one
-    fiber: restrict_to_fiber reads them per term."""
-    return tuple(_fiber_generator_image(d, pt, kind) for d in labels.DIVISORS)
+    """The image of every boundary divisor, by index, in the ring of the
+    fiber over pt, as the coefficient of its hyperplane class: the Pair
+    divisors through pt give -1 on a line and 1 on a plane, its two cyclic
+    triples the opposite signs, and every other divisor 0.
+    restrict_to_fiber reads them per term."""
+    sign = -1 if kind == labels.FIBER_P1 else 1
+    images = [0] * len(labels.DIVISORS)
+    for d in labels.pair_divisors_of_point(pt):
+        images[labels.divisor_index(d)] = sign
+    for d in labels.cyclic_divisors_of_point(pt):
+        images[labels.divisor_index(d)] = -sign
+    return tuple(images)
 
 
 def restrict_to_fiber(e, pt, t):

@@ -6,7 +6,7 @@ psi numbers.
 Everything here is config-independent as an element of the polynomial ring on
 the 65 boundary divisors; only evaluation (normal forms, integrals) needs a
 quotient table, and the products evaluated here (psi quartics, (K+B)^4, the
-boundary curves) are taken in that table's ring with chowring.multiply.
+boundary curves) are taken in that table's ring with chowring.product.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .chowring import (
     clear_denominators,
     integrate,
     m36_subring_membership,
-    multiply,
     normal_form,
     power,
     product,
@@ -404,7 +403,7 @@ def curve_checks(t):
     for name, curve in curves.items():
         rows = []
         for label, probe, expected in probes[name]:
-            got = integrate(multiply(curve, probe, t), t)
+            got = integrate(product((curve, probe), t), t)
             rows.append({
                 "against": label,
                 "value": got,

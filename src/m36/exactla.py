@@ -269,10 +269,6 @@ class ModpEchelon:
         self.p = p
         self.pivots = {}
 
-    @property
-    def rank(self):
-        return len(self.pivots)
-
     def insert(self, row):
         """row: {col: coeff} with integer coefficients, reduced mod p here
         (zeros are dropped; the dict is not modified).  Returns the new pivot

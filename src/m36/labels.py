@@ -221,13 +221,6 @@ def load_config(path):
         return config_from_json_dict(json.load(fh))
 
 
-def matching_of_cyclic(d):
-    """The singular point sitting on a cyclic-triple divisor."""
-    if d.kind != CYCLIC:
-        raise ValueError("not a cyclic triple: %r" % (d,))
-    return singular_point(d.data)
-
-
 def pair_divisors_of_point(pt):
     """The three Pair divisors through a singular point."""
     return tuple(pair(p) for p in pt.matching)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import chowring
-from .boundarycomplex import SimplicialComplex, _clique_faces
+from .boundarycomplex import flag_complex
 
 
 @dataclass(frozen=True, order=True)
@@ -102,15 +102,7 @@ class M0nRing:
         self.top = n - 3
         self.gens = m0n_divisors(n)
         self.gen_index = {g: i for i, g in enumerate(self.gens)}
-        ng = len(self.gens)
-        adj = [0] * ng
-        for i, j in itertools.combinations(range(ng), 2):
-            if m0n_compatible(self.gens[i], self.gens[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        complex_ = SimplicialComplex(
-            vertices=tuple(self.gens), faces=tuple(_clique_faces(adj, ng))
-        )
+        complex_ = flag_complex(self.gens, m0n_compatible)
         keel = _keel_generators(self.gens, n)
         self.degrees = []
         lower = ()
@@ -157,14 +149,12 @@ class M0nRing:
 
     def multiply(self, a, b):
         """Product of two {monomial: coeff} elements in the quotient, by
-        chowring.quotient_product over the ring's product tables.  Like the
-        free product it refuses products beyond the top degree, counting
-        the monomials of a and b as given, admissible or not."""
+        chowring.quotient_product over the ring's product tables, which
+        refuses products beyond the top degree where the free ring does."""
         a, b = (
             chowring._collect((self._monomial(m), c) for m, c in x.items())
             for x in (a, b)
         )
-        chowring._check_degree_cap(a, b, self.top)
         return chowring.quotient_product((a, b), self.degrees)
 
 
@@ -185,11 +175,8 @@ def m0n_psi(i, ring, refs=None):
 
 
 def m0n_integrate(x, ring):
-    """Top-degree integral; x is a {monomial: coeff} element or a bare
-    monomial tuple of generator indices.  Inadmissible monomials integrate
-    to 0."""
-    if isinstance(x, tuple):
-        x = {x: 1}
+    """Top-degree integral of a {monomial: coeff} element.  Inadmissible
+    monomials integrate to 0."""
     index = ring.degrees[ring.top].index
     total = Fraction(0)
     for mono, coeff in x.items():

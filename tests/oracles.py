@@ -53,8 +53,24 @@ def intersects(a, b, cfg=None):
     cyclic triples meet only when their point has a plane fiber."""
     meet = labels.intersects(a, b)
     if meet and cfg is not None and a.kind == b.kind == labels.CYCLIC:
-        return cfg.fiber(labels.matching_of_cyclic(a)) == labels.FIBER_P2
+        return cfg.fiber(labels.singular_point(a.data)) == labels.FIBER_P2
     return meet
+
+
+def fiber_generator_image(d, pt, kind):
+    """Image of one boundary divisor in the ring of the fiber over pt, as
+    the coefficient of its hyperplane class, decided from d alone: a Pair
+    divisor through pt gives -1 on a line and 1 on a plane, a cyclic triple
+    whose matching is pt the opposite sign, anything else 0."""
+    if d.kind == labels.TRIPLE:
+        return 0
+    if d.kind == labels.PAIR:
+        if d.data not in pt.matching:
+            return 0
+        return -1 if kind == labels.FIBER_P1 else 1
+    if labels.singular_point(d.data) != pt:
+        return 0
+    return 1 if kind == labels.FIBER_P1 else -1
 
 
 def s2_triple_relations(cfg):
@@ -96,10 +112,25 @@ def reference_chain(factors, degrees):
     """The product of {monomial: coeff} factors in the quotient whose
     DegreeData are degrees, as the left fold from one of pairwise free
     products, each restricted to admissible monomials: term pair by term
-    pair, every monomial sorted and looked up.  Each step refuses, with
-    ValueError, a nonzero product so far and a nonzero factor whose longest
-    monomials, admissible or not, pass the top degree together."""
-    top = len(degrees) - 1
+    pair, every monomial sorted and looked up.  Only for factors whose
+    product does not pass the top degree; the degree cap is the free fold's
+    (free_fold)."""
+    out = {(): 1}
+    for factor in factors:
+        terms = {}
+        for ma, ca in out.items():
+            for mb, cb in factor.items():
+                mono = tuple(sorted(ma + mb))
+                terms[mono] = terms.get(mono, 0) + ca * cb
+        out = {m: c for m, c in terms.items() if c and m in degrees[len(m)].index}
+    return out
+
+
+def free_fold(factors, top):
+    """The left fold from one of free products of {monomial: coeff} factors,
+    every monomial kept.  Each step refuses, with ValueError, a nonzero
+    product so far and a nonzero factor whose longest monomials pass top
+    together."""
     out = {(): 1}
     for factor in factors:
         if out and factor and max(map(len, out)) + max(map(len, factor)) > top:
@@ -109,7 +140,7 @@ def reference_chain(factors, degrees):
             for mb, cb in factor.items():
                 mono = tuple(sorted(ma + mb))
                 terms[mono] = terms.get(mono, 0) + ca * cb
-        out = {m: c for m, c in terms.items() if c and m in degrees[len(m)].index}
+        out = {m: c for m, c in terms.items() if c}
     return out
 
 

@@ -1,14 +1,17 @@
 """Graded quotients: ring arithmetic, ranks, integration, fiber restriction."""
 
+import functools
 import hashlib
 import json
 import multiprocessing
+import operator
 import os
 import pickle
 import random
 import subprocess
 import sys
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -31,7 +34,6 @@ from m36.chowring import (
     linear_relations,
     m36_chow_ranks,
     m36_subring_membership,
-    multiply,
     normal_form,
     power,
     product,
@@ -53,6 +55,8 @@ from m36.labels import (
 )
 from oracles import (
     admissible_count_formula,
+    fiber_generator_image,
+    free_fold,
     multiplicative_relation_generators,
     reference_chain,
     reference_masks,
@@ -261,8 +265,10 @@ class TestRowStream:
         for generators, ks in ((pivot_rows, degrees), (raw, (1, 2))):
             for k in ks:
                 args = (generators, monomials[k - 1], indexes[k])
+                products = chowring._product_table(monomials[k - 1], indexes[k])
                 pairs = zip_longest(
-                    chowring._row_stream(*args), reference_row_stream(*args)
+                    chowring._row_stream(generators, monomials[k - 1], products),
+                    reference_row_stream(*args),
                 )
                 for i, (got, want) in enumerate(pairs):
                     assert got is not None and want is not None, (k, i)
@@ -338,9 +344,9 @@ class TestBuildQuotient:
         row_stream = chowring._row_stream
         streamed = {}
 
-        def counting(generators, lower, index, products):
-            rows = list(row_stream(generators, lower, index, products))
-            streamed[len(next(iter(index)))] = (
+        def counting(generators, lower, products):
+            rows = list(row_stream(generators, lower, products))
+            streamed[len(lower[0]) + 1 if lower else 0] = (
                 len(generators),
                 sum(map(len, generators)),
                 len(rows),
@@ -733,7 +739,7 @@ class TestQuotientProduct:
             for atom, n in factors:
                 for _ in range(n):
                     free = free * atom
-                quot = multiply(quot, power(atom, n, t), t)
+                quot = product((quot, power(atom, n, t)), t)
             assert quot == _pruned(free, t)
             assert normal_form(quot, t) == normal_form(free, t)
             if free.degrees() == [4]:
@@ -751,7 +757,7 @@ class TestQuotientProduct:
         for _ in range(20):
             a = rng.choice(pool) + rng.choice(pool) * rng.choice(pool)
             b = rng.choice(pool) * rng.choice(pool) - RingElement.one().scale(3)
-            quot = multiply(a, b, table)
+            quot = product((a, b), table)
             assert quot == _pruned(a * b, table)
             assert normal_form(quot, table) == normal_form(a * b, table)
 
@@ -759,17 +765,17 @@ class TestQuotientProduct:
         # F12 and F13 never meet: the product is zero in the ring, though
         # not in the free ring
         assert not (F(1, 2) * F(1, 3)).is_zero()
-        assert multiply(F(1, 2), F(1, 3), table).is_zero()
+        assert product((F(1, 2), F(1, 3)), table).is_zero()
         assert product([F(1, 2), F(3, 4), F(1, 3)], table).is_zero()
 
     def test_degree_cap_and_exponents(self, table):
         f = F(1, 2)
         with pytest.raises(ValueError):
-            multiply(power(f, 4, table), f, table)
+            product((power(f, 4, table), f), table)
         with pytest.raises(ValueError):
             power(f, -1, table)
         assert power(f, 0, table) == RingElement.one()
-        assert multiply(RingElement.zero(), power(f, 4, table), table).is_zero()
+        assert product((RingElement.zero(), power(f, 4, table)), table).is_zero()
 
     def test_kb4(self, table):
         kb = classes.canonical_divisor() + classes.total_boundary()
@@ -814,8 +820,8 @@ def _random_element(rng, t, degrees):
 
 
 class TestProductByColumn:
-    """multiply, which steps columns through the product tables, against
-    the sort-and-hash product it replaced."""
+    """product of two factors, which steps columns through the product
+    tables, against the sort-and-hash product it replaced."""
 
     @pytest.mark.parametrize(
         "cfg", [config_all_p1(), config_all_p2(), MIXED_7],
@@ -831,7 +837,7 @@ class TestProductByColumn:
             # mixed degrees, the constant term included
             a = _random_element(rng, t, range(da + 1))
             b = _random_element(rng, t, range(db + 1))
-            got = multiply(a, b, t)
+            got = product((a, b), t)
             assert got == reference_multiply(a, b, t)
             assert all(got.coeffs.values())
             ints = all(type(c) is int for e in (a, b) for c in e.coeffs.values())
@@ -846,24 +852,24 @@ class TestProductByColumn:
         # the cross terms of (x + y)(x - y) cancel and leave no entry, and
         # scales that cancel leave the zero element
         x, y = F(1, 2), F(3, 4)
-        got = multiply(x + y, x - y, table)
+        got = product((x + y, x - y), table)
         assert got == reference_multiply(x + y, x - y, table)
         cross = tuple(sorted(next(iter(x.coeffs)) + next(iter(y.coeffs))))
         assert cross in table.degrees[2].index and cross not in got.coeffs
         third = Fraction(1, 3)
-        zero = multiply(x.scale(third), y, table) - multiply(x, y.scale(third), table)
+        zero = product((x.scale(third), y), table) - product((x, y.scale(third)), table)
         assert zero.is_zero()
 
     def test_degree_cap(self, table):
         a = RingElement({table.degrees[3].monomials[5]: Fraction(1, 2)})
         b = RingElement({(0, 1): 1, (): 2})
         with pytest.raises(ValueError, match="product exceeds degree 4"):
-            multiply(a, b, table)
+            product((a, b), table)
         with pytest.raises(ValueError, match="product exceeds degree 4"):
             reference_multiply(a, b, table)
         # an inadmissible monomial still counts toward the cap
         with pytest.raises(ValueError, match="product exceeds degree 4"):
-            multiply(RingElement({(0, 0, 0, 0): 1}), RingElement({(1,): 1}), table)
+            product((RingElement({(0, 0, 0, 0): 1}), RingElement({(1,): 1})), table)
 
     @pytest.mark.parametrize("name", ["table", "table_p2"])
     def test_product_tables_entry_by_entry(self, request, name):
@@ -917,36 +923,68 @@ RINGS = ["all_p1", "all_p2", "mixed_7", "m0n5", "m0n6"]
 
 
 class TestChainedProduct:
-    """quotient_product over a whole chain of factors against the left
-    fold of free products restricted to admissible monomials."""
+    """quotient_product over a whole chain of factors: it raises where the
+    left fold of free products raises, and otherwise gives that fold
+    restricted to admissible monomials."""
 
     @pytest.mark.parametrize("name", RINGS)
     def test_matches_the_fold_of_free_products(self, name):
         degrees, ngens = _ring_degrees(name)
         top = len(degrees) - 1
         rng = random.Random(2136 + len(name) + ngens)
+        # pairs of divisors that never meet: their product is zero in the
+        # quotient and not in the free ring
+        apart = [
+            (a, b)
+            for a in range(ngens)
+            for b in range(a + 1, ngens)
+            if (a, b) not in degrees[2].index
+        ]
         outcomes = {"value": 0, "zero": 0, "raised": 0}
-        for _ in range(150):
+        starts = Counter()
+        for i in range(200):
             factors, budget = [], top
             for _ in range(rng.randint(2, 5)):
                 # mostly within the top degree, sometimes past it
                 most = min(2, budget) if rng.random() < 0.7 else 2
                 factors.append(_random_factor(rng, degrees, ngens, most))
                 budget = max(0, budget - most)
+            # three of every four chains open with a zero factor, an
+            # inadmissible one, or two factors whose product is zero in the
+            # quotient
+            start = ("random", "zero", "inadmissible", "apart")[i % 4]
+            a, b = rng.choice(apart)
+            factors[:1] = {
+                "random": factors[:1],
+                "zero": [{}],
+                "inadmissible": [{(a, b): Fraction(-2, 3)}],
+                "apart": [{(a,): 1}, {(b,): 3}],
+            }[start]
+            elements = [RingElement(f) for f in factors]
             try:
-                want = reference_chain(factors, degrees)
+                free = free_fold(factors, top)
             except ValueError as e:
+                if ngens == len(labels.DIVISORS):
+                    with pytest.raises(ValueError, match=str(e)):
+                        functools.reduce(operator.mul, elements, RingElement.one())
                 with pytest.raises(ValueError, match=str(e)):
                     chowring.quotient_product(factors, degrees)
                 outcomes["raised"] += 1
+                starts[start, "raised"] += 1
                 continue
+            if ngens == len(labels.DIVISORS):
+                one = RingElement.one()
+                assert functools.reduce(operator.mul, elements, one).coeffs == free
             got = chowring.quotient_product(factors, degrees)
-            assert got == want
+            assert got == reference_chain(factors, degrees)
             assert all(got.values())
             if all(type(c) is int for f in factors for c in f.values()):
                 assert all(type(c) is int for c in got.values())
             outcomes["value" if got else "zero"] += 1
+            starts[start, "returned"] += 1
         assert min(outcomes.values()) >= 10, outcomes
+        assert starts["zero", "raised"] == 0, starts
+        assert len(starts) == 7 and min(starts.values()) >= 5, starts
 
     @pytest.mark.parametrize("name", RINGS)
     def test_masks_match_the_product_tables(self, name):
@@ -963,28 +1001,37 @@ class TestChainedProduct:
         assert "masks" in vars(ring.degrees[2])
 
     def test_errors_match_the_pairwise_products(self, table):
-        # multiply counts the monomials of both factors as given; product
-        # and power, a fold from one, count the product so far as it is in
-        # the quotient, so a zero or inadmissible start refuses nothing
+        # product and power count the monomials of every factor as given,
+        # like the free ring: a factor that is zero in the quotient, or
+        # inadmissible, refuses as much as it does there
         top3 = table.degrees[3].monomials[7]
         # F12 and F13 never meet
-        (bad3,) = (F(1, 2) * F(1, 3) * F(1, 3)).coeffs
+        f12_f13 = F(1, 2) * F(1, 3)
+        (bad3,) = (f12_f13 * F(1, 3)).coeffs
         assert bad3 not in table.degrees[3].index
         f = F(1, 2)
-        cases = [
-            (RingElement({top3: 1}), f.scale(Fraction(1, 2)) + F(3, 4) * F(5, 6)),
-            (RingElement({bad3: 1}), F(3, 4) * F(5, 6)),
-            (RingElement({bad3: 2, (1,): 1}), F(3, 4) * F(5, 6)),
-            (F(1, 2) * F(1, 3), F(3, 4) * F(5, 6) * F(1, 2)),
-            (RingElement.zero(), power(f, 4, table)),
-        ]
-        for a, b in cases:
+        cases = {
+            "admissible": (
+                RingElement({top3: 1}),
+                f.scale(Fraction(1, 2)) + F(3, 4) * F(5, 6),
+            ),
+            "inadmissible": (RingElement({bad3: 1}), F(3, 4) * F(5, 6)),
+            "inadmissible-and-linear": (
+                RingElement({bad3: 2, (1,): 1}),
+                F(3, 4) * F(5, 6),
+            ),
+            "zero-in-the-quotient": (f12_f13, F(3, 4) * F(5, 6) * F(1, 2)),
+            "zero": (RingElement.zero(), power(f, 4, table)),
+        }
+        for name, (a, b) in cases.items():
             want = _outcome(reference_multiply, a, b, table)
-            assert _outcome(multiply, a, b, table) == want
-            want = _outcome(_reference_product, (a, b), table)
-            assert _outcome(product, (a, b), table) == want
-        assert _outcome(multiply, *cases[1], table)[0] == "raised"
-        assert _outcome(product, cases[1], table)[0] == "value"
+            assert _outcome(product, (a, b), table) == want, name
+            assert _outcome(_reference_product, (a, b), table) == want, name
+        exceeds = ("raised", "product exceeds degree 4")
+        assert _outcome(product, cases["inadmissible"], table) == exceeds
+        assert _outcome(product, cases["zero-in-the-quotient"], table) == exceeds
+        assert _outcome(power, f12_f13, 3, table) == exceeds
+        assert _outcome(power, f12_f13, 2, table) == ("value", RingElement.zero())
         rng = random.Random(5)
         for _ in range(60):
             e = RingElement(_random_factor(rng, table.degrees, 65, 2))
@@ -1009,6 +1056,9 @@ class TestChainedProduct:
 
 
 def _reference_product(factors, t):
+    """The left fold of reference_multiply from one; it raises where the
+    left fold of free products does."""
+    functools.reduce(operator.mul, factors, RingElement.one())
     out = RingElement.one()
     for f in factors:
         out = reference_multiply(out, f, t)
@@ -1064,6 +1114,13 @@ class TestFiberRestriction:
         assert restrict_to_fiber(
             G((1, 3), (2, 4), (5, 6)), pt, table
         ).coeffs == (0, 0)
+
+    def test_images_read_off_the_matching(self):
+        for pt in SINGULAR_POINTS:
+            for kind in (labels.FIBER_P1, labels.FIBER_P2):
+                assert chowring._fiber_images(pt, kind) == tuple(
+                    fiber_generator_image(d, pt, kind) for d in labels.DIVISORS
+                )
 
     def test_plane_fiber_generator_images(self, table_p2):
         pt = self.PT

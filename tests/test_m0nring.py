@@ -218,7 +218,7 @@ class TestPsi:
 class TestIntegration:
     def test_chain_normalization(self, r6):
         chain = r6._chain_monomial()
-        assert m0n_integrate(chain, r6) == 1
+        assert m0n_integrate({chain: 1}, r6) == 1
 
     def test_wrong_degree(self, r5):
         with pytest.raises(ValueError):

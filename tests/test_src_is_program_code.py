@@ -45,14 +45,8 @@ ALLOWED = {
 SHARED = {
     "chowring.RingElement.is_zero": "chowring.is_zero_in: normal_form(e, t).is_zero()",
     "chowring.FiberValue.is_zero": "chowring: restrict_to_fiber(e, pt, t).is_zero()",
-    "chowring.multiply": "verification: chowring.multiply(gens[i], gens[j], table)",
-    "m0nring.M0nRing.multiply": "verification: ring.multiply(acc, psis[i])",
     "chowring.GradedQuotientTable.ranks": "chowring.build_quotient: table.ranks",
     "m0nring.M0nRing.ranks": "verification.crit_m0n_oracles: ring.ranks",
-    "exactla.IntEchelon.rank": "chowring._eliminate: ncols - ech.rank",
-    "exactla.ModpEchelon.rank": (
-        "no caller in src/m36; the ech.rank reads reach IntEchelon.rank"
-    ),
     "exactla.IntEchelon.insert": "chowring._eliminate: ech.insert(row)",
     "exactla.ModpEchelon.insert": (
         "no caller in src/m36; benchmark/tracing.py wraps it, and the "
