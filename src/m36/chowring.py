@@ -17,14 +17,16 @@ Every degree is built by the same function, _eliminate: all of its relation
 rows (degree 0 has none) go into one integer echelon form with rightmost
 pivots (so the lexicographically smallest monomials survive as the basis),
 which gives the rank, the reduced rows for normal forms and the torsion
-certificate of the whole relation lattice.  Degree 1 is built first, in the
-calling process, because the linear relations that open its pivots generate
-the relations of every higher degree; degrees 2, 3 and 4 then depend on
-nothing else, and they run side by side in worker processes (see
-build_quotient).  The expected rank profile (1, 51, 127+|S2|, 51, 1) is a
-theorem; meeting it is asserted, and a computed mismatch raises
-VerificationError rather than a report with different numbers.  Torsion-freeness is certified in every degree by the
-invariant factors of exactla.smith_from_echelon.
+certificate of the whole relation lattice.  One function, build_degrees,
+builds the tables of the six-lines space (build_quotient) and Keel's rings
+of M-bar_{0,n} (m0nring), so Keel's known answers test it.  It builds degree
+1 first, in the calling process, because the linear relations that open its
+pivots generate the relations of every higher degree; those then depend on
+nothing else and run side by side in worker processes.  Torsion-freeness is
+certified in every degree by the invariant factors of
+exactla.smith_from_echelon.  For the six-lines tables the rank profile
+(1, 51, 127+|S2|, 51, 1) is a theorem; a computed mismatch raises
+VerificationError rather than a report with different numbers.
 
 RingElement is the free polynomial ring and knows no config.  product
 and power evaluate products in the quotient instead: a product
@@ -536,29 +538,82 @@ def _pool_workers(jobs):
     return min(jobs, cpus)
 
 
-def build_quotient(cfg, mode="two-prime"):
-    """Construct the graded quotient table for a resolution config, with rank
-    and torsion certified exactly over Z in every degree.
+def build_degrees(complex_, relations, top, name):
+    """The DegreeData of degrees 0 through top of the quotient of the
+    polynomial ring on the vertices of complex_, whose non-faces are zero, by
+    the {vertex: coeff} linear relations, with rank and torsion certified
+    exactly over Z in every degree, or VerificationError naming the space.
 
     Every degree is built alike by _eliminate.  The rows of degree 1 are the
-    sixty linear generators themselves.  Every higher degree multiplies the
-    ones among them that open a pivot when degree 1 takes them in order:
-    14 rows of 20 entries, where the degree-1 pivot rows hold 404 entries
-    after their reduction at store time.  Every degree-k relation lattice
-    is the degree-1 lattice times the monomials of degree k-1, so any
-    Z-basis of it gives the same tables; the 14 are certified to be one on
-    every build, since their own echelon must have the leads of degree 1
-    (nested lattices with the same pivot columns and lead products are
-    equal), or VerificationError.  So once degree 1 is built in this
-    process, degrees 4, 3 and 2 (longest first) are independent, and they
-    run side by side in a pool of min(3, usable CPUs) forked worker
-    processes, or one after another here where _pool_workers finds no pool
-    possible.  The workers get every input as an argument, and the pool is
-    joined before build_quotient returns or raises.  Row order changes the
-    cost, not the result: reverse multiplier order gives smaller pivot
-    entries than forward order (5 bits in degree 2 against 10), and
-    inserting degrees 2-4 takes 0.46-0.63 s of CPU time against 1.12-1.43 s
-    (three runs each).
+    linear relations themselves.  Every higher degree multiplies the ones
+    among them that open a pivot when degree 1 takes them in order: for the
+    six-lines space 14 of the sixty, rows of 20 entries, where the degree-1
+    pivot rows hold 404 entries after their reduction at store time.  Every
+    degree-k relation lattice is the degree-1 lattice times the monomials of
+    degree k-1, so any Z-basis of it gives the same degrees; the opening
+    relations are certified to be one on every build, since their own
+    echelon must have the leads of degree 1 (nested lattices with the same
+    pivot columns and lead products are equal), or VerificationError.  So
+    once degree 1 is built in this process, degrees top down to 2 (longest
+    first) are independent, and they run side by side in a pool of
+    min(top - 1, usable CPUs) forked worker processes, or one after another
+    here where _pool_workers finds no pool possible.  The workers get every
+    input as an argument, and the pool is joined before build_degrees
+    returns or raises.  Row order changes the cost, not the result: on the
+    six-lines space reverse multiplier order gives smaller pivot entries
+    than forward order (5 bits in degree 2 against 10), and inserting
+    degrees 2-4 takes 0.46-0.63 s of CPU time against 1.12-1.43 s (three
+    runs each)."""
+    monomials = [admissible_monomials(complex_, k) for k in range(top + 1)]
+    indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
+    opening = []
+    ech, fields = _eliminate(relations, monomials[0], indexes[1], opening)
+    built = {0: _degree((), (), indexes[0]), 1: fields}
+    # the opening rows, keyed by degree-1 column, as {vertex: coeff}
+    generators = [
+        {monomials[1][col][0]: c for col, c in row.items()} for row in opening
+    ]
+    check = IntEchelon()
+    for g in generators:
+        check.insert(g)
+    if _leads(check) != _leads(ech):
+        raise VerificationError(
+            "the %d relations that open degree-1 pivots do not generate the "
+            "degree-1 relation lattice of %s" % (len(generators), name)
+        )
+    ks = range(top, 1, -1)
+    jobs = (
+        [generators] * len(ks),
+        [monomials[k - 1] for k in ks],
+        [indexes[k] for k in ks],
+    )
+    workers = _pool_workers(len(ks))
+    if workers:
+        # imported here: concurrent.futures.process takes tens of ms to
+        # import, which a process that builds no quotient should not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            built.update(zip(ks, pool.map(_degree, *jobs)))
+    else:
+        built.update(zip(ks, map(_degree, *jobs)))
+    degrees = [
+        DegreeData(monomials=tuple(monomials[k]), index=indexes[k], **built[k])
+        for k in range(top + 1)
+    ]
+    torsion = [k for k, dd in enumerate(degrees) if any(d != 1 for d in dd.torsion)]
+    if torsion:
+        raise VerificationError(
+            "torsion appeared in degrees %r for %s" % (torsion, name)
+        )
+    return degrees
+
+
+def build_quotient(cfg, mode="two-prime"):
+    """The graded quotient table of a resolution config, by build_degrees,
+    with the rank profile of the theorem or VerificationError.
 
     On the all-line-fiber config, over 10 builds each in fresh processes
     alternating with builds in one process (2 shared cores, CPython
@@ -578,68 +633,19 @@ def build_quotient(cfg, mode="two-prime"):
     if mode not in ("exact", "two-prime"):
         raise ValueError("mode must be 'exact' or 'two-prime'")
     t0 = time.monotonic()
-    expected = _expected_profile(cfg)
-    complex_ = build_complex(cfg)
-    monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
-    indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
-    opening = []
-    ech, fields = _eliminate(
-        _linear_relation_vectors(), monomials[0], indexes[1], opening
+    degrees = build_degrees(
+        build_complex(cfg), _linear_relation_vectors(), MAX_DEGREE, cfg.name()
     )
-    built = {0: _degree((), (), indexes[0]), 1: fields}
-    # the opening rows, keyed by degree-1 column, as {divisor index: coeff}
-    generators = [
-        {monomials[1][col][0]: c for col, c in row.items()} for row in opening
-    ]
-    check = IntEchelon()
-    for g in generators:
-        check.insert(g)
-    if _leads(check) != _leads(ech):
-        raise VerificationError(
-            "the %d relations that open degree-1 pivots do not generate the "
-            "degree-1 relation lattice of %s" % (len(generators), cfg.name())
-        )
-    ks = (4, 3, 2)
-    jobs = (
-        [generators] * len(ks),
-        [monomials[k - 1] for k in ks],
-        [indexes[k] for k in ks],
-    )
-    workers = _pool_workers(len(ks))
-    if workers:
-        # imported here: concurrent.futures.process takes tens of ms to
-        # import, which a process that builds no table should not pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            built.update(zip(ks, pool.map(_degree, *jobs)))
-    else:
-        built.update(zip(ks, map(_degree, *jobs)))
-    degrees = [
-        DegreeData(monomials=tuple(monomials[k]), index=indexes[k], **built[k])
-        for k in range(MAX_DEGREE + 1)
-    ]
-
     table = GradedQuotientTable(
         config=cfg,
         degrees=degrees,
         runtime_ms=int((time.monotonic() - t0) * 1000),
     )
-    got = table.ranks
+    got, expected = table.ranks, _expected_profile(cfg)
     if got != expected:
         raise VerificationError(
             "rank profile %r does not match the theorem %r for %s"
             % (got, expected, cfg.name())
-        )
-    if not table.torsion_free:
-        raise VerificationError(
-            "torsion appeared in degrees %r for %s"
-            % (
-                [k for k, dd in enumerate(degrees) if any(d != 1 for d in dd.torsion)],
-                cfg.name(),
-            )
         )
     return table
 
@@ -807,11 +813,11 @@ def is_zero_in(e, t):
     return normal_form(e, t).is_zero()
 
 
-def _pair(func, e, index):
-    """The functional func on the columns of index applied to e; monomials
-    outside index contribute nothing.  The sum is taken in integers, over
-    the lcm of the denominators of e."""
-    scale, coeffs = clear_denominators(e.coeffs)
+def _pair(func, coeffs, index):
+    """The functional func on the columns of index applied to the
+    {monomial: coeff} dict coeffs; monomials outside index contribute
+    nothing.  The sum is taken in integers, over the lcm of denominators."""
+    scale, coeffs = clear_denominators(coeffs)
     return Fraction(
         sum(c * func.get(index[m], 0) for m, c in coeffs.items() if m in index),
         scale,
@@ -865,7 +871,7 @@ def integrate(e, t):
         return Fraction(0)
     if e.degrees() != [4]:
         raise ValueError("integrand must be homogeneous of degree 4")
-    return _pair(_integration_functional(t), e, t.degrees[4].index)
+    return _pair(_integration_functional(t), e.coeffs, t.degrees[4].index)
 
 
 # --------------------------------------------------------------------------

@@ -97,6 +97,8 @@ def _tokenize(text):
 
 def _atom_element(name, args):
     groups = [g.strip() for g in args.split(",")] if args.strip() else []
+    if any(len(g.split()) > 1 for g in groups):
+        raise ValueError("space inside a group of digits in %s[%s]" % (name, args))
     digits = [[int(ch) for ch in g] for g in groups]
     if name == "E":
         if len(digits) != 1 or len(digits[0]) != 3:

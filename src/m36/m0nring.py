@@ -1,12 +1,15 @@
-"""Keel's presentation of A*(M-bar_{0,n}) for n up to 6, built by the
-engine that builds the tables of the six-lines space.
+"""Keel's presentation of A*(M-bar_{0,n}) for n up to 6, built by
+chowring.build_degrees, the function that builds the tables of the
+six-lines space.
 
 The moduli spaces of stable rational curves have completely understood
 intersection theory, so M0nRing is a known-answer test of that engine: its
 answers are checked against classical results that owe nothing to the code.
 Keel (Trans. AMS 330, 1992) gives the ranks and shows that the Chow groups
-are free, which M0nRing certifies from the invariant factors of every
-degree; the psi integrals must match the multinomial formula.
+are free, which build_degrees certifies from the invariant factors of every
+degree, after its certificate that the opening relations generate degree 1;
+the psi integrals, by the tables' product chain and pairing, must match the
+multinomial formula.
 
 Boundary divisors are indexed by a side of the defining partition of the
 marks; the canonical representative is the side not containing n.  Two
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from . import chowring
@@ -90,10 +92,10 @@ def _keel_generators(gens, n):
 
 class M0nRing:
     """Graded quotient data for A*(M-bar_{0,n}), degrees 0 through n-3: one
-    chowring.DegreeData per degree, built from the admissible monomials and
-    Keel's linear relations.  Raises VerificationError unless every
-    invariant factor is 1 and the top degree has an integral functional
-    that is 1 on a point."""
+    chowring.DegreeData per degree, built by chowring.build_degrees from the
+    flag complex of compatible divisors and Keel's linear relations.  Raises
+    VerificationError where build_degrees does, and unless the top degree has
+    an integral functional that is 1 on a point."""
 
     def __init__(self, n):
         if not 4 <= n <= 6:
@@ -102,25 +104,12 @@ class M0nRing:
         self.top = n - 3
         self.gens = m0n_divisors(n)
         self.gen_index = {g: i for i, g in enumerate(self.gens)}
-        complex_ = flag_complex(self.gens, m0n_compatible)
-        keel = _keel_generators(self.gens, n)
-        self.degrees = []
-        lower = ()
-        for k in range(self.top + 1):
-            monomials = chowring.admissible_monomials(complex_, k)
-            index = {m: i for i, m in enumerate(monomials)}
-            self.degrees.append(
-                chowring.DegreeData(
-                    monomials=tuple(monomials),
-                    index=index,
-                    **chowring._degree(keel, lower, index),
-                )
-            )
-            lower = monomials
-        if any(d != 1 for dd in self.degrees for d in dd.torsion):
-            raise chowring.VerificationError(
-                "A*(M-bar_{0,%d}) has torsion, against Keel's theorem" % n
-            )
+        self.degrees = chowring.build_degrees(
+            flag_complex(self.gens, m0n_compatible),
+            _keel_generators(self.gens, n),
+            self.top,
+            "M-bar_{0,%d}" % n,
+        )
         top = self.degrees[self.top]
         self._functional = chowring.top_functional(
             top, {top.index[self._chain_monomial()]: 1}
@@ -138,24 +127,24 @@ class M0nRing:
             chain.append(self.gen_index[m0n_divisor(self.n, range(1, size + 1))])
         return tuple(sorted(chain))
 
-    def _monomial(self, mono):
-        """mono as a sorted tuple; ValueError unless it has at most the top
+    def _element(self, x):
+        """The {monomial: coeff} dict x with its monomials sorted and like
+        terms summed; ValueError unless every monomial has at most the top
         degree and every entry is an index into gens."""
-        if len(mono) > self.top:
-            raise ValueError("monomial exceeds the top degree")
-        if any(i not in range(len(self.gens)) for i in mono):
-            raise ValueError("unknown generator index in %r" % (mono,))
-        return tuple(sorted(mono))
+        for mono in x:
+            if len(mono) > self.top:
+                raise ValueError("monomial exceeds the top degree")
+            if any(i not in range(len(self.gens)) for i in mono):
+                raise ValueError("unknown generator index in %r" % (mono,))
+        return chowring._collect((tuple(sorted(m)), c) for m, c in x.items())
 
-    def multiply(self, a, b):
-        """Product of two {monomial: coeff} elements in the quotient, by
-        chowring.quotient_product over the ring's product tables, which
-        refuses products beyond the top degree where the free ring does."""
-        a, b = (
-            chowring._collect((self._monomial(m), c) for m, c in x.items())
-            for x in (a, b)
-        )
-        return chowring.quotient_product((a, b), self.degrees)
+    def multiply(self, *factors):
+        """Product of {monomial: coeff} elements, left to right, in the
+        quotient: one chowring.quotient_product over the ring's product
+        tables, which refuses products beyond the top degree where the free
+        ring does."""
+        factors = [self._element(f) for f in factors]
+        return chowring.quotient_product(factors, self.degrees)
 
 
 def m0n_psi(i, ring, refs=None):
@@ -177,17 +166,12 @@ def m0n_psi(i, ring, refs=None):
 def m0n_integrate(x, ring):
     """Top-degree integral of a {monomial: coeff} element.  Inadmissible
     monomials integrate to 0."""
-    index = ring.degrees[ring.top].index
-    total = Fraction(0)
-    for mono, coeff in x.items():
-        if len(mono) != ring.top:
-            raise ValueError("integrand must have degree %d" % ring.top)
-        col = index.get(ring._monomial(mono))
-        if col is not None:
-            total += coeff * ring._functional.get(col, 0)
-    if total.denominator == 1:
-        return int(total)
-    return total
+    if any(len(mono) != ring.top for mono in x):
+        raise ValueError("integrand must have degree %d" % ring.top)
+    total = chowring._pair(
+        ring._functional, ring._element(x), ring.degrees[ring.top].index
+    )
+    return int(total) if total.denominator == 1 else total
 
 
 def psi_multinomial(n, exponents):

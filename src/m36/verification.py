@@ -207,13 +207,8 @@ def crit_m0n_oracles():
         for expo in itertools.product(range(n - 2), repeat=n):
             if sum(expo) != n - 3:
                 continue
-            acc = None
-            for i, e in enumerate(expo):
-                for _ in range(e):
-                    acc = psis[i] if acc is None else ring.multiply(acc, psis[i])
-            if acc is None:
-                continue
-            val = m0nring.m0n_integrate(acc, ring)
+            factors = [psis[i] for i, e in enumerate(expo) for _ in range(e)]
+            val = m0nring.m0n_integrate(ring.multiply(*factors), ring)
             if val != m0nring.psi_multinomial(n, expo):
                 good = False
                 break

@@ -6,16 +6,21 @@ numbers alone, and the monomial relations straight from divisor
 intersections on a resolution (which divisors meet there, and which pair
 triples vanish at plane fibers), where the program instead removes faces
 from the unresolved complex.  The sympy-backed tests check the kernels; the
-counts and relations are checked against the program.
+counts and relations are checked against the program.  The Keel-ring
+reference builds A*(M-bar_{0,n}) without chowring.build_degrees, and the
+free-ring evaluation gives what the CLI's integrate and restrict must print
+without the quotient evaluation that the CLI takes when it can.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from m36 import labels
+from m36 import chowring, cli, labels
+from m36.boundarycomplex import flag_complex
 from m36.chowring import MAX_DEGREE
 from m36.exactla import IntEchelon
+from m36.m0nring import _keel_generators, m0n_compatible
 
 
 def nullspace_basis(rows, ncols):
@@ -151,3 +156,44 @@ def reference_masks(products, width):
         {d for d in range(width) if products[i + d] != 0xFFFF}
         for i in range(0, len(products), width)
     ]
+
+
+def keel_reference_degrees(ring):
+    """The DegreeData of the Keel ring ring, built degree by degree in this
+    process with every one of Keel's relations in every degree, one
+    chowring._degree call each: no opening relations, no certificate of
+    them and no pool."""
+    complex_ = flag_complex(ring.gens, m0n_compatible)
+    keel = _keel_generators(ring.gens, ring.n)
+    out = []
+    lower = ()
+    for k in range(ring.top + 1):
+        monomials = chowring.admissible_monomials(complex_, k)
+        index = {m: i for i, m in enumerate(monomials)}
+        out.append(
+            chowring.DegreeData(
+                monomials=tuple(monomials),
+                index=index,
+                **chowring._degree(keel, lower, index),
+            )
+        )
+        lower = monomials
+    return out
+
+
+def free_ring_outcome(command, text, t, pt):
+    """(exit code, stderr, value) that `m36 integrate text`, or `m36 restrict
+    text --point pt`, must give on the table t, from the free ring alone:
+    the value of cli.parse_expression, for integrate held to the integrand
+    rule (zero or homogeneous of degree 4) and integrated, for restrict
+    restricted to the fiber over pt.  The value is the integral, or the list
+    of fiber coefficients, as strings; None on an error."""
+    try:
+        e = cli.parse_expression(text)
+    except cli.UsageError as err:
+        return 2, "error: %s\n" % err, None
+    if command == "restrict":
+        return 0, "", [str(c) for c in chowring.restrict_to_fiber(e, pt, t).coeffs]
+    if not e.is_zero() and e.degrees() != [4]:
+        return 2, "error: integrand must be homogeneous of degree 4\n", None
+    return 0, "", str(chowring.integrate(e, t))

@@ -1,16 +1,19 @@
 """Command line: expression grammar, exit codes, output formats."""
 
+import functools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import m36
-from m36 import chowring, classes, cli, labels
+from m36 import boundarycomplex, chowring, classes, cli, labels
 from m36.chowring import RingElement
 from m36.classes import (
     delta_cyclic,
@@ -23,6 +26,7 @@ from m36.classes import (
     _parse_orbit,
 )
 from m36.cli import UsageError, main, parse_expression, _parse_point
+from oracles import free_ring_outcome
 
 
 @pytest.fixture()
@@ -177,6 +181,22 @@ class TestExitCodes:
         assert main(["integrate", text]) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
 
+    @pytest.mark.parametrize("command", ["integrate", "restrict"])
+    def test_space_inside_a_digit_group(self, capsys, command):
+        # refused with the atom as typed; spaces around a group stay allowed
+        point = ["--point", "12,34,56"] if command == "restrict" else []
+        for text, code, err in [
+            ("F[1 2]^4", 2, "error: space inside a group of digits in F[1 2]\n"),
+            (
+                "delta[12, 3,4 56]*psi[1, 2]^3",
+                2,
+                "error: space inside a group of digits in delta[12, 3,4 56]\n",
+            ),
+            ("psi[1, 2]^2 * psi[ 2 ,1 ]^2", 0, ""),
+        ]:
+            assert main([command, text, *point]) == code
+            assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize(
         "text,code",
         [
@@ -261,6 +281,192 @@ class TestExitCodes:
         assert main(["homology", "--unresolved", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write")
         assert not out.exists()
+
+
+# Atoms of the fuzz carry the number of terms of their free-ring value, and
+# a budget on the product of those numbers bounds the cost of expanding a
+# product: K, B and phi have 65, 65 and 22 terms, and a free degree-4 product
+# of them takes 25-35 s, so they stay out of all but the cheapest ones.
+_DIVISOR_NAMES = [d.name() for d in labels.DIVISORS]
+_DELTA_NAMES = [classes.delta_name(label) for label in classes.PICARD_LABELS]
+
+
+def _fuzz_atom(rng, budget):
+    """(text, free-ring terms) of a random atom with at most budget terms."""
+    i, j = rng.sample(range(1, 7), 2)
+    choices = [(rng.choice(_DIVISOR_NAMES), 1), (rng.choice(_DELTA_NAMES), 4)]
+    choices += [("psi[%d,%d]" % (i, j), 15), ("psi[%d, %d]" % (i, j), 15)]
+    choices += [("phi[%d,%d]" % (i, j), 22), ("K", 65), ("B", 65)]
+    return rng.choice([c for c in choices if c[1] <= budget])
+
+
+def _fuzz_factor(rng, degree, budget):
+    """(text, terms) of a random factor of nominal degree degree."""
+    if degree == 0:
+        if rng.random() < 0.2:
+            text, terms = _fuzz_atom(rng, budget)
+            return "%s^0" % text, terms
+        return rng.choice(["2", "1/2", "3", "-2/3", "0", "1"]), 1
+    if degree == 1 and rng.random() < 0.7:
+        return _fuzz_atom(rng, budget)
+    roll = rng.random()
+    if roll < 0.3:
+        text, terms = _fuzz_atom(rng, round(budget ** (1 / degree)))
+        return "%s^%d" % (text, degree), terms**degree
+    if roll < 0.45 and degree > 1:
+        text, terms = _fuzz_expr(rng, 1, round(budget ** (1 / degree)))
+        return "(%s)^%d" % (text, degree), terms**degree
+    text, terms = _fuzz_expr(rng, degree, budget)
+    return "(%s)" % text, terms
+
+
+@functools.cache
+def _quartics():
+    """The degree-4 monomials supported on faces of the unresolved complex,
+    most of them nonzero in the rings of the fuzz."""
+    return chowring.admissible_monomials(boundarycomplex.build_complex(), 4)
+
+
+def _fuzz_term(rng, degree, budget):
+    """(text, terms) of a random product of nominal degree degree; one in
+    three of degree 4 is a monomial on a face."""
+    if degree == 4 and rng.random() < 0.35:
+        mono = rng.choice(_quartics())
+        return "*".join(_DIVISOR_NAMES[d] for d in mono), 1
+    parts = [0] * rng.randint(0, 1)
+    left = degree
+    while left:
+        part = rng.randint(1, min(left, 2))
+        parts.append(part)
+        left -= part
+    rng.shuffle(parts)
+    texts, terms = [], 1
+    for part in parts or [0]:
+        text, t = _fuzz_factor(rng, part, max(1, budget // terms))
+        if rng.random() < 0.1:
+            text = "-" + text
+        texts.append(text)
+        terms *= t
+    return rng.choice(["*", " * "]).join(texts), terms
+
+
+def _fuzz_expr(rng, degree, budget):
+    """(text, terms) of a random sum, most of its terms of nominal degree
+    degree, some of other degrees, and some cancelled by a copy of
+    opposite sign: most of those of other degrees."""
+    texts, terms = [], 0
+    for i in range(rng.choice([1, 1, 2, 3])):
+        k = degree if rng.random() < 0.8 else rng.choice([0, 1, 2, 3, 4, 5])
+        text, t = _fuzz_term(rng, k, budget)
+        sign = " + " if rng.random() < 0.7 else " - "
+        texts.append(text if i == 0 else sign + text)
+        if rng.random() < (0.1 if k == degree else 0.6):
+            # the copy of opposite sign
+            texts.append(" - (%s)" % text if i == 0 or sign == " + " else " + " + text)
+        terms += t
+    return "".join(texts), terms
+
+
+def _fuzz_text(rng):
+    """A random expression, mostly of nominal degree 4, whose free-ring
+    expansion forms a few hundred terms at most.  One in six adds to it a
+    product of nominal degree 5 that is zero in the free ring, which sends
+    both commands there; one in twenty is broken."""
+    high = rng.random() < 1 / 6
+    if high:
+        degree = rng.choice([0, 1, 2, 4])
+    else:
+        degree = 4 if rng.random() < 0.6 else rng.choice([0, 1, 2, 3, 5])
+    text, _terms = _fuzz_expr(rng, degree, 300)
+    if high:
+        quartic, terms = _fuzz_term(rng, 4, 100)
+        atom, _terms = _fuzz_atom(rng, max(1, 300 // terms))
+        text = "%s + (%s - (%s))*%s" % (text, quartic, quartic, atom)
+    if rng.random() < 0.05:
+        text = rng.choice(
+            [text + " +", "(" + text, text.replace("]", "", 1), text + "*E[12]"]
+        )
+    return text
+
+
+class TestFreeRingOracle:
+    """cli.main takes an expression's value in the quotient when its nominal
+    degrees settle the integrand check, and in the free ring otherwise.
+    Either way `integrate` and `restrict` must give the exit code, standard
+    error and value of the free ring alone (oracles.free_ring_outcome)."""
+
+    NAMED = [
+        "(F[12]^4-F[12]^4)*F[13]",
+        "(F[12]^4-2*F[12]^4)*F[13]",
+        "(B-%s)*F[12]^4" % "-".join(_DIVISOR_NAMES),
+        "(%s)*F[12]^4"
+        % "+".join(
+            "(%d)*%s" % (c, _DIVISOR_NAMES[m[0]])
+            for m, c in chowring.linear_relations()[0].coeffs.items()
+        ),
+        "(phi[1,2]-psi[1,2]-psi[2,1])*F[12]^4",
+    ]
+
+    @staticmethod
+    def _outcomes(capsys, text, t, pt, config_args):
+        """The outcomes of cli.main and of the oracle on both commands."""
+        for command in ("integrate", "restrict"):
+            point = ["--point", pt.name()] if command == "restrict" else []
+            # after "--", a text that opens with "-" is not read as an option
+            rc = main([command, *point, *config_args, "--", text])
+            out, err = capsys.readouterr()
+            value = None
+            if rc == 0:
+                report = json.loads(out)
+                value = report["value" if command == "integrate" else "coefficients"]
+            yield command, (rc, err, value), free_ring_outcome(command, text, t, pt)
+
+    @pytest.mark.parametrize("text", NAMED, ids=range(len(NAMED)))
+    def test_named(self, capsys, table, text):
+        pt = labels.SINGULAR_POINTS[0]
+        for command, got, want in self._outcomes(capsys, text, table, pt, []):
+            assert got == want, command
+
+    def test_fuzz(self, capsys, tmp_path, table, table_mixed):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(table_mixed.config.to_json_dict()))
+        configs = [(table, []), (table_mixed, ["--config", str(path)])]
+        rng = random.Random(2336)
+        seen = Counter()
+        for i in range(300):
+            text = _fuzz_text(rng)
+            pt = rng.choice(labels.SINGULAR_POINTS)
+            t, config_args = configs[i % 2]
+            try:
+                nominal = cli._nominal_degrees(cli._parse(text))
+            except UsageError:
+                nominal = "syntax"
+            outcomes = self._outcomes(capsys, text, t, pt, config_args)
+            for command, got, want in outcomes:
+                assert got == want, (command, text)
+                _rc, err, value = got
+                # the way cli._evaluate takes
+                if nominal == "syntax":
+                    way = "syntax"
+                elif nominal is None or (command == "integrate" and nominal - {4}):
+                    way = "free"
+                else:
+                    way = "quotient"
+                if value is None:
+                    # "integrand must be ...", "product exceeds ..." or a
+                    # syntax error
+                    kind = err.split()[1]
+                else:
+                    kind = "zero" if value in ("0", ["0"] * len(value)) else "value"
+                seen[way, command, kind] += 1
+        want = [("quotient", "integrate", k) for k in ("value", "zero")]
+        want += [
+            ("free", "integrate", k) for k in ("value", "zero", "integrand", "product")
+        ]
+        want += [("quotient", "restrict", k) for k in ("value", "zero")]
+        want += [("free", "restrict", k) for k in ("value", "zero", "product")]
+        assert min(seen[k] for k in want) >= 10, seen
+        assert sum(n for (way, *_), n in seen.items() if way == "syntax") >= 10, seen
 
 
 class TestOutputs:

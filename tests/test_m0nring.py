@@ -1,6 +1,7 @@
 """The stable-curve oracle: Keel rings, psi-classes, multinomial integrals."""
 
 import itertools
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from m0n_common import compositions  # noqa: F401  (shared helper below)
 from m36 import chowring
 from m36.chowring import VerificationError, top_functional
 from m36.exactla import reduce_row
-from oracles import reference_product_table
+from oracles import keel_reference_degrees, reference_product_table
 from m36.m0nring import (
     M0nRing,
     m0n_compatible,
@@ -109,6 +110,36 @@ class TestKeelCertificate:
     def test_pivot_row_counts(self, r4, r5, r6):
         for ring, want in ((r4, (2,)), (r5, (5, 24)), (r6, (9, 114, 339))):
             assert tuple(len(dd.rref) for dd in ring.degrees[1:]) == want
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_build_degrees_matches_the_reference(self, n, r4, r5, r6):
+        # build_degrees multiplies only the opening relations (2 of 2, 5 of
+        # 10 and 9 of 30) and runs n = 6 in the pool; every Keel relation in
+        # every degree, in process, gives the same degrees
+        ring = {4: r4, 5: r5, 6: r6}[n]
+        want = keel_reference_degrees(ring)
+        assert len(ring.degrees) == len(want) == n - 2
+        for k, (got, ref) in enumerate(zip(ring.degrees, want)):
+            for field in (
+                "monomials", "index", "rank", "torsion", "rref", "basis_cols"
+            ):
+                assert getattr(got, field) == getattr(ref, field), (k, field)
+            assert got.products.tolist() == ref.products.tolist(), k
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_dropping_an_opening_relation_fails_the_build(self, monkeypatch, n):
+        eliminate = chowring._eliminate
+
+        def dropping_first(generators, lower, index, opening=None):
+            out = eliminate(generators, lower, index, opening)
+            if opening:
+                del opening[0]
+            return out
+
+        monkeypatch.setattr(chowring, "_eliminate", dropping_first)
+        with pytest.raises(VerificationError, match=r"M-bar_\{0,%d\}" % n):
+            M0nRing(n)
+        assert multiprocessing.active_children() == []
 
     def test_torsion_is_refused(self, monkeypatch):
         def with_a_two(ech):

@@ -71,7 +71,7 @@ SHARED_FIELDS = {
     ),
     "chowring.GradedQuotientTable.runtime_ms": "chowring.ranks_report: t.runtime_ms",
     "m0nring.M0nRing._functional": (
-        "m0nring.m0n_integrate: ring._functional.get(col, 0)"
+        "m0nring.m0n_integrate: chowring._pair(ring._functional, ...)"
     ),
     "verification.CriterionResult.runtime_ms": "cli: r.runtime_ms in the verify report",
 }
