@@ -65,6 +65,11 @@ products and relabelings; both drop zeros.  quotient_product sums by
 column.  Normal forms reduce by the degree's rref with exactla.reduce_row,
 the same back-substitution that builds it.
 
+Integrals read the top degree's functional, which is certified to be 1 on
+every point (DegreeData.functional), so the published psi[5,6]^2 psi[6,5]^2
+= 1 is a consequence that m36 verify checks.  The queries read only a
+table's degrees, so Keel's rings (m0nring.M0nRing) take them too.
+
 Inside the engine every coefficient is an integer: the rref rows are integer
 numerators over one row denominator.  Fraction appears only at the API
 boundary, where sums, normal_form, quotient_product and integrate clear the
@@ -397,7 +402,8 @@ class DegreeData:
     """One degree of a quotient: its admissible monomials and their columns,
     and what _eliminate computes from them (in a pool worker for degrees
     2-4): rank, invariant factors, rref, basis columns and the product
-    table from the degree below.  Nothing is changed afterwards."""
+    table from the degree below.  Only masks and functional are added
+    later, each read off these fields on first use."""
 
     monomials: tuple
     index: dict
@@ -422,6 +428,22 @@ class DegreeData:
             for i in range(0, len(products), _WIDTH)
         ]
 
+    @functools.cached_property
+    def functional(self):
+        """The integration functional of a top degree, {col: int}, 1 on its
+        first point: a squarefree monomial, where as many boundary divisors
+        meet transversally.  Every point must integrate to 1, or
+        VerificationError; the all-line-fiber table has 1,020 of them."""
+        points = [c for c, m in enumerate(self.monomials) if len(set(m)) == len(m)]
+        func = top_functional(self, {points[0]: 1})
+        off = [c for c in points if func.get(c) != 1]
+        if off:
+            raise VerificationError(
+                "%d of the %d points of the top degree do not integrate to 1, "
+                "first %r" % (len(off), len(points), self.monomials[off[0]])
+            )
+        return func
+
 
 # --------------------------------------------------------------------------
 # the table
@@ -429,9 +451,9 @@ class DegreeData:
 
 class GradedQuotientTable:
     """Per-degree quotient data for one resolution config, not changed after
-    the build except that _integration_functional fills in _functional on
-    first use, and each degree's masks on the first product: the product
-    tables that quotient_product reads come back from the build with their
+    the build except that each degree's masks are read on the first product
+    and degree 4's functional on the first integral: the product tables
+    that quotient_product reads come back from the build with their
     degrees.  On the all-line-fiber config the tables take 411,580 bytes
     together, 325,000 of them in degree 4, and the masks at most 131,316
     bytes, counting each int as its own object; they are read off the
@@ -442,7 +464,6 @@ class GradedQuotientTable:
         self.config = config
         self.degrees = degrees
         self.runtime_ms = runtime_ms
-        self._functional = None
 
     @property
     def ranks(self):
@@ -691,6 +712,13 @@ def clear_denominators(coeffs):
     }
 
 
+def _check_vertices(mono, degrees):
+    """ValueError when the sorted, inadmissible mono names no vertex: the
+    vertices are the divisors 0 to len(degrees[1].index) - 1."""
+    if mono[-1] >= len(degrees[1].index):
+        raise ValueError("unknown generator index in %r" % (mono,))
+
+
 def normal_form(e, t):
     """Canonical representative of e on the chosen basis monomials.  Each
     monomial has one column, so the degree-k terms of e are a row once the
@@ -698,6 +726,8 @@ def normal_form(e, t):
     of that row gives the coefficients num / (L * den)."""
     out = {}
     for k in e.degrees():
+        if k >= len(t.degrees):
+            raise ValueError("element exceeds degree %d" % (len(t.degrees) - 1))
         dd = t.degrees[k]
         scale, row = clear_denominators(
             {dd.index[m]: c for m, c in e.coeffs.items() if m in dd.index}
@@ -740,6 +770,7 @@ def quotient_product(factors, degrees):
         unit, mask, linear, longer = 0, 0, [0] * _WIDTH, []
         for mono, c in factor.items():
             if mono not in degrees[len(mono)].index:
+                _check_vertices(mono, degrees)
                 continue
             if not mono:
                 unit = c
@@ -813,24 +844,13 @@ def is_zero_in(e, t):
     return normal_form(e, t).is_zero()
 
 
-def _pair(func, coeffs, index):
-    """The functional func on the columns of index applied to the
-    {monomial: coeff} dict coeffs; monomials outside index contribute
-    nothing.  The sum is taken in integers, over the lcm of denominators."""
-    scale, coeffs = clear_denominators(coeffs)
-    return Fraction(
-        sum(c * func.get(index[m], 0) for m, c in coeffs.items() if m in index),
-        scale,
-    )
-
-
 def top_functional(dd, normalizer):
     """The integer functional on the columns of a corank-1 degree dd that
     annihilates its relation span and takes the value 1 on the normalizing
-    class, given as {col: coeff}.  It is read off the rref at the one basis
-    column and must come out integral, which is to say the primitive
-    functional gives +-1 on the normalizing class; otherwise, or when dd
-    does not have corank 1, VerificationError."""
+    class, given as {col: coeff}, such as a point.  It is read off the rref
+    at the one basis column and must come out integral, which is to say the
+    primitive functional gives +-1 on the normalizing class; otherwise, or
+    when dd does not have corank 1, VerificationError."""
     if len(dd.basis_cols) != 1:
         raise VerificationError("the top degree does not have corank 1")
     (j0,) = dd.basis_cols
@@ -849,29 +869,21 @@ def top_functional(dd, normalizer):
     return {c: int(v / total) for c, v in func.items()}
 
 
-def _integration_functional(t):
-    """The exact integer vector of monomial integrals in degree 4: the
-    top_functional of degree 4, normalized on the psi monomial
-    psi[5,6]^2 psi[6,5]^2 of the published table."""
-    if t._functional is None:
-        from . import classes
-
-        dd = t.degrees[4]
-        a, b = classes.psi(5, 6), classes.psi(6, 5)
-        psi_monomial = product((a, a, b, b), t).coeffs
-        t._functional = top_functional(
-            dd, {dd.index[m]: c for m, c in psi_monomial.items()}
-        )
-    return t._functional
-
-
 def integrate(e, t):
-    """Degree of a homogeneous degree-4 class, as an exact rational."""
-    if e.is_zero():
-        return Fraction(0)
-    if e.degrees() != [4]:
-        raise ValueError("integrand must be homogeneous of degree 4")
-    return _pair(_integration_functional(t), e.coeffs, t.degrees[4].index)
+    """Degree of a class homogeneous of the top degree of t, as an exact
+    rational; the sum is taken in integers, over the lcm of denominators."""
+    top = len(t.degrees) - 1
+    if e.degrees() not in ([], [top]):
+        raise ValueError("integrand must be homogeneous of degree %d" % top)
+    dd, total = t.degrees[top], 0
+    func, index = dd.functional, dd.index
+    scale, coeffs = clear_denominators(e.coeffs)
+    for m, c in coeffs.items():
+        if m in index:
+            total += c * func.get(index[m], 0)
+        else:
+            _check_vertices(m, t.degrees)
+    return Fraction(total, scale)
 
 
 # --------------------------------------------------------------------------

@@ -514,8 +514,9 @@ def _build_parser():
     common(p, mode=False)
     p.set_defaults(fn=cmd_homology)
 
+    dash = 'one that opens with "-" goes after "--", which ends the options: '
     p = sub.add_parser("integrate", help="integrate a degree-4 class expression")
-    p.add_argument("expression")
+    p.add_argument("expression", help=dash + 'integrate -- "-psi[1,2]^4"')
     common(p)
     p.set_defaults(fn=cmd_integrate)
 
@@ -524,7 +525,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_psi_table)
 
     p = sub.add_parser("restrict", help="restrict a class to one exceptional fiber")
-    p.add_argument("expression")
+    p.add_argument("expression", help=dash + 'restrict --point 12,34,56 -- "-F[12]"')
     p.add_argument("--point", required=True, help="singular point, e.g. 12,34,56")
     common(p)
     p.set_defaults(fn=cmd_restrict)

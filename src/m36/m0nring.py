@@ -8,7 +8,7 @@ answers are checked against classical results that owe nothing to the code.
 Keel (Trans. AMS 330, 1992) gives the ranks and shows that the Chow groups
 are free, which build_degrees certifies from the invariant factors of every
 degree, after its certificate that the opening relations generate degree 1;
-the psi integrals, by the tables' product chain and pairing, must match the
+the psi integrals, by chowring.product and integrate, must match the
 multinomial formula.
 
 Boundary divisors are indexed by a side of the defining partition of the
@@ -91,11 +91,11 @@ def _keel_generators(gens, n):
 
 
 class M0nRing:
-    """Graded quotient data for A*(M-bar_{0,n}), degrees 0 through n-3: one
-    chowring.DegreeData per degree, built by chowring.build_degrees from the
-    flag complex of compatible divisors and Keel's linear relations.  Raises
-    VerificationError where build_degrees does, and unless the top degree has
-    an integral functional that is 1 on a point."""
+    """Graded quotient data for A*(M-bar_{0,n}), degrees 0 through n-3, by
+    chowring.build_degrees from the flag complex of compatible divisors and
+    Keel's linear relations; chowring's queries take it like a table, on
+    RingElements over gens.  VerificationError where build_degrees raises,
+    or unless every point of the top degree integrates to 1."""
 
     def __init__(self, n):
         if not 4 <= n <= 6:
@@ -110,41 +110,11 @@ class M0nRing:
             self.top,
             "M-bar_{0,%d}" % n,
         )
-        top = self.degrees[self.top]
-        self._functional = chowring.top_functional(
-            top, {top.index[self._chain_monomial()]: 1}
-        )
+        self.degrees[self.top].functional  # certifies the points at build
 
     @property
     def ranks(self):
         return tuple(dd.rank for dd in self.degrees)
-
-    def _chain_monomial(self):
-        """A nested chain of boundary divisors cutting out a point: the marks
-        1,2 collide, then 1,2,3, and so on up to degree n-3."""
-        chain = []
-        for size in range(2, 2 + self.top):
-            chain.append(self.gen_index[m0n_divisor(self.n, range(1, size + 1))])
-        return tuple(sorted(chain))
-
-    def _element(self, x):
-        """The {monomial: coeff} dict x with its monomials sorted and like
-        terms summed; ValueError unless every monomial has at most the top
-        degree and every entry is an index into gens."""
-        for mono in x:
-            if len(mono) > self.top:
-                raise ValueError("monomial exceeds the top degree")
-            if any(i not in range(len(self.gens)) for i in mono):
-                raise ValueError("unknown generator index in %r" % (mono,))
-        return chowring._collect((tuple(sorted(m)), c) for m, c in x.items())
-
-    def multiply(self, *factors):
-        """Product of {monomial: coeff} elements, left to right, in the
-        quotient: one chowring.quotient_product over the ring's product
-        tables, which refuses products beyond the top degree where the free
-        ring does."""
-        factors = [self._element(f) for f in factors]
-        return chowring.quotient_product(factors, self.degrees)
 
 
 def m0n_psi(i, ring, refs=None):
@@ -160,18 +130,7 @@ def m0n_psi(i, ring, refs=None):
     j, k = refs
     if len({i, j, k}) != 3:
         raise ValueError("reference marks must differ from i and each other")
-    return {(gi,): 1 for gi in _separating(ring.gens, {i}, {j, k})}
-
-
-def m0n_integrate(x, ring):
-    """Top-degree integral of a {monomial: coeff} element.  Inadmissible
-    monomials integrate to 0."""
-    if any(len(mono) != ring.top for mono in x):
-        raise ValueError("integrand must have degree %d" % ring.top)
-    total = chowring._pair(
-        ring._functional, ring._element(x), ring.degrees[ring.top].index
-    )
-    return int(total) if total.denominator == 1 else total
+    return chowring.RingElement({(g,): 1 for g in _separating(ring.gens, {i}, {j, k})})
 
 
 def psi_multinomial(n, exponents):

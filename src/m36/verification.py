@@ -164,8 +164,9 @@ def crit_homology():
 
 def crit_psi_table():
     """The quartic psi numbers match the published table orbit for orbit,
-    the normalizing product integrates to 1, and the vanishing rule holds,
-    inside the two-minute budget."""
+    its normalizing product psi[5,6]^2 psi[6,5]^2 integrates to 1, which
+    the point normalization implies, and the vanishing rule holds, inside
+    the two-minute budget."""
     table = chowring.table(labels.config_all_p1())
     rep, ms = _timed(lambda: classes.psi_table(table))
     a, b = classes.psi(5, 6), classes.psi(6, 5)
@@ -208,7 +209,7 @@ def crit_m0n_oracles():
             if sum(expo) != n - 3:
                 continue
             factors = [psis[i] for i, e in enumerate(expo) for _ in range(e)]
-            val = m0nring.m0n_integrate(ring.multiply(*factors), ring)
+            val = chowring.integrate(chowring.product(factors, ring), ring)
             if val != m0nring.psi_multinomial(n, expo):
                 good = False
                 break
@@ -221,13 +222,13 @@ def crit_m0n_oracles():
         rest = [m for m in range(1, 6) if m not in (i, j)]
         a = ring5.gen_index[m0nring.m0n_divisor(5, {j, rest[0]})]
         b = ring5.gen_index[m0nring.m0n_divisor(5, {rest[1], rest[2]})]
-        return {(a,): 1, (b,): 1}
+        return chowring.RingElement({(a,): 1, (b,): 1})
 
     lines_ok = True
     ordered = [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
     for (i1, j1), (i2, j2) in itertools.product(ordered, repeat=2):
-        val = m0nring.m0n_integrate(
-            ring5.multiply(psi_lines(i1, j1), psi_lines(i2, j2)), ring5
+        val = chowring.integrate(
+            chowring.product((psi_lines(i1, j1), psi_lines(i2, j2)), ring5), ring5
         )
         if val != (0 if i1 == i2 else 1):
             lines_ok = False
@@ -388,7 +389,7 @@ def crit_property_suites():
             break
     details["psi-choices"] = "ok(30x12)" if psi_ok else "bad"
 
-    func = chowring._integration_functional(table)
+    func = table.degrees[4].functional
     sweep_rows = 0
     sweep_ok = True
     for row in table.relation_row_stream(4):

@@ -9,14 +9,19 @@ from the unresolved complex.  The sympy-backed tests check the kernels; the
 counts and relations are checked against the program.  The Keel-ring
 reference builds A*(M-bar_{0,n}) without chowring.build_degrees, and the
 free-ring evaluation gives what the CLI's integrate and restrict must print
-without the quotient evaluation that the CLI takes when it can.
+without the quotient evaluation that the CLI takes when it can.  The
+integration functional normalized on psi[5,6]^2 psi[6,5]^2, the rule before
+the point normalization, is the reference that rule must agree with, and a
+top degree with one point moved off 1 is what the point certificate must
+refuse.
 """
 
+import dataclasses
 from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from m36 import chowring, cli, labels
+from m36 import chowring, classes, cli, labels
 from m36.boundarycomplex import flag_complex
 from m36.chowring import MAX_DEGREE
 from m36.exactla import IntEchelon
@@ -197,3 +202,27 @@ def free_ring_outcome(command, text, t, pt):
     if not e.is_zero() and e.degrees() != [4]:
         return 2, "error: integrand must be homogeneous of degree 4\n", None
     return 0, "", str(chowring.integrate(e, t))
+
+
+def psi_functional(t):
+    """The integration functional of the table t normalized on the psi
+    monomial psi[5,6]^2 psi[6,5]^2 of the published table."""
+    dd = t.degrees[4]
+    a, b = classes.psi(5, 6), classes.psi(6, 5)
+    psi_monomial = chowring.product((a, a, b, b), t).coeffs
+    return chowring.top_functional(
+        dd, {dd.index[m]: c for m, c in psi_monomial.items()}
+    )
+
+
+def point_off_one(dd):
+    """A copy of the top degree dd whose rref doubles the value of its last
+    squarefree lead column, a point other than the first one, which the
+    functional is normalized on: that point integrates to 2."""
+    (j0,) = dd.basis_cols
+    last = max(
+        c for c in dd.rref if len(set(dd.monomials[c])) == len(dd.monomials[c])
+    )
+    num, den = dd.rref[last]
+    rref = {**dd.rref, last: ({**num, j0: 2 * num[j0]}, den)}
+    return dataclasses.replace(dd, rref=rref)

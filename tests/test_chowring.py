@@ -58,6 +58,8 @@ from oracles import (
     fiber_generator_image,
     free_fold,
     multiplicative_relation_generators,
+    point_off_one,
+    psi_functional,
     reference_chain,
     reference_masks,
     reference_product_table,
@@ -629,6 +631,29 @@ class TestIntegrate:
         for g in rng.sample(linear_relations(), 8):
             assert integrate(g * cube, table) == 0
 
+    @pytest.mark.parametrize(
+        "name,points",
+        [("table", 1020), ("table_p2", 1035), ("table_mixed", 1024), ("mixed_7", 1027)],
+    )
+    def test_point_normalization_is_the_psi_normalization(
+        self, request, name, points
+    ):
+        # every squarefree quartic is a point, and the functional normalized
+        # on them is the one normalized on the published psi[5,6]^2 psi[6,5]^2
+        if name == "mixed_7":
+            t = chowring.table(MIXED_7)
+        else:
+            t = request.getfixturevalue(name)
+        dd = t.degrees[4]
+        squarefree = [c for c, m in enumerate(dd.monomials) if len(set(m)) == 4]
+        assert len(squarefree) == points
+        assert dd.functional == psi_functional(t)
+        assert all(dd.functional.get(c) == 1 for c in squarefree)
+
+    def test_a_point_off_one_fails_the_certificate(self, table):
+        with pytest.raises(VerificationError, match="do not integrate to 1"):
+            point_off_one(table.degrees[4]).functional
+
     def test_functional_census(self, table):
         dd = table.degrees[4]
         values = [
@@ -997,7 +1022,7 @@ class TestChainedProduct:
     def test_masks_are_built_by_the_first_product(self):
         ring = M0nRing(6)
         assert not any("masks" in vars(dd) for dd in ring.degrees)
-        ring.multiply({(0,): 1}, {(1,): 1})
+        product((RingElement({(0,): 1}), RingElement({(1,): 1})), ring)
         assert "masks" in vars(ring.degrees[2])
 
     def test_errors_match_the_pairwise_products(self, table):
@@ -1048,10 +1073,11 @@ class TestChainedProduct:
             b = _random_factor(rng, ring.degrees, len(ring.gens), 2)
             if a and b and max(map(len, a)) + max(map(len, b)) > ring.top:
                 with pytest.raises(ValueError, match="product exceeds degree 2"):
-                    ring.multiply(a, b)
+                    product((RingElement(a), RingElement(b)), ring)
                 raised += 1
             else:
-                assert ring.multiply(a, b) == reference_chain((a, b), ring.degrees)
+                got = product((RingElement(a), RingElement(b)), ring).coeffs
+                assert got == reference_chain((a, b), ring.degrees)
         assert raised >= 20
 
 

@@ -212,8 +212,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == ("error: expression nested too deeply\n" if code else "")
 
+    def test_expression_opening_with_minus(self, capsys):
+        # argparse reads an argument that opens with "-" as an option, and
+        # "--" ends the options; the help of both commands says so
+        text = "-psi[1,2]*psi[2,3]*psi[3,1]*psi[4,5]"
+        assert main(["integrate", text]) == 2
+        assert "required: expression" in capsys.readouterr().err
+        assert main(["integrate", "--format", "csv", "--", text]) == 0
+        assert capsys.readouterr().out == "-9\n"
+        assert main(["restrict", "--point", "12,34,56", "--", "-F[12]"]) == 0
+        assert json.loads(capsys.readouterr().out)["coefficients"] == ["0", "1"]
+        for command in ("integrate", "restrict"):
+            assert main([command, "--help"]) == 0
+            assert 'goes after "--"' in capsys.readouterr().out
+
     def test_atoms_built_once(self, monkeypatch, capsys, table):
-        chowring._integration_functional(table)
         calls = []
 
         def counted(*args):

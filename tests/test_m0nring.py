@@ -9,33 +9,38 @@ import pytest
 
 from m0n_common import compositions  # noqa: F401  (shared helper below)
 from m36 import chowring
-from m36.chowring import VerificationError, top_functional
-from m36.exactla import reduce_row
-from oracles import keel_reference_degrees, reference_product_table
+from m36.chowring import (
+    RingElement,
+    VerificationError,
+    integrate,
+    normal_form,
+    product,
+    top_functional,
+)
+from oracles import (
+    keel_reference_degrees,
+    point_off_one,
+    reference_product_table,
+)
 from m36.m0nring import (
     M0nRing,
     m0n_compatible,
     m0n_divisor,
     m0n_divisors,
-    m0n_integrate,
     m0n_psi,
     psi_multinomial,
 )
 
 
-def normal_form(ring, element, degree):
-    """Reduce a homogeneous {monomial: int} element by the ring's rref of
-    that degree to its normal form on the basis monomials (inadmissible
-    monomials are zero)."""
-    dd = ring.degrees[degree]
-    row = {}
-    for mono, coeff in element.items():
-        assert len(mono) == degree
-        pos = dd.index.get(tuple(sorted(mono)))
-        if pos is not None:
-            row[pos] = row.get(pos, 0) + coeff
-    num, den = reduce_row(row, dd.rref)
-    return {dd.monomials[c]: Fraction(v, den) for c, v in sorted(num.items())}
+def chain_monomial(ring):
+    """A nested chain of boundary divisors cutting out a point: the marks
+    1,2 collide, then 1,2,3, and so on up to degree n-3."""
+    return tuple(
+        sorted(
+            ring.gen_index[m0n_divisor(ring.n, range(1, size + 1))]
+            for size in range(2, 2 + ring.top)
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -151,17 +156,35 @@ class TestKeelCertificate:
 
     def test_top_functional_is_integral(self, r4, r5, r6):
         for ring in (r4, r5, r6):
-            assert ring._functional
-            assert all(type(v) is int for v in ring._functional.values())
+            functional = ring.degrees[ring.top].functional
+            assert functional
+            assert all(type(v) is int for v in functional.values())
 
     def test_top_functional_refuses_bad_input(self, r6):
         top = r6.degrees[r6.top]
-        chain = top.index[r6._chain_monomial()]
+        chain = top.index[chain_monomial(r6)]
         with pytest.raises(VerificationError, match="corank 1"):
             top_functional(r6.degrees[2], {0: 1})
         with pytest.raises(VerificationError, match="integral"):
             top_functional(top, {chain: 2})
-        assert top_functional(top, {chain: 1}) == r6._functional
+        assert top_functional(top, {chain: 1}) == top.functional
+
+    @pytest.mark.parametrize("n,points", [(4, 3), (5, 15), (6, 105)])
+    def test_point_normalization_is_the_chain_normalization(self, n, points):
+        # the functional is normalized on the first squarefree monomial and
+        # checked on every other one; Keel's nested chain is one of them
+        ring = M0nRing(n)
+        top = ring.degrees[ring.top]
+        squarefree = [m for m in top.monomials if len(set(m)) == len(m)]
+        assert len(squarefree) == points
+        assert chain_monomial(ring) in squarefree
+        chain = top_functional(top, {top.index[chain_monomial(ring)]: 1})
+        assert top.functional == chain
+        assert all(chain.get(top.index[m]) == 1 for m in squarefree)
+
+    def test_a_point_off_one_fails_the_certificate(self, r5):
+        with pytest.raises(VerificationError, match="do not integrate to 1"):
+            point_off_one(r5.degrees[r5.top]).functional
 
 
 class TestKeelRelations:
@@ -184,7 +207,7 @@ class TestKeelRelations:
                         {a, b} <= other and {c, d} <= side
                     ):
                         vec[(gi,)] = 1
-                nfs.append(normal_form(ring, vec, 1))
+                nfs.append(normal_form(RingElement(vec), ring))
             assert nfs[0] == nfs[1] == nfs[2]
 
 
@@ -192,7 +215,7 @@ class TestPsi:
     def test_n4_psi_is_single_divisor(self, r4):
         # with references 2,3 the only admissible divisor is {1,4}|{2,3}
         psi1 = m0n_psi(1, r4)
-        assert psi1 == {(r4.gen_index[m0n_divisor(4, {2, 3})],): 1}
+        assert psi1 == RingElement({(r4.gen_index[m0n_divisor(4, {2, 3})],): 1})
 
     def test_reference_independence(self, r5, r6):
         for ring in (r5, r6):
@@ -201,7 +224,7 @@ class TestPsi:
                 others = [m for m in range(1, n + 1) if m != i]
                 base = None
                 for refs in itertools.permutations(others, 2):
-                    nf = normal_form(ring, m0n_psi(i, ring, refs), 1)
+                    nf = normal_form(m0n_psi(i, ring, refs), ring)
                     if base is None:
                         base = nf
                     else:
@@ -210,72 +233,83 @@ class TestPsi:
     def test_psi_integrals_n5(self, r5):
         psi1 = m0n_psi(1, r5)
         psi2 = m0n_psi(2, r5)
-        assert m0n_integrate(r5.multiply(psi1, psi1), r5) == 1
-        assert m0n_integrate(r5.multiply(psi1, psi2), r5) == 2
+        assert integrate(product((psi1, psi1), r5), r5) == 1
+        assert integrate(product((psi1, psi2), r5), r5) == 2
 
     def test_all_psi_monomials_match_multinomial(self, r4, r5, r6):
         for ring in (r4, r5, r6):
             n = ring.n
             for ks in compositions(n - 3, n):
-                elem = {(): 1}
+                elem = RingElement.one()
                 for i, k in enumerate(ks, start=1):
                     for _ in range(k):
-                        elem = ring.multiply(elem, m0n_psi(i, ring))
-                assert m0n_integrate(elem, ring) == psi_multinomial(n, ks), ks
+                        elem = product((elem, m0n_psi(i, ring)), ring)
+                assert integrate(elem, ring) == psi_multinomial(n, ks), ks
 
     def test_string_equation(self, r5, r6):
         # forgetting the last mark: a degree-3 integral upstairs is the sum of
         # the integrals with one exponent lowered
         for ks in compositions(3, 5):
-            up = {(): 1}
+            up = RingElement.one()
             for i, k in enumerate(ks, start=1):
                 for _ in range(k):
-                    up = r6.multiply(up, m0n_psi(i, r6))
-            lhs = m0n_integrate(up, r6)
+                    up = product((up, m0n_psi(i, r6)), r6)
+            lhs = integrate(up, r6)
             rhs = 0
             for i, k in enumerate(ks):
                 if k == 0:
                     continue
-                down = {(): 1}
+                down = RingElement.one()
                 lowered = list(ks)
                 lowered[i] -= 1
                 for j, kk in enumerate(lowered, start=1):
                     for _ in range(kk):
-                        down = r5.multiply(down, m0n_psi(j, r5))
-                rhs += m0n_integrate(down, r5)
+                        down = product((down, m0n_psi(j, r5)), r5)
+                rhs += integrate(down, r5)
             assert lhs == rhs, ks
 
 
 class TestIntegration:
     def test_chain_normalization(self, r6):
-        chain = r6._chain_monomial()
-        assert m0n_integrate({chain: 1}, r6) == 1
+        chain = chain_monomial(r6)
+        assert integrate(RingElement({chain: 1}), r6) == 1
 
     def test_wrong_degree(self, r5):
         with pytest.raises(ValueError):
-            m0n_integrate({((0,)): 1}, r5)
+            integrate(RingElement({((0,)): 1}), r5)
+        with pytest.raises(ValueError, match="exceeds degree 2"):
+            normal_form(RingElement({(0, 0, 0): 1}), r5)
 
     def test_generator_index_out_of_range(self, r5):
-        for mono in ((0, 99), (-1, 3), (3, 10)):
-            with pytest.raises(ValueError, match="unknown generator index"):
-                m0n_integrate({mono: 1}, r5)
-            with pytest.raises(ValueError, match="unknown generator index"):
-                r5.multiply({(mono[0],): 1}, {(mono[1],): 1})
+        # an index past the 65 divisors, or negative, is no monomial at all;
+        # one past the ring's 10 divisors names no vertex of it
+        for mono, match in (
+            ((0, 99), "bad monomial"),
+            ((-1, 3), "bad monomial"),
+            ((3, 10), "unknown generator index"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                integrate(RingElement({mono: 1}), r5)
+            with pytest.raises(ValueError, match=match):
+                product(
+                    (RingElement({(mono[0],): 1}), RingElement({(mono[1],): 1})),
+                    r5,
+                )
 
     def test_divisor_times_psi_consistency(self, r5):
         # integrate D * psi1 two ways: directly, and after replacing D by its
         # degree-1 normal form
         psi1 = m0n_psi(1, r5)
         for gi in (0, 3, 7):
-            d = {(gi,): 1}
-            direct = m0n_integrate(r5.multiply(d, psi1), r5)
-            nf = normal_form(r5, d, 1)
-            via_nf = m0n_integrate(r5.multiply(nf, psi1), r5)
+            d = RingElement({(gi,): 1})
+            direct = integrate(product((d, psi1), r5), r5)
+            nf = normal_form(d, r5)
+            via_nf = integrate(product((nf, psi1), r5), r5)
             assert direct == via_nf
 
 
 class TestProductTables:
-    """M0nRing.multiply reads the product tables chowring builds for every
+    """chowring.product reads the product tables chowring builds for every
     degree: 65 slots per multiplier monomial, of which M(0,n) uses the
     first len(gens)."""
 
@@ -291,7 +325,7 @@ class TestProductTables:
     def test_multiply_matches_pairwise_product(self, r6):
         # the product term pair by term pair, each monomial sorted and looked
         # up, on seeded elements of mixed degree with int and Fraction
-        # coefficients and unsorted or inadmissible monomials
+        # coefficients and inadmissible monomials
         rng = random.Random(36636)
         ngens = len(r6.gens)
 
@@ -299,7 +333,7 @@ class TestProductTables:
             out = {}
             for _ in range(rng.randint(1, 8)):
                 k = rng.randint(0, degree)
-                mono = tuple(rng.randrange(ngens) for _ in range(k))
+                mono = tuple(sorted(rng.randrange(ngens) for _ in range(k)))
                 c = rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-2, 3)))
                 out[mono] = out.get(mono, 0) + c
             return out
@@ -313,11 +347,12 @@ class TestProductTables:
                     mono = tuple(sorted(ma + mb))
                     if mono in r6.degrees[len(mono)].index:
                         want[mono] = want.get(mono, 0) + ca * cb
-            assert r6.multiply(a, b) == {m: c for m, c in want.items() if c}
+            got = product((RingElement(a), RingElement(b)), r6)
+            assert got.coeffs == {m: c for m, c in want.items() if c}
 
     def test_degree_cap(self, r5):
         with pytest.raises(ValueError, match="exceeds"):
-            r5.multiply({(0, 3): 1}, {(5,): 1})
+            product((RingElement({(0, 3): 1}), RingElement({(5,): 1})), r5)
 
 
 class TestLinesOracle:
@@ -332,11 +367,11 @@ class TestLinesOracle:
             l, m = rest[1], rest[2]
             a = r5.gen_index[m0n_divisor(5, {j, k})]
             b = r5.gen_index[m0n_divisor(5, {l, m})]
-            return {(a,): 1, (b,): 1}
+            return RingElement({(a,): 1, (b,): 1})
 
         for i1, j1 in itertools.permutations(range(1, 6), 2):
             for i2, j2 in itertools.permutations(range(1, 6), 2):
-                val = m0n_integrate(
-                    r5.multiply(psi_lines(i1, j1), psi_lines(i2, j2)), r5
+                val = integrate(
+                    product((psi_lines(i1, j1), psi_lines(i2, j2)), r5), r5
                 )
                 assert val == (0 if i1 == i2 else 1), (i1, j1, i2, j2)

@@ -66,13 +66,8 @@ SHARED_FIELDS = {
     "chowring.DegreeData.torsion": (
         "chowring.GradedQuotientTable.torsion_free: dd.torsion"
     ),
-    "chowring.GradedQuotientTable._functional": (
-        "chowring._integration_functional: t._functional"
-    ),
     "chowring.GradedQuotientTable.runtime_ms": "chowring.ranks_report: t.runtime_ms",
-    "m0nring.M0nRing._functional": (
-        "m0nring.m0n_integrate: chowring._pair(ring._functional, ...)"
-    ),
+    "m0nring.M0nRing.n": "m0nring.m0n_psi: n = ring.n",
     "verification.CriterionResult.runtime_ms": "cli: r.runtime_ms in the verify report",
 }
 
