@@ -70,6 +70,10 @@ every point (DegreeData.functional), so the published psi[5,6]^2 psi[6,5]^2
 = 1 is a consequence that m36 verify checks.  The queries read only a
 table's degrees, so Keel's rings (m0nring.M0nRing) take them too.
 
+The fifteen line forms (line_forms), the degree of each divisor on each
+exceptional line, are certified to vanish on the linear relations: fiber
+restriction, the descent test and the K+B check in classes read them.
+
 Inside the engine every coefficient is an integer: the rref rows are integer
 numerators over one row denominator.  Fraction appears only at the API
 boundary, where sums, normal_form, quotient_product and integrate clear the
@@ -87,12 +91,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
+from types import MappingProxyType
 
 from . import labels
 from .boundarycomplex import build_complex
 from .exactla import (
     IntEchelon,
-    rank_over_rationals,
     reduce_row,
     smith_from_echelon,
     submul,
@@ -191,12 +195,6 @@ class RingElement:
 
     def degrees(self):
         return sorted({len(m) for m in self.coeffs})
-
-    def homogeneous_degree(self):
-        ds = self.degrees()
-        if len(ds) != 1:
-            raise ValueError("element is not homogeneous (degrees %r)" % (ds,))
-        return ds[0]
 
     def _plus(self, other, sign):
         """self + sign * other, summed in integers over the lcm of the two
@@ -314,13 +312,7 @@ def linear_relations():
 
 def _linear_relation_vectors():
     """The generators as {divisor index: coefficient} dicts."""
-    out = []
-    for g in linear_relations():
-        vec = {}
-        for mono, c in g.coeffs.items():
-            vec[mono[0]] = c
-        out.append(vec)
-    return out
+    return [{mono[0]: c for mono, c in g.coeffs.items()} for g in linear_relations()]
 
 
 # --------------------------------------------------------------------------
@@ -723,15 +715,22 @@ def normal_form(e, t):
     """Canonical representative of e on the chosen basis monomials.  Each
     monomial has one column, so the degree-k terms of e are a row once the
     lcm L of their denominators is cleared; the integer reduction (num, den)
-    of that row gives the coefficients num / (L * den)."""
+    of that row gives the coefficients num / (L * den).  An inadmissible
+    monomial is zero and drops out, unless it names no generator of t."""
+    top = len(t.degrees) - 1
+    rows = {}
+    for m, c in e.coeffs.items():
+        if len(m) > top:
+            raise ValueError("element exceeds degree %d" % top)
+        col = t.degrees[len(m)].index.get(m)
+        if col is None:
+            _check_vertices(m, t.degrees)
+        else:
+            rows.setdefault(len(m), {})[col] = c
     out = {}
-    for k in e.degrees():
-        if k >= len(t.degrees):
-            raise ValueError("element exceeds degree %d" % (len(t.degrees) - 1))
+    for k in sorted(rows):
         dd = t.degrees[k]
-        scale, row = clear_denominators(
-            {dd.index[m]: c for m, c in e.coeffs.items() if m in dd.index}
-        )
+        scale, row = clear_denominators(rows[k])
         num, den = reduce_row(row, dd.rref)
         den *= scale
         for col, v in num.items():
@@ -899,9 +898,6 @@ class FiberValue:
     kind: str
     coeffs: tuple
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def _match(self, other):
         if self.point != other.point or self.kind != other.kind:
             raise ValueError("fiber values live on different fibers")
@@ -933,28 +929,48 @@ class FiberValue:
 
 
 @functools.cache
-def _fiber_images(pt, kind):
-    """The image of every boundary divisor, by index, in the ring of the
-    fiber over pt, as the coefficient of its hyperplane class: the Pair
-    divisors through pt give -1 on a line and 1 on a plane, its two cyclic
-    triples the opposite signs, and every other divisor 0.
-    restrict_to_fiber reads them per term."""
-    sign = -1 if kind == labels.FIBER_P1 else 1
-    images = [0] * len(labels.DIVISORS)
-    for d in labels.pair_divisors_of_point(pt):
-        images[labels.divisor_index(d)] = sign
-    for d in labels.cyclic_divisors_of_point(pt):
-        images[labels.divisor_index(d)] = -sign
-    return tuple(images)
+def line_forms():
+    """{p: l_p} in SINGULAR_POINTS order, read-only: l_p(D) is the degree of
+    a divisor D on the exceptional line over p, as a tuple by divisor index,
+    -1 on p's three Pair divisors and 1 on its two cyclic triples.  Each l_p
+    is certified to vanish on the sixty linear relations (VerificationError),
+    so a degree-1 class descends when every l_p is 0 on it."""
+    forms = {}
+    for pt in labels.SINGULAR_POINTS:
+        form = [0] * len(labels.DIVISORS)
+        for d in labels.pair_divisors_of_point(pt):
+            form[labels.divisor_index(d)] = -1
+        for d in labels.cyclic_divisors_of_point(pt):
+            form[labels.divisor_index(d)] = 1
+        forms[pt] = tuple(form)
+    for rel in _linear_relation_vectors():
+        for pt, form in forms.items():
+            if sum(c * form[i] for i, c in rel.items()):
+                raise VerificationError(
+                    "the line form of %s is not zero on the linear relation %r"
+                    % (pt.name(), rel)
+                )
+    return MappingProxyType(forms)
+
+
+def line_degrees(e):
+    """{p: l_p of the degree-1 terms of e} over the fifteen singular points,
+    in SINGULAR_POINTS order."""
+    linear = [(mono[0], c) for mono, c in e.coeffs.items() if len(mono) == 1]
+    return {
+        pt: sum(c * form[i] for i, c in linear) for pt, form in line_forms().items()
+    }
 
 
 def restrict_to_fiber(e, pt, t):
     """Restriction of a class to the exceptional fiber over one singular
-    point, using the fiber kind assigned by t's config."""
-    if pt not in labels.SINGULAR_POINTS:
+    point, using the fiber kind assigned by t's config.  A divisor D restricts
+    to l_p(D) times the hyperplane class of a line and to -l_p(D) times that
+    of a plane (line_forms)."""
+    form = line_forms().get(pt)
+    if form is None:
         raise ValueError("unknown singular point %r" % (pt,))
     kind = t.config.fiber(pt)
-    images = _fiber_images(pt, kind)
     cap = 2 if kind == labels.FIBER_P1 else 3
     coeffs = [0] * cap
     for mono, c in e.coeffs.items():
@@ -963,52 +979,14 @@ def restrict_to_fiber(e, pt, t):
             continue
         scalar = 1
         for i in mono:
-            scalar *= images[i]
+            scalar *= form[i]
             if not scalar:
                 break
         if scalar:
             coeffs[k] += c * scalar
+    if kind == labels.FIBER_P2:
+        coeffs[1] = -coeffs[1]
     return FiberValue(point=pt, kind=kind, coeffs=tuple(coeffs))
-
-
-def m36_subring_membership(e, t):
-    """Whether a homogeneous class on the all-line-fiber resolution descends
-    to the singular space: automatic except in degree 1, where it means
-    vanishing restriction to all fifteen exceptional lines."""
-    if t.config != labels.config_all_p1():
-        raise ValueError("subring test requires the all-line-fiber table")
-    k = e.homogeneous_degree()
-    if k != 1:
-        return True
-    return all(
-        restrict_to_fiber(e, pt, t).is_zero() for pt in labels.SINGULAR_POINTS
-    )
-
-
-def m36_chow_ranks(t):
-    """Chow ranks of the singular space: degree 1 is cut out of the rank-51
-    group by the fifteen line restrictions; other degrees match the
-    resolution."""
-    if t.config != labels.config_all_p1():
-        raise ValueError("requires the all-line-fiber table")
-    basis = t.basis_monomials(1)
-    rows = []
-    for pt in labels.SINGULAR_POINTS:
-        row = {}
-        images = _fiber_images(pt, labels.FIBER_P1)
-        for j, mono in enumerate(basis):
-            v = images[mono[0]]
-            if v:
-                row[j] = v
-        rows.append(row)
-    r = rank_over_rationals(rows)
-    if r != 15:
-        raise VerificationError(
-            "line-restriction functionals have rank %d, expected 15" % r
-        )
-    ranks = list(t.ranks)
-    ranks[1] -= r
-    return tuple(ranks)
 
 
 # --------------------------------------------------------------------------

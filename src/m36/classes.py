@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -23,11 +24,11 @@ from .chowring import (
     VerificationError,
     clear_denominators,
     integrate,
-    m36_subring_membership,
+    line_degrees,
+    line_forms,
     normal_form,
     power,
     product,
-    restrict_to_fiber,
 )
 from .exactla import rank_over_rationals
 
@@ -216,8 +217,8 @@ def _cyclic_label_of_matching(matching):
     return (first, second, third)
 
 
-# The labels of the 36 Picard classes, in the order of picard_m36_basis and
-# of `m36 picard`: six triple deltas, fifteen pair deltas, fifteen cyclic.
+# The labels of the 36 Picard classes, in the order of picard_m36 and of
+# `m36 picard`: six triple deltas, fifteen pair deltas, fifteen cyclic.
 PICARD_LABELS = (
     tuple((tr, _complement(tr)) for tr in PICARD_TRIPLES)
     + tuple(
@@ -228,28 +229,39 @@ PICARD_LABELS = (
 )
 
 
-def picard_m36_basis(t):
-    """The 36 delta classes of PICARD_LABELS, spanning the Picard group of
-    the singular space.  Every element is checked to descend, and the image
-    in degree 1 of the resolution is checked to have rank exactly 36."""
-    out = [delta(label) for label in PICARD_LABELS]
-    for e in out:
-        if not m36_subring_membership(e, t):
-            raise VerificationError(
-                "a delta class failed the descent test: %r" % (e,)
-            )
+def picard_m36(t):
+    """(deltas, ranks): the 36 delta classes of PICARD_LABELS and the Chow
+    ranks of the singular space, on the all-line-fiber table t.  Its degree 1
+    is the common kernel of the fifteen chowring.line_forms: every delta is
+    checked to lie in it, and on the degree-1 basis the forms to have rank
+    15 and the deltas rank 36, so the deltas span it."""
+    if t.config != labels.config_all_p1():
+        raise ValueError("requires the all-line-fiber table")
+    deltas = [delta(label) for label in PICARD_LABELS]
+    for e in deltas:
+        if any(line_degrees(e).values()):
+            raise VerificationError("a delta class failed the descent test: %r" % (e,))
     basis = t.basis_monomials(1)
     pos = {mono: i for i, mono in enumerate(basis)}
+    forms = [
+        {j: form[mono[0]] for j, mono in enumerate(basis) if form[mono[0]]}
+        for form in line_forms().values()
+    ]
     rows = []
-    for e in out:
+    for e in deltas:
         # clearing each row's denominators keeps its rank over Q and gives
         # rank_over_rationals the integer rows it takes
         _, row = clear_denominators(normal_form(e, t).coeffs)
         rows.append({pos[m]: c for m, c in row.items()})
-    r = rank_over_rationals(rows)
-    if r != 36:
-        raise VerificationError("delta classes have rank %d, expected 36" % r)
-    return out
+    for what, vectors, want in (
+        ("line-restriction functionals", forms, 15),
+        ("delta classes", rows, 36),
+    ):
+        r = rank_over_rationals(vectors)
+        if r != want:
+            raise VerificationError("%s have rank %d, expected %d" % (what, r, want))
+    ranks = t.ranks
+    return deltas, (ranks[0], ranks[1] - 15) + ranks[2:]
 
 
 # --------------------------------------------------------------------------
@@ -327,8 +339,8 @@ def _pullback_identity_residues(t):
 def canonical_classes(t):
     """K, the total boundary B, and K+B, with the three verifications that
     pin them down: the pullback identity for K holds (in at least one of the
-    two readings of the correction term), K+B restricts to zero on every
-    exceptional line, and (K+B)^4 is positive."""
+    two readings of the correction term), K+B has degree 0 on every
+    exceptional line (chowring.line_degrees), and (K+B)^4 is positive."""
     k_class = canonical_divisor()
     b_class = total_boundary()
     kb = k_class + b_class
@@ -339,11 +351,7 @@ def canonical_classes(t):
             "the pullback identity for K fails in both readings: %r"
             % {r: repr(res) for r, res in residues.items()}
         )
-    bad_lines = [
-        pt.name()
-        for pt in labels.SINGULAR_POINTS
-        if not restrict_to_fiber(kb, pt, t).is_zero()
-    ]
+    bad_lines = [pt.name() for pt, v in line_degrees(kb).items() if v]
     if bad_lines:
         raise VerificationError(
             "K+B does not vanish on exceptional lines %r" % (bad_lines,)
@@ -424,28 +432,25 @@ PSI_PAIRS = tuple(
 )
 
 
-def _orbit_key(multiset):
-    return tuple(sorted(multiset))
+@functools.cache
+def _psi_orbit_map():
+    """{multiset: representative} over the degree-4 multisets of psi pairs,
+    sorted tuples, from one walk in lexicographic order, whose first member
+    of an orbit is its lex-smallest and represents it."""
+    perms = labels.all_permutations()
+    out = {}
+    for ms in itertools.combinations_with_replacement(PSI_PAIRS, 4):
+        if ms not in out:
+            for sigma in perms:
+                out[tuple(sorted((sigma[i - 1], sigma[j - 1]) for i, j in ms))] = ms
+    return out
 
 
 def psi_orbits():
-    """Representatives of the relabeling orbits on degree-4 multisets of the
-    thirty psi classes, in lexicographic order."""
-    seen = set()
-    orbits = []
-    for ms in itertools.combinations_with_replacement(PSI_PAIRS, 4):
-        key = _orbit_key(ms)
-        if key in seen:
-            continue
-        orbit = set()
-        for sigma in labels.all_permutations():
-            img = _orbit_key(
-                tuple((sigma[i - 1], sigma[j - 1]) for i, j in ms)
-            )
-            orbit.add(img)
-        seen.update(orbit)
-        orbits.append((key, len(orbit)))
-    return orbits
+    """(representative, size) of each relabeling orbit on degree-4
+    multisets of the thirty psi classes, in lexicographic order of the
+    representatives."""
+    return list(Counter(_psi_orbit_map().values()).items())
 
 
 def _format_orbit(key):
@@ -456,21 +461,15 @@ def _parse_orbit(text):
     return tuple(sorted((int(p[0]), int(p[1])) for p in text.split(".")))
 
 
-def _orbit_min(key):
-    return min(
-        _orbit_key(tuple((sigma[i - 1], sigma[j - 1]) for i, j in key))
-        for sigma in labels.all_permutations()
-    )
-
-
 def load_published_psi_table():
     """The published nonzero quartic psi numbers, keyed by the lex-smallest
     representative of each relabeling orbit."""
     data = resources.files("m36").joinpath("data/psi_table_published.csv")
+    orbit_of = _psi_orbit_map()
     out = {}
     with data.open("r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            key = _orbit_min(_parse_orbit(row["orbit_representative"]))
+            key = orbit_of[_parse_orbit(row["orbit_representative"])]
             if key in out:
                 raise ValueError(
                     "published rows %r collide in one orbit"
@@ -481,8 +480,6 @@ def load_published_psi_table():
 
 
 def _too_many_repeats(key):
-    from collections import Counter
-
     firsts = Counter(i for i, _ in key)
     return max(firsts.values()) >= 3
 

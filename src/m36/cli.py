@@ -423,12 +423,12 @@ def cmd_picard(args, cfg):
     if cfg != labels.config_all_p1():
         raise UsageError("the Picard basis is computed on the all-P1 config")
     table = chowring.table(cfg)
-    basis = classes.picard_m36_basis(table)
+    deltas, ranks = classes.picard_m36(table)
     names = [classes.delta_name(label) for label in classes.PICARD_LABELS]
     report = {
         "mode": args.mode,
-        "rank": len(basis),
-        "m36_chow_ranks": list(chowring.m36_chow_ranks(table)),
+        "rank": len(deltas),
+        "m36_chow_ranks": list(ranks),
         "classes": names,
     }
     return report, _csv_bytes(("class",), [(n,) for n in names]), 0

@@ -246,8 +246,7 @@ def crit_picard():
     the line restrictions; the singular space has Picard rank 36."""
     table = chowring.table(labels.config_all_p1())
     try:
-        basis = classes.picard_m36_basis(table)
-        ranks = chowring.m36_chow_ranks(table)
+        basis, ranks = classes.picard_m36(table)
         ok = len(basis) == 36 and ranks == (1, 36, 127, 51, 1)
         details = {"classes": len(basis), "m36_ranks": "x".join(map(str, ranks))}
     except chowring.VerificationError as e:

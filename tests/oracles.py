@@ -13,7 +13,8 @@ without the quotient evaluation that the CLI takes when it can.  The
 integration functional normalized on psi[5,6]^2 psi[6,5]^2, the rule before
 the point normalization, is the reference that rule must agree with, and a
 top degree with one point moved off 1 is what the point certificate must
-refuse.
+refuse.  The lex-smallest member of a psi orbit, by a min over all 720
+relabelings, is the reference for the program's orbit map.
 """
 
 import dataclasses
@@ -81,6 +82,16 @@ def fiber_generator_image(d, pt, kind):
     if labels.singular_point(d.data) != pt:
         return 0
     return 1 if kind == labels.FIBER_P1 else -1
+
+
+def orbit_min(key):
+    """The lex-smallest member of the relabeling orbit of a multiset of psi
+    pairs, each image sorted: a min over all 720 relabelings, where the
+    program reads a map built in one walk of the multisets."""
+    return min(
+        tuple(sorted((sigma[i - 1], sigma[j - 1]) for i, j in key))
+        for sigma in labels.all_permutations()
+    )
 
 
 def s2_triple_relations(cfg):

@@ -31,9 +31,9 @@ from m36.chowring import (
     duality_element,
     integrate,
     is_zero_in,
+    line_degrees,
+    line_forms,
     linear_relations,
-    m36_chow_ranks,
-    m36_subring_membership,
     normal_form,
     power,
     product,
@@ -110,8 +110,6 @@ class TestRingElement:
     def test_degrees(self):
         e = RingElement.one() + F(1, 2) + F(1, 2) * F(1, 2)
         assert e.degrees() == [0, 1, 2]
-        with pytest.raises(ValueError):
-            e.homogeneous_degree()
 
     def test_degree_cap(self):
         f = F(1, 2)
@@ -1141,12 +1139,30 @@ class TestFiberRestriction:
             G((1, 3), (2, 4), (5, 6)), pt, table
         ).coeffs == (0, 0)
 
-    def test_images_read_off_the_matching(self):
+    def test_line_forms_read_off_the_matching(self):
+        forms = line_forms()
+        assert list(forms) == list(SINGULAR_POINTS)
         for pt in SINGULAR_POINTS:
-            for kind in (labels.FIBER_P1, labels.FIBER_P2):
-                assert chowring._fiber_images(pt, kind) == tuple(
-                    fiber_generator_image(d, pt, kind) for d in labels.DIVISORS
-                )
+            assert forms[pt] == tuple(
+                fiber_generator_image(d, pt, labels.FIBER_P1)
+                for d in labels.DIVISORS
+            )
+
+    def test_line_form_certificate_fires(self, monkeypatch):
+        # F[12] alone as a relation: the form of P[12,34,56] is -1 on it
+        vectors = chowring._linear_relation_vectors()
+        bad = {labels.divisor_index(pair((1, 2))): 1}
+        monkeypatch.setattr(
+            chowring, "_linear_relation_vectors", lambda: vectors + [bad]
+        )
+        line_forms.cache_clear()
+        try:
+            with pytest.raises(VerificationError, match="line form"):
+                line_forms()
+        finally:
+            line_forms.cache_clear()
+        monkeypatch.undo()
+        assert len(line_forms()) == 15
 
     def test_plane_fiber_generator_images(self, table_p2):
         pt = self.PT
@@ -1162,7 +1178,7 @@ class TestFiberRestriction:
         sq = restrict_to_fiber(f * f, self.PT, table_p2)
         assert sq.coeffs == (0, 0, 1)
         cube = F(1, 2) * F(3, 4) * F(5, 6)
-        assert restrict_to_fiber(cube, self.PT, table_p2).is_zero()
+        assert restrict_to_fiber(cube, self.PT, table_p2).coeffs == (0, 0, 0)
 
     def test_multiplicative_on_samples(self, table, table_p2):
         rng = random.Random(13)
@@ -1179,7 +1195,7 @@ class TestFiberRestriction:
         for t in (table, table_p2):
             for g in linear_relations():
                 for pt in SINGULAR_POINTS:
-                    assert restrict_to_fiber(g, pt, t).is_zero()
+                    assert not any(restrict_to_fiber(g, pt, t).coeffs)
 
     def test_fiber_value_mismatch(self, table):
         a = restrict_to_fiber(F(1, 2), SINGULAR_POINTS[0], table)
@@ -1198,28 +1214,34 @@ class TestFiberRestriction:
 
 
 class TestSingularSpace:
-    def test_membership_needs_all_line_table(self, table_p2):
-        with pytest.raises(ValueError):
-            m36_subring_membership(F(1, 2), table_p2)
+    def test_bare_divisors_do_not_descend(self):
+        pt = singular_point(((1, 2), (3, 4), (5, 6)))
+        assert line_degrees(F(1, 2))[pt] == -1
+        assert line_degrees(G((1, 2), (3, 4), (5, 6)))[pt] == 1
 
-    def test_bare_divisors_do_not_descend(self, table):
-        assert not m36_subring_membership(F(1, 2), table)
-        assert not m36_subring_membership(
-            G((1, 2), (3, 4), (5, 6)), table
-        )
+    def test_triples_descend(self):
+        assert not any(line_degrees(E(1, 2, 3)).values())
 
-    def test_triples_descend(self, table):
-        assert m36_subring_membership(E(1, 2, 3), table)
+    def test_deltas_descend(self):
+        for label in classes.PICARD_LABELS:
+            assert not any(line_degrees(classes.delta(label)).values()), label
 
-    def test_higher_degrees_automatic(self, table):
-        assert m36_subring_membership(F(1, 2) * F(1, 2), table)
+    def test_higher_degrees_automatic(self):
+        assert not any(line_degrees(F(1, 2) * F(1, 2)).values())
 
     def test_chow_ranks(self, table):
-        assert m36_chow_ranks(table) == (1, 36, 127, 51, 1)
+        deltas, ranks = classes.picard_m36(table)
+        assert ranks == (1, 36, 127, 51, 1)
+        assert len(deltas) == 36
 
     def test_chow_ranks_needs_all_line_table(self, table_p2):
         with pytest.raises(ValueError):
-            m36_chow_ranks(table_p2)
+            classes.picard_m36(table_p2)
+
+    def test_a_class_that_does_not_descend_fails(self, table, monkeypatch):
+        monkeypatch.setattr(classes, "delta", lambda label: F(1, 2))
+        with pytest.raises(VerificationError, match="descent"):
+            classes.picard_m36(table)
 
 
 class TestBlowupRecursion:

@@ -13,6 +13,7 @@ from m36.chowring import (
     RingElement,
     VerificationError,
     integrate,
+    is_zero_in,
     normal_form,
     product,
     top_functional,
@@ -295,6 +296,17 @@ class TestIntegration:
                     (RingElement({(mono[0],): 1}), RingElement({(mono[1],): 1})),
                     r5,
                 )
+
+    def test_normal_form_refuses_unknown_generators(self, r5):
+        # 12 and 10 name no divisor of M(0,5), whose ten are 0 to 9: the
+        # monomials are not admissible, but they are no monomials of the ring
+        # either, so normal_form and is_zero_in raise as product does
+        for coeffs in ({(12,): 1}, {(0,): 1, (3, 10): 2}):
+            e = RingElement(coeffs)
+            with pytest.raises(ValueError, match="unknown generator index"):
+                normal_form(e, r5)
+            with pytest.raises(ValueError, match="unknown generator index"):
+                is_zero_in(e, r5)
 
     def test_divisor_times_psi_consistency(self, r5):
         # integrate D * psi1 two ways: directly, and after replacing D by its

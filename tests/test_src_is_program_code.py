@@ -43,8 +43,6 @@ ALLOWED = {
 # used.  Each names the line that reaches it; a new shared name fails
 # test_shared_names_are_accounted_for until its caller is checked and added.
 SHARED = {
-    "chowring.RingElement.is_zero": "chowring.is_zero_in: normal_form(e, t).is_zero()",
-    "chowring.FiberValue.is_zero": "chowring: restrict_to_fiber(e, pt, t).is_zero()",
     "chowring.GradedQuotientTable.ranks": "chowring.build_quotient: table.ranks",
     "m0nring.M0nRing.ranks": "verification.crit_m0n_oracles: ring.ranks",
     "exactla.IntEchelon.insert": "chowring._eliminate: ech.insert(row)",
