@@ -29,46 +29,52 @@ exactla.smith_from_echelon.  For the six-lines tables the rank profile
 VerificationError rather than a report with different numbers.
 
 RingElement is the free polynomial ring and knows no config.  product
-and power evaluate products in the quotient instead: a product
-monomial that is not admissible is zero by the monomial relations, and
-since every factor of an admissible monomial is admissible the result is
-exactly the free product with its inadmissible monomials removed.  Normal
-forms, integrals and restrictions to exceptional fibers read only
-admissible monomials, so they take the same values on either product; the
-quotient product never expands the free ring.  Both refuse a product past
-degree 4 exactly where the free ring does (_check_degree_cap).
+and integrate_product evaluate products in the quotient instead: a
+product monomial that is not admissible is zero by the monomial
+relations, and since every factor of an admissible monomial is admissible
+the result is exactly the free product with its inadmissible monomials
+removed.  Normal forms, integrals and restrictions to exceptional fibers
+read only admissible monomials, so they take the same values on either
+product; the quotient product never expands the free ring.  Both refuse a
+product past degree 4 exactly where the free ring does
+(_check_degree_cap).
 
 Quotient products run by column.  Each degree k >= 1 keeps a product
 table: for every admissible monomial of degree k-1 and every divisor, the
 column of their product in degree k, or a mark that it is not admissible.
 The same table feeds the relation-row stream of the degree's elimination
-and quotient_product, the one product kernel, which takes a whole chain of
-factors: the running product stays integer numerators by (degree, column)
-across all of them, and monomial keys and Fractions are formed once, for
-the result.  A factor's divisors reach it through per-column divisor
-masks (DegreeData.masks), so only admissible products are visited: in the
-126 psi quartics of the benchmark's seed-1 query round, a mean 21%, 14%
-and 11% of the (running column, divisor) pairs of the second, third and
-fourth factor are admissible.  On the all-line-fiber table (2 shared
-cores, CPython 3.11.7; the range of the medians of six sittings, whose
-load varied, each timing this kernel and one pairwise product per factor
-alternately) `integrate "(K+B)^4"` takes 0.020-0.041 s through the CLI,
-against 0.034-0.065 s pairwise and 0.31-0.34 s when each term pair's
-monomial was sorted and looked up; the 140 small queries of the
-benchmark's seed-1 query round, run through cli.main in one process,
-take 0.035-0.079 s against 0.064-0.118 s pairwise and 0.31-0.32 s
-sorted.
+and _chain, the one column kernel, which takes a whole chain of factors:
+the running product starts as the first factor's admissible columns and
+stays integer numerators by (degree, column) across all of them.  A
+factor's divisors reach it through per-column divisor masks
+(DegreeData.masks), so only admissible products are visited: in the 126
+psi quartics of the benchmark's seed-1 query round, a mean 21%, 14% and
+11% of the (running column, divisor) pairs of the second, third and
+fourth factor are admissible.  quotient_product forms monomial keys and
+Fractions once, for the result.  integrate never forms them: each hit of
+the last factor in the top degree adds its value times the integration
+functional at its column to one int, so no degree-4 element is built.
+On the all-line-fiber table (2 shared cores,
+CPython 3.11.7; the range of the medians of six sittings, whose load
+varied, each timing this path and, alternately, one that built the
+degree-4 product and then integrated it) `integrate "(K+B)^4"` takes
+0.009-0.015 s through the CLI, against 0.020-0.036 s; the 140 small
+queries of the benchmark's seed-1 query round, run through cli.main in one
+process, take 0.031-0.056 s against 0.041-0.086 s.
 
-Sparse sums of elements go through exactla.submul, which adds a scaled
-row, and _collect, which sums (monomial, coefficient) terms of free
-products and relabelings; both drop zeros.  quotient_product sums by
-column.  Normal forms reduce by the degree's rref with exactla.reduce_row,
-the same back-substitution that builds it.
+Sums of elements add term by term (RingElement._plus), and _collect sums
+the (monomial, coefficient) terms of free products and relabelings; both
+drop zeros.  The column kernel sums by column.  Normal forms reduce by the
+degree's rref with exactla.reduce_row, the same back-substitution that
+builds it.
 
-Integrals read the top degree's functional, which is certified to be 1 on
-every point (DegreeData.functional), so the published psi[5,6]^2 psi[6,5]^2
-= 1 is a consequence that m36 verify checks.  The queries read only a
-table's degrees, so Keel's rings (m0nring.M0nRing) take them too.
+Integrals read the top degree's functional, its values by column, which
+is certified to be 1 on every point (DegreeData.functional), so the
+published psi[5,6]^2 psi[6,5]^2 = 1 is a consequence that m36 verify
+checks.  An integral of a product is one integrate_product, or one
+integrate of its last factor times the others; integrate(e, t) alone is
+the one-factor case.  The queries read only a table's degrees, so Keel's
+rings (m0nring.M0nRing) take them too.
 
 The fifteen line forms (line_forms), the degree of each divisor on each
 exceptional line, are certified to vanish on the linear relations: fiber
@@ -76,9 +82,10 @@ restriction, the descent test and the K+B check in classes read them.
 
 Inside the engine every coefficient is an integer: the rref rows are integer
 numerators over one row denominator.  Fraction appears only at the API
-boundary, where sums, normal_form, quotient_product and integrate clear the
+boundary, where normal_form, quotient_product and integrate clear the
 denominators of their inputs first and divide them back out of each
-result term, and where the integration functional reads its values.
+result, where sums add Fraction terms, and where the integration
+functional reads its values.
 """
 
 from __future__ import annotations
@@ -99,7 +106,6 @@ from .exactla import (
     IntEchelon,
     reduce_row,
     smith_from_echelon,
-    submul,
 )
 
 MAX_DEGREE = 4
@@ -197,22 +203,36 @@ class RingElement:
         return sorted({len(m) for m in self.coeffs})
 
     def _plus(self, other, sign):
-        """self + sign * other, summed in integers over the lcm of the two
-        denominators, with one Fraction made per distinct output value: K+B
-        has 65 terms and three values, and takes a median 38-49 us against
-        80-135 us for 65 Fraction additions (four sittings, 2 shared cores,
+        """self + sign * other.  A term of one side that the other lacks
+        keeps its value, two int terms add as ints, and any other pair of
+        terms adds once per distinct pair of coefficient objects: elements
+        built from the same atoms share them, so the 65 terms of K+B take
+        three Fraction additions.  K+B takes a median 33-57 us, against
+        46-78 us when both sides were cleared to integers over one
+        denominator with one Fraction made per distinct value; a 65-term
+        Fraction element plus an int element on half of its terms takes
+        61-98 us against 82-160 us, and two 65-term int elements 10-19 us
+        against 16-31 us (six sittings, alternating, 2 shared cores,
         CPython 3.11.7)."""
-        scale_a, a = clear_denominators(self.coeffs)
-        scale_b, b = clear_denominators(other.coeffs)
-        scale = lcm(scale_a, scale_b)
-        if scale == scale_a:
-            out = dict(a)
-        else:
-            out = {m: c * (scale // scale_a) for m, c in a.items()}
-        submul(out, b, -sign * (scale // scale_b))
-        if scale != 1:
-            values = {c: Fraction(c, scale) for c in set(out.values())}
-            out = {m: values[c] for m, c in out.items()}
+        out = dict(self.coeffs)
+        get, sums = out.get, {}
+        for m, c in other.coeffs.items():
+            a = get(m)
+            if a is None:
+                out[m] = c if sign > 0 else -c
+                continue
+            if type(a) is int is type(c):
+                v = a + sign * c
+            else:
+                # both objects live in the operands, so their ids are unique
+                key = id(a), id(c)
+                v = sums.get(key)
+                if v is None:
+                    v = sums[key] = a + sign * c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
         return RingElement._raw(out)
 
     def __add__(self, other):
@@ -422,13 +442,14 @@ class DegreeData:
 
     @functools.cached_property
     def functional(self):
-        """The integration functional of a top degree, {col: int}, 1 on its
-        first point: a squarefree monomial, where as many boundary divisors
-        meet transversally.  Every point must integrate to 1, or
-        VerificationError; the all-line-fiber table has 1,020 of them."""
+        """The integration functional of a top degree, its int values by
+        column, 1 on its first point: a squarefree monomial, where as many
+        boundary divisors meet transversally.  Every point must integrate
+        to 1, or VerificationError; the all-line-fiber table has 1,020 of
+        them."""
         points = [c for c, m in enumerate(self.monomials) if len(set(m)) == len(m)]
         func = top_functional(self, {points[0]: 1})
-        off = [c for c in points if func.get(c) != 1]
+        off = [c for c in points if func[c] != 1]
         if off:
             raise VerificationError(
                 "%d of the %d points of the top degree do not integrate to 1, "
@@ -738,82 +759,139 @@ def normal_form(e, t):
     return RingElement(out)
 
 
+def _times(running, live, factor, degrees, weights=None):
+    """The running product, numerators by degree as {column: int}, times
+    one factor of int coefficients, by column: (sums, total), sums the new
+    running product.  Its admissible terms act on the live degrees of the
+    running product by degree: its constant scales them; its divisors, by
+    the bits of the factor's divisor mask that each running column's entry
+    in DegreeData.masks shares, so only admissible products are visited;
+    each longer monomial steps them through the product tables one divisor
+    at a time, and a product that is not admissible drops out at the first
+    step that leaves the admissible monomials, since every factor of an
+    admissible monomial is admissible.  With weights, the top degree's
+    functional, every hit in the top degree adds its value times the weight
+    of its column to the int total instead of entering sums."""
+    top = len(degrees) - 1
+    unit, mask, linear, longer = 0, 0, [0] * _WIDTH, []
+    for mono, c in factor.items():
+        if mono not in degrees[len(mono)].index:
+            _check_vertices(mono, degrees)
+            continue
+        if not mono:
+            unit = c
+        elif len(mono) == 1:
+            mask |= 1 << mono[0]
+            linear[mono[0]] = c
+        else:
+            longer.append((mono, c))
+    sums = [{} for _ in degrees]
+    total = 0
+    for k in live:
+        terms = running[k]
+        if unit:
+            w, acc = weights if k == top else None, sums[k]
+            for col, v in terms.items():
+                if w is None:
+                    acc[col] = acc.get(col, 0) + v * unit
+                else:
+                    total += v * unit * w[col]
+        if mask:
+            dd, acc = degrees[k + 1], sums[k + 1]
+            w = weights if k + 1 == top else None
+            products, masks = dd.products, dd.masks
+            for col, v in terms.items():
+                hits = masks[col] & mask
+                base = _WIDTH * col
+                while hits:
+                    bit = hits & -hits
+                    d = bit.bit_length() - 1
+                    p = products[base + d]
+                    if w is None:
+                        acc[p] = acc.get(p, 0) + v * linear[d]
+                    else:
+                        total += v * linear[d] * w[p]
+                    hits ^= bit
+        for mono, c in longer:
+            *steps, last = mono
+            j, cols = k, terms.items()
+            for d in steps:
+                j += 1
+                products = degrees[j].products
+                cols = [
+                    (p, v)
+                    for col, v in cols
+                    if (p := products[_WIDTH * col + d]) != _NO_COLUMN
+                ]
+            products, acc = degrees[j + 1].products, sums[j + 1]
+            w = weights if j + 1 == top else None
+            for col, v in cols:
+                p = products[_WIDTH * col + last]
+                if p == _NO_COLUMN:
+                    continue
+                if w is None:
+                    acc[p] = acc.get(p, 0) + v * c
+                else:
+                    total += v * c * w[p]
+    return sums, total
+
+
+def _chain(factors, degrees, weights=None):
+    """The column kernel of quotient_product and integrate_product: the
+    product of the {monomial: coeff} factors, left to right, as (running,
+    scale, total), or None when a factor or the running product is zero.
+    Products beyond the top degree are refused by _check_degree_cap before
+    any term is formed.  running holds integer numerators by degree as
+    {column: int} over one denominator, scale, the product of the factors'
+    denominators: it starts as the first factor's admissible columns,
+    taken by index, and each further factor multiplies it by _times.  With
+    weights, the top degree's functional, the top degree of the product is
+    never stored: the last factor's top-degree hits, or the first factor's
+    top-degree columns when it is the only one, are summed against weights
+    into the int total."""
+    top = len(degrees) - 1
+    _check_degree_cap(factors, top)
+    running = [{} for _ in degrees]
+    if not factors:
+        running[0][0] = 1
+        return running, 1, 0
+    first, *rest = factors
+    if not first:
+        return None
+    scale, first = clear_denominators(first)
+    for mono, c in first.items():
+        col = degrees[len(mono)].index.get(mono)
+        if col is None:
+            _check_vertices(mono, degrees)
+        else:
+            running[len(mono)][col] = c
+    total = 0
+    for i, factor in enumerate(rest, 2):
+        # zeros left by cancellation stay until the result; they add nothing
+        live = [k for k, terms in enumerate(running) if any(terms.values())]
+        if not live or not factor:
+            return None
+        factor_scale, factor = clear_denominators(factor)
+        scale *= factor_scale
+        last = weights if i == len(factors) else None
+        running, total = _times(running, live, factor, degrees, last)
+    if weights is not None:
+        # a one-factor chain has its top degree here; a longer one none
+        total += sum(v * weights[col] for col, v in running[top].items())
+    return running, scale, total
+
+
 def quotient_product(factors, degrees):
     """The product of the sequence of {monomial: coeff} elements factors,
     taken left to right in the quotient whose DegreeData are degrees: the
     free product without its inadmissible monomials, one when there are no
     factors.  Products beyond the top degree, len(degrees) - 1, are refused
-    by _check_degree_cap before any term is formed.
-
-    The product is taken by column.  The running product is integer
-    numerators keyed by (degree, column) over one denominator, the lcm of
-    the factors' denominators, and monomial keys and Fractions are formed
-    once, for the result.  A factor's admissible terms act on it by degree:
-    its constant scales it; its divisors, by the bits of the factor's divisor
-    mask that each running column's entry in DegreeData.masks shares, so
-    only admissible products are visited; each longer monomial steps all of
-    it through the product tables one divisor at a time, and a product that
-    is not admissible drops out at the first step that leaves the admissible
-    monomials, since every factor of an admissible monomial is admissible."""
-    top = len(degrees) - 1
-    _check_degree_cap(factors, top)
-    running = [{0: 1}] + [{} for _ in range(top)]  # degree -> {column: int}
-    scale = 1
-    for factor in factors:
-        # zeros left by cancellation stay until the result; they add nothing
-        live = [k for k, terms in enumerate(running) if any(terms.values())]
-        if not live or not factor:
-            return {}
-        factor_scale, factor = clear_denominators(factor)
-        scale *= factor_scale
-        unit, mask, linear, longer = 0, 0, [0] * _WIDTH, []
-        for mono, c in factor.items():
-            if mono not in degrees[len(mono)].index:
-                _check_vertices(mono, degrees)
-                continue
-            if not mono:
-                unit = c
-            elif len(mono) == 1:
-                mask |= 1 << mono[0]
-                linear[mono[0]] = c
-            else:
-                longer.append((mono, c))
-        sums = [{} for _ in degrees]
-        for k in live:
-            terms = running[k]
-            if unit:
-                acc = sums[k]
-                for col, v in terms.items():
-                    acc[col] = acc.get(col, 0) + v * unit
-            if mask:
-                dd, acc = degrees[k + 1], sums[k + 1]
-                products, masks = dd.products, dd.masks
-                for col, v in terms.items():
-                    hits = masks[col] & mask
-                    base = _WIDTH * col
-                    while hits:
-                        bit = hits & -hits
-                        d = bit.bit_length() - 1
-                        p = products[base + d]
-                        acc[p] = acc.get(p, 0) + v * linear[d]
-                        hits ^= bit
-            for mono, c in longer:
-                *steps, last = mono
-                j, cols = k, terms.items()
-                for d in steps:
-                    j += 1
-                    products = degrees[j].products
-                    cols = [
-                        (p, v)
-                        for col, v in cols
-                        if (p := products[_WIDTH * col + d]) != _NO_COLUMN
-                    ]
-                products, acc = degrees[j + 1].products, sums[j + 1]
-                for col, v in cols:
-                    p = products[_WIDTH * col + last]
-                    if p != _NO_COLUMN:
-                        acc[p] = acc.get(p, 0) + v * c
-        running = sums
+    before any term is formed.  The product is taken by column (_chain), and
+    monomial keys and Fractions are formed once, for the result."""
+    chain = _chain(factors, degrees)
+    if chain is None:
+        return {}
+    running, scale, _total = chain
     return {
         degrees[k].monomials[col]: v if scale == 1 else Fraction(v, scale)
         for k, terms in enumerate(running)
@@ -824,19 +902,10 @@ def quotient_product(factors, degrees):
 
 def product(factors, t):
     """The product of the factors in the ring of t, taken left to right by
-    one quotient_product.  power(K+B, 4) is one such chain; on the
-    all-line-fiber table it takes a median 0.014-0.028 s (five sittings,
-    alternating), against 0.025-0.050 s for four pairwise products and
-    0.19-0.31 s by sorting and looking up the monomial of each term pair (2
+    one quotient_product.  Four factors K+B are one such chain; on the
+    all-line-fiber table it takes a median 0.016-0.028 s (six sittings, 2
     shared cores, CPython 3.11.7)."""
     return RingElement._raw(quotient_product([f.coeffs for f in factors], t.degrees))
-
-
-def power(e, n, t):
-    """e**n in the ring of t, the product of n copies of e."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    return product((e,) * n, t)
 
 
 def is_zero_in(e, t):
@@ -846,43 +915,58 @@ def is_zero_in(e, t):
 def top_functional(dd, normalizer):
     """The integer functional on the columns of a corank-1 degree dd that
     annihilates its relation span and takes the value 1 on the normalizing
-    class, given as {col: coeff}, such as a point.  It is read off the rref
-    at the one basis column and must come out integral, which is to say the
-    primitive functional gives +-1 on the normalizing class; otherwise, or
-    when dd does not have corank 1, VerificationError."""
+    class, given as {col: coeff}, such as a point: a tuple of its values by
+    column.  It is read off the rref at the one basis column and must come
+    out integral, which is to say the primitive functional gives +-1 on the
+    normalizing class; otherwise, or when dd does not have corank 1,
+    VerificationError."""
     if len(dd.basis_cols) != 1:
         raise VerificationError("the top degree does not have corank 1")
     (j0,) = dd.basis_cols
-    func = {j0: 1}
-    func.update(
-        (lead, -Fraction(num[j0], den))
-        for lead, (num, den) in dd.rref.items()
-        if j0 in num
-    )
-    total = Fraction(sum(c * func.get(col, 0) for col, c in normalizer.items()))
-    if not total or any((v / total).denominator != 1 for v in func.values()):
+    func = [Fraction(0)] * len(dd.monomials)
+    func[j0] = Fraction(1)
+    for lead, (num, den) in dd.rref.items():
+        func[lead] = -Fraction(num.get(j0, 0), den)
+    total = sum(c * func[col] for col, c in normalizer.items())
+    if not total or any((v / total).denominator != 1 for v in func):
         raise VerificationError(
             "no integral functional is 1 on the normalizing class "
             "(the unscaled one gives %r there)" % (total,)
         )
-    return {c: int(v / total) for c, v in func.items()}
+    return tuple(int(v / total) for v in func)
 
 
-def integrate(e, t):
-    """Degree of a class homogeneous of the top degree of t, as an exact
-    rational; the sum is taken in integers, over the lcm of denominators."""
-    top = len(t.degrees) - 1
-    if e.degrees() not in ([], [top]):
+def integrate(e, t, *, times=()):
+    """The integral over the ring of t of the product of the RingElements
+    times and e, taken left to right by column as in product, as an exact
+    rational; the product must be zero or homogeneous of the top degree of
+    t, or ValueError.  e is the last factor: it is summed against the top
+    degree's functional as it multiplies (_chain), so no term of the
+    product's top degree is stored, and no monomial key or Fraction is
+    formed: the 126 psi quartics of the benchmark's seed-1 query round take
+    a median 150-230 us each, against 171-347 us for integrating the built
+    product (six sittings, alternating, 2 shared cores, CPython 3.11.7).
+    times is keyword-only, and the benchmark's tracer reads the call as
+    integrate(e, t)."""
+    degrees = t.degrees
+    top = len(degrees) - 1
+    factors = [f.coeffs for f in times]
+    factors.append(e.coeffs)
+    chain = _chain(factors, degrees, degrees[top].functional)
+    if chain is None:
+        return Fraction(0)
+    running, scale, total = chain
+    if any(any(terms.values()) for terms in running[:top]):
         raise ValueError("integrand must be homogeneous of degree %d" % top)
-    dd, total = t.degrees[top], 0
-    func, index = dd.functional, dd.index
-    scale, coeffs = clear_denominators(e.coeffs)
-    for m, c in coeffs.items():
-        if m in index:
-            total += c * func.get(index[m], 0)
-        else:
-            _check_vertices(m, t.degrees)
     return Fraction(total, scale)
+
+
+def integrate_product(factors, t):
+    """The integral of the product of the RingElements factors, taken left
+    to right, over the ring of t: integrate of the last factor times the
+    others, or of one when there are none."""
+    *times, e = factors or (RingElement.one(),)
+    return integrate(e, t, times=times)
 
 
 # --------------------------------------------------------------------------

@@ -23,11 +23,10 @@ from .chowring import (
     RingElement,
     VerificationError,
     clear_denominators,
-    integrate,
+    integrate_product,
     line_degrees,
     line_forms,
     normal_form,
-    power,
     product,
 )
 from .exactla import rank_over_rationals
@@ -356,7 +355,7 @@ def canonical_classes(t):
         raise VerificationError(
             "K+B does not vanish on exceptional lines %r" % (bad_lines,)
         )
-    kb4 = integrate(power(kb, 4, t), t)
+    kb4 = integrate_product((kb,) * 4, t)
     if kb4 <= 0:
         raise VerificationError("(K+B)^4 = %s is not positive" % (kb4,))
     return {
@@ -411,7 +410,7 @@ def curve_checks(t):
     for name, curve in curves.items():
         rows = []
         for label, probe, expected in probes[name]:
-            got = integrate(product((curve, probe), t), t)
+            got = integrate_product((curve, probe), t)
             rows.append({
                 "against": label,
                 "value": got,
@@ -497,7 +496,7 @@ def psi_table(t):
     mismatches = []
     rule_violations = []
     for key, orbit_size in psi_orbits():
-        value = integrate(product([psis[p] for p in key], t), t)
+        value = integrate_product([psis[p] for p in key], t)
         if value.denominator != 1:
             raise VerificationError(
                 "psi number %s is not an integer: %s" % (_format_orbit(key), value)

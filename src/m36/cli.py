@@ -21,25 +21,30 @@ Rationals print as "p/q" strings.  Output is deterministic for a fixed
 (command, config, mode) except for the wall-clock runtime_ms fields.
 
 `integrate` and `restrict` evaluate products in the ring of the config,
-each product node by one chowring.product over all of its factors, never
-in the free polynomial ring: on a built all-P1 table `integrate
-"(K+B)^4"` takes a median 0.020-0.041 s (2 shared cores, CPython 3.11.7),
-where its free-ring expansion took half a minute, and `restrict "K+B"`
-0.21 ms, against 0.52-0.84 ms before its sum was taken in integers and
-the fiber images were cached (two sittings, alternating).
+never in the free polynomial ring.  `restrict` takes each product node by
+one chowring.product over all of its factors.  `integrate` folds the tree
+linearly instead: a sum adds the integrals of its terms, a negation
+negates, and a product node is one chowring.integrate_product of its
+factors' values, which builds no degree-4 element.  On a built all-P1
+table `integrate "(K+B)^4"` takes a median 0.009-0.015 s, against
+0.020-0.036 s when the degree-4 product was built and then integrated
+(six sittings, alternating, 2 shared cores, CPython 3.11.7), where its
+free-ring expansion took half a minute; `restrict "K+B"` takes
+0.18-0.29 ms through cli.main in the same sittings.
 
 The expression is parsed once into a tree, which is read twice.  The first
 reading gives its nominal degrees: an atom has degree 1, a number degree
 0, a sum the union and a product the sums of its factors' degrees.  These
 contain every degree the free-ring expansion can have.  When they lie in
 {4} (for `restrict`: when no product passes degree 4) the second reading
-takes the value in the quotient and the check is decided.  Otherwise it
-expands the tree in the free ring, which decides the
-homogeneity check and the degree-cap error exactly; a product that is zero
-only in the quotient, such as F[12]*F[13] on the all-P1 config, still makes
-a degree-2 integrand that is refused.  Syntax errors and wrong degrees exit
-2 before any table is built.  Tables come from chowring.table, one per
-config for the whole process; the mode is only a label echoed in reports.
+takes the integral by the linear fold, or the value in the quotient, and
+the check is decided.  Otherwise it expands the tree in the free ring,
+which decides the homogeneity check and the degree-cap error exactly; a
+product that is zero only in the quotient, such as F[12]*F[13] on the
+all-P1 config, still makes a degree-2 integrand that is refused.  Syntax
+errors and wrong degrees exit 2 before any table is built.  Tables come
+from chowring.table, one per config for the whole process; the mode is
+only a label echoed in reports.
 """
 
 from __future__ import annotations
@@ -247,6 +252,14 @@ def _free_product(factors):
     return functools.reduce(operator.mul, factors, chowring.RingElement.one())
 
 
+def _factors(val, product):
+    """The values of a product node's factors, each a^n as n copies of a."""
+    out = []
+    for factor, n in val:
+        out += [_value(factor, product)] * n
+    return out
+
+
 def _value(tree, product):
     """The value of a tree, each product node taken by product from its
     factors in order: _free_product in the free ring, or chowring.product
@@ -266,10 +279,22 @@ def _value(tree, product):
             v = _value(term, product)
             out = out + v if sign > 0 else out - v
         return out
-    factors = []
-    for factor, n in val:
-        factors += [_value(factor, product)] * n
-    return product(factors)
+    return product(_factors(val, product))
+
+
+def _integral(tree, t):
+    """The integral over the ring of t of a tree whose nominal degrees lie
+    in {4}, folded linearly: a sum adds the integrals of its terms, a
+    negation negates, and a product node is one chowring.integrate_product
+    of its factors' values in the quotient.  Every node of such a tree is
+    one of these three."""
+    kind, val = tree
+    if kind == "neg":
+        return -_integral(val, t)
+    if kind == "sum":
+        return sum(sign * _integral(term, t) for sign, term in val)
+    product = functools.partial(chowring.product, t=t)
+    return chowring.integrate_product(_factors(val, product), t)
 
 
 def parse_expression(text):
@@ -277,19 +302,11 @@ def parse_expression(text):
     return _as_usage_error(_value, _parse(text), _free_product)
 
 
-def _evaluate(text, cfg, degree=None):
-    """An expression's value in the ring of cfg; with degree given, it must
-    be zero or homogeneous of that degree.  The quotient evaluation runs when
-    the nominal degrees settle the check, the free ring otherwise."""
-    tree = _parse(text)
+def _in_quotient(tree, degree=None):
+    """Whether the quotient evaluation decides tree: its nominal degrees
+    are known and, with degree given, lie in {degree}."""
     nominal = _as_usage_error(_nominal_degrees, tree)
-    if nominal is not None and (degree is None or nominal <= {degree}):
-        product = functools.partial(chowring.product, t=chowring.table(cfg))
-        return _as_usage_error(_value, tree, product)
-    e = _as_usage_error(_value, tree, _free_product)
-    if degree is not None and not e.is_zero() and e.degrees() != [degree]:
-        raise UsageError("integrand must be homogeneous of degree %d" % degree)
-    return e
+    return nominal is not None and (degree is None or nominal <= {degree})
 
 
 def _parse_point(text):
@@ -379,15 +396,21 @@ def cmd_homology(args, cfg):
 
 
 def cmd_integrate(args, cfg):
-    e = _evaluate(args.expression, cfg, degree=4)
-    value = str(chowring.integrate(e, chowring.table(cfg)))
+    tree = _parse(args.expression)
+    if _in_quotient(tree, 4):
+        value = _as_usage_error(_integral, tree, chowring.table(cfg))
+    else:
+        e = _as_usage_error(_value, tree, _free_product)
+        if not e.is_zero() and e.degrees() != [4]:
+            raise UsageError("integrand must be homogeneous of degree 4")
+        value = chowring.integrate(e, chowring.table(cfg))
     report = {
         "expression": args.expression,
         "config": cfg.to_json_dict(),
         "mode": args.mode,
-        "value": value,
+        "value": str(value),
     }
-    return report, value + "\n", 0
+    return report, "%s\n" % value, 0
 
 
 def cmd_psi_table(args, cfg):
@@ -406,7 +429,11 @@ def cmd_psi_table(args, cfg):
 
 def cmd_restrict(args, cfg):
     pt = _parse_point(args.point)
-    e = _evaluate(args.expression, cfg)
+    tree = _parse(args.expression)
+    product = _free_product
+    if _in_quotient(tree):
+        product = functools.partial(chowring.product, t=chowring.table(cfg))
+    e = _as_usage_error(_value, tree, product)
     fv = chowring.restrict_to_fiber(e, pt, chowring.table(cfg))
     coeffs = [str(c) for c in fv.coeffs]
     report = {

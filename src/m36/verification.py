@@ -170,7 +170,7 @@ def crit_psi_table():
     table = chowring.table(labels.config_all_p1())
     rep, ms = _timed(lambda: classes.psi_table(table))
     a, b = classes.psi(5, 6), classes.psi(6, 5)
-    norm = chowring.integrate(chowring.product((a, a, b, b), table), table)
+    norm = chowring.integrate_product((a, a, b, b), table)
     ok = (
         not rep["published_mismatches"]
         and not rep["vanishing_rule_violations"]
@@ -209,7 +209,7 @@ def crit_m0n_oracles():
             if sum(expo) != n - 3:
                 continue
             factors = [psis[i] for i, e in enumerate(expo) for _ in range(e)]
-            val = chowring.integrate(chowring.product(factors, ring), ring)
+            val = chowring.integrate_product(factors, ring)
             if val != m0nring.psi_multinomial(n, expo):
                 good = False
                 break
@@ -227,8 +227,8 @@ def crit_m0n_oracles():
     lines_ok = True
     ordered = [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
     for (i1, j1), (i2, j2) in itertools.product(ordered, repeat=2):
-        val = chowring.integrate(
-            chowring.product((psi_lines(i1, j1), psi_lines(i2, j2)), ring5), ring5
+        val = chowring.integrate_product(
+            (psi_lines(i1, j1), psi_lines(i2, j2)), ring5
         )
         if val != (0 if i1 == i2 else 1):
             lines_ok = False
@@ -394,7 +394,7 @@ def crit_property_suites():
     for row in table.relation_row_stream(4):
         total = 0
         for c, v in row.items():
-            total += v * func.get(c, 0)
+            total += v * func[c]
         if total:
             sweep_ok = False
             break

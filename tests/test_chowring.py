@@ -35,7 +35,6 @@ from m36.chowring import (
     line_forms,
     linear_relations,
     normal_form,
-    power,
     product,
     VerificationError,
     ranks_report,
@@ -144,6 +143,40 @@ class TestRingElement:
     @given(linear_st)
     def test_duality_involution(self, a):
         assert duality_element(duality_element(a)) == a
+
+    def test_sums_match_fraction_arithmetic(self):
+        # coefficients come from a small pool of objects, so that shared
+        # objects meet as they do in sums of atoms, and from fresh ones
+        rng = random.Random(36636)
+        pool = [1, -2, 3, Fraction(1, 2), Fraction(-3, 10), Fraction(6, 5)]
+        monos = [(i,) for i in range(12)] + [(0, i) for i in range(6)]
+
+        def element():
+            out = {}
+            for m in rng.sample(monos, rng.randint(0, 12)):
+                c = rng.choice(pool)
+                out[m] = c if rng.random() < 0.7 else c * rng.choice((1, 2))
+            return RingElement(out)
+
+        for _ in range(300):
+            a, b = element(), element()
+            if rng.random() < 0.2:
+                b = b - a  # every term of a meets one of b, some cancel
+            sign = rng.choice((1, -1))
+            got = (a + b if sign > 0 else a - b).coeffs
+            want = {}
+            for m in set(a.coeffs) | set(b.coeffs):
+                v = Fraction(a.coeffs.get(m, 0)) + sign * Fraction(b.coeffs.get(m, 0))
+                if v:
+                    want[m] = v
+            assert got == want
+            for m, c in got.items():
+                if m not in b.coeffs:
+                    assert c is a.coeffs[m]
+                elif m not in a.coeffs:
+                    assert c is b.coeffs[m] or sign < 0
+                elif type(a.coeffs[m]) is int and type(b.coeffs[m]) is int:
+                    assert type(c) is int
 
     def test_repr_names_divisors(self):
         e = F(1, 2) + E(1, 2, 3).scale(-2)
@@ -646,7 +679,7 @@ class TestIntegrate:
         squarefree = [c for c, m in enumerate(dd.monomials) if len(set(m)) == 4]
         assert len(squarefree) == points
         assert dd.functional == psi_functional(t)
-        assert all(dd.functional.get(c) == 1 for c in squarefree)
+        assert all(dd.functional[c] == 1 for c in squarefree)
 
     def test_a_point_off_one_fails_the_certificate(self, table):
         with pytest.raises(VerificationError, match="do not integrate to 1"):
@@ -762,7 +795,7 @@ class TestQuotientProduct:
             for atom, n in factors:
                 for _ in range(n):
                     free = free * atom
-                quot = product((quot, power(atom, n, t)), t)
+                quot = product((quot, product((atom,) * n, t)), t)
             assert quot == _pruned(free, t)
             assert normal_form(quot, t) == normal_form(free, t)
             if free.degrees() == [4]:
@@ -794,15 +827,14 @@ class TestQuotientProduct:
     def test_degree_cap_and_exponents(self, table):
         f = F(1, 2)
         with pytest.raises(ValueError):
-            product((power(f, 4, table), f), table)
-        with pytest.raises(ValueError):
-            power(f, -1, table)
-        assert power(f, 0, table) == RingElement.one()
-        assert product((RingElement.zero(), power(f, 4, table)), table).is_zero()
+            product((product((f,) * 4, table), f), table)
+        assert product((), table) == RingElement.one()
+        assert product((RingElement.zero(), product((f,) * 4, table)), table).is_zero()
 
     def test_kb4(self, table):
         kb = classes.canonical_divisor() + classes.total_boundary()
-        assert integrate(power(kb, 4, table), table) == 1502
+        assert integrate(product((kb,) * 4, table), table) == 1502
+        assert chowring.integrate_product((kb,) * 4, table) == 1502
 
 
 def reference_multiply(a, b, t):
@@ -910,14 +942,21 @@ class TestProductByColumn:
         assert sum(sizes) <= 450_000
 
 
+def _ring(name):
+    """The table of a config, or a Keel ring, by name, and its number of
+    divisors."""
+    if name.startswith("m0n"):
+        ring = M0nRing(int(name[3:]))
+        return ring, len(ring.gens)
+    cfg = {"all_p1": config_all_p1(), "all_p2": config_all_p2()}.get(name, MIXED_7)
+    return chowring.table(cfg), len(labels.DIVISORS)
+
+
 def _ring_degrees(name):
     """The DegreeData of a config's table or of a Keel ring, and its number
     of divisors."""
-    if name.startswith("m0n"):
-        ring = M0nRing(int(name[3:]))
-        return ring.degrees, len(ring.gens)
-    cfg = {"all_p1": config_all_p1(), "all_p2": config_all_p2()}.get(name, MIXED_7)
-    return chowring.table(cfg).degrees, len(labels.DIVISORS)
+    t, ngens = _ring(name)
+    return t.degrees, ngens
 
 
 def _random_factor(rng, degrees, ngens, most):
@@ -1024,7 +1063,7 @@ class TestChainedProduct:
         assert "masks" in vars(ring.degrees[2])
 
     def test_errors_match_the_pairwise_products(self, table):
-        # product and power count the monomials of every factor as given,
+        # product counts the monomials of every factor as given,
         # like the free ring: a factor that is zero in the quotient, or
         # inadmissible, refuses as much as it does there
         top3 = table.degrees[3].monomials[7]
@@ -1044,7 +1083,7 @@ class TestChainedProduct:
                 F(3, 4) * F(5, 6),
             ),
             "zero-in-the-quotient": (f12_f13, F(3, 4) * F(5, 6) * F(1, 2)),
-            "zero": (RingElement.zero(), power(f, 4, table)),
+            "zero": (RingElement.zero(), product((f,) * 4, table)),
         }
         for name, (a, b) in cases.items():
             want = _outcome(reference_multiply, a, b, table)
@@ -1053,14 +1092,14 @@ class TestChainedProduct:
         exceeds = ("raised", "product exceeds degree 4")
         assert _outcome(product, cases["inadmissible"], table) == exceeds
         assert _outcome(product, cases["zero-in-the-quotient"], table) == exceeds
-        assert _outcome(power, f12_f13, 3, table) == exceeds
-        assert _outcome(power, f12_f13, 2, table) == ("value", RingElement.zero())
+        assert _outcome(product, (f12_f13,) * 3, table) == exceeds
+        assert _outcome(product, (f12_f13,) * 2, table) == ("value", RingElement.zero())
         rng = random.Random(5)
         for _ in range(60):
             e = RingElement(_random_factor(rng, table.degrees, 65, 2))
             n = rng.randint(0, 5)
             want = _outcome(_reference_product, (e,) * n, table)
-            assert _outcome(power, e, n, table) == want
+            assert _outcome(product, (e,) * n, table) == want
 
     def test_m0n_errors_match_the_pairwise_products(self):
         ring = M0nRing(5)
@@ -1077,6 +1116,125 @@ class TestChainedProduct:
                 got = product((RingElement(a), RingElement(b)), ring).coeffs
                 assert got == reference_chain((a, b), ring.degrees)
         assert raised >= 20
+
+
+def _graded_factor(rng, degrees, ngens, k):
+    """A {monomial: coeff} factor whose longest monomials have degree k: up
+    to five of them, one in four drawn at random, so most often
+    inadmissible, and on a Keel ring sometimes naming a divisor past its
+    last one; int and Fraction coefficients; and one time in three
+    lower-degree terms as well, a constant among them."""
+    out = {}
+    names = min(ngens + 1, len(labels.DIVISORS))
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.25:
+            mono = tuple(sorted(rng.randrange(names) for _ in range(k)))
+        else:
+            mono = rng.choice(degrees[k].monomials)
+        out[mono] = rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-5, 3)))
+    if k and rng.random() < 1 / 3:
+        out[()] = rng.choice((1, -1, Fraction(2, 3)))
+        low = rng.randrange(k)
+        out[rng.choice(degrees[low].monomials)] = rng.choice((2, Fraction(-1, 4)))
+    if not any(len(m) == k for m in out):
+        # every longest monomial was an inadmissible draw that collided
+        out[rng.choice(degrees[k].monomials)] = 1
+    return out
+
+
+class TestIntegrateProduct:
+    """integrate_product(fs, t) is integrate(product(fs, t), t): the same
+    value, or the same ValueError, on every ring the engine builds."""
+
+    @staticmethod
+    def _chain(rng, t, ngens):
+        """1-5 factors whose degrees sum to the top degree mostly, and one
+        more factor or one degree less sometimes; the longest factor goes
+        last one time in two, so the last factor often has monomials of
+        degree 2 or 3."""
+        top = len(t.degrees) - 1
+        n = rng.randint(1, 5)
+        cuts = sorted(rng.randint(0, top) for _ in range(n - 1))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, top])]
+        roll = rng.random()
+        if roll < 0.1:
+            sizes.insert(rng.randint(0, n), 1)
+        elif roll < 0.2 and max(sizes) > 1:
+            sizes[sizes.index(max(sizes))] -= 1
+        if rng.random() < 0.5:
+            sizes.sort()
+        factors = [_graded_factor(rng, t.degrees, ngens, k) for k in sizes]
+        if rng.random() < 0.05:
+            factors[rng.randrange(len(factors))] = {}
+        return factors
+
+    @pytest.mark.parametrize("name", RINGS)
+    def test_matches_integrate_of_the_product(self, name):
+        t, ngens = _ring(name)
+        rng = random.Random(36636)
+        seen = Counter()
+        for _ in range(250):
+            factors = self._chain(rng, t, ngens)
+            elements = [RingElement(f) for f in factors]
+            want = _outcome(lambda: integrate(product(elements, t), t))
+            got = _outcome(lambda: chowring.integrate_product(elements, t))
+            assert got == want, factors
+            if got[0] == "value":
+                assert type(got[1]) is Fraction
+                seen["zero" if got[1] == 0 else "value"] += 1
+            else:
+                seen[got[1].split()[0]] += 1
+        # values, zeros, the homogeneity message, the degree cap and, on
+        # Keel rings, unknown generators
+        want = {"value", "zero", "integrand", "product"}
+        if ngens < len(labels.DIVISORS):
+            want.add("unknown")
+        assert set(seen) == want, seen
+        assert min(seen.values()) >= 5, seen
+
+    def test_errors_match(self):
+        r5 = M0nRing(5)
+        d = RingElement({(0,): 1, (1,): 1})
+        unknown = RingElement({(10,): 1})  # r5 has 10 divisors
+        cases = [
+            ((d, d, d), "raised", "product exceeds degree 2"),
+            ((d, unknown), "raised", "unknown generator index in (10,)"),
+            ((d,), "raised", "integrand must be homogeneous of degree 2"),
+            ((), "raised", "integrand must be homogeneous of degree 2"),
+            ((d + RingElement.one(), d), "raised", "integrand must be"),
+            # a zero factor ends the chain before the unknown generator
+            ((d, RingElement.zero(), unknown), "value", Fraction(0)),
+        ]
+        for factors, kind, what in cases:
+            want = _outcome(lambda: integrate(product(factors, r5), r5))
+            got = _outcome(lambda: chowring.integrate_product(factors, r5))
+            assert got == want
+            assert got[0] == kind
+            assert got[1] == what if kind == "value" else got[1].startswith(what)
+
+    def test_lower_degrees_that_vanish_or_cancel(self, table):
+        # F12 and F13 never meet, so the degree-2 part F12*F13 of this
+        # product is zero, and only its quartic integrates
+        cubic = F(2, 4) * F(5, 6) * F(1, 3)
+        factors = (F(1, 2) + cubic.scale(Fraction(1, 2)), F(1, 3))
+        want = Fraction(-1, 2)
+        assert integrate(cubic * F(1, 3), table) / 2 == want
+        assert integrate(product(factors, table), table) == want
+        assert chowring.integrate_product(factors, table) == want
+        # (1 + F12)(1 - F12) cancels its degree-1 terms, but its constant
+        # is left, so the integrand is not homogeneous
+        factors = (RingElement.one() + F(1, 2), RingElement.one() - F(1, 2))
+        for fn in (lambda: integrate(product(factors, table), table),
+                   lambda: chowring.integrate_product(factors, table)):
+            with pytest.raises(ValueError, match="homogeneous of degree 4"):
+                fn()
+        # the cross terms of (a + b)(a - b) cancel and leave zeros in the
+        # running product, which add nothing
+        a, b = F(1, 2), F(3, 4)
+        factors = (a + b, a - b, F(5, 6), F(1, 3))
+        assert chowring.integrate_product(factors, table) == integrate(
+            product(factors, table), table
+        )
 
 
 def _reference_product(factors, t):

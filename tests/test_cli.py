@@ -457,7 +457,7 @@ class TestFreeRingOracle:
             for command, got, want in outcomes:
                 assert got == want, (command, text)
                 _rc, err, value = got
-                # the way cli._evaluate takes
+                # the way cli.main takes
                 if nominal == "syntax":
                     way = "syntax"
                 elif nominal is None or (command == "integrate" and nominal - {4}):
@@ -479,6 +479,91 @@ class TestFreeRingOracle:
         want += [("free", "restrict", k) for k in ("value", "zero", "product")]
         assert min(seen[k] for k in want) >= 10, seen
         assert sum(n for (way, *_), n in seen.items() if way == "syntax") >= 10, seen
+
+
+def _fold_text(rng):
+    """A random sum of degree-4 products, with negations, rational
+    constants, powers, and K, B or K+B in some products, whose free-ring
+    expansion stays small."""
+    atoms = [(name, 1) for name in _DIVISOR_NAMES[::13]]
+    atoms += [(name, 4) for name in _DELTA_NAMES[::12]]
+    # psi classes, most of the draws: their products are zero least often
+    atoms += [
+        ("psi[%d,%d]" % (i, j), 15) for i in range(1, 7) for j in (1, 4) if i != j
+    ]
+    terms = []
+    for i in range(rng.randint(1, 4)):
+        parts, left, size = [], 4, 1
+        if rng.random() < 0.3:
+            parts.append(rng.choice(["K", "B", "(K+B)"]))
+            left, size = 3, 65
+        while left:
+            name, n = rng.choice([a for a in atoms if a[1] * size <= 1000 or a[1] == 1])
+            power = rng.randint(1, min(left, 2))
+            parts.append(name if power == 1 else "%s^%d" % (name, power))
+            left, size = left - power, size * n**power
+        rng.shuffle(parts)
+        if rng.random() < 0.4:
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(["2", "1/2", "3/4"]))
+        text = "*".join(parts)
+        if rng.random() < 0.2:
+            text = "-" + text if rng.random() < 0.5 else "-(%s)" % text
+        if i:
+            text = rng.choice([" + ", " - "]) + text
+        terms.append(text)
+    text = "".join(terms)
+    return "-(%s)" % text if rng.random() < 0.15 else text
+
+
+class TestLinearFold:
+    """`integrate` folds a tree of nominal degree 4 linearly, one
+    chowring.integrate_product per product node; it must print what the
+    free ring gives."""
+
+    def test_matches_the_free_ring(self, capsys, table):
+        rng = random.Random(36636)
+        pt = labels.SINGULAR_POINTS[0]
+        nonzero = 0
+        for _ in range(60):
+            text = _fold_text(rng)
+            assert cli._in_quotient(cli._parse(text), 4), text
+            outcomes = TestFreeRingOracle._outcomes(capsys, text, table, pt, [])
+            for command, got, want in outcomes:
+                assert got == want, (command, text)
+                nonzero += command == "integrate" and got[2] != "0"
+        assert nonzero >= 20
+
+    def test_kb4(self, capsys, table):
+        # the free-ring expansion of (K+B)^4 takes half a minute, so the
+        # oracle here is the product taken in the quotient, and 1502
+        kb = classes.canonical_divisor() + classes.total_boundary()
+        kb4 = chowring.integrate(chowring.product((kb,) * 4, table), table)
+        assert kb4 == 1502
+        for text, value in [
+            ("(K+B)^4", kb4),
+            ("-(K+B)^4 + 1/2*(K+B)^2*(K+B)^2", -kb4 / 2),
+            ("(K+B)^4 - (K+B)^3*K - (K+B)^3*B", 0),
+        ]:
+            assert main(["integrate", "--", text]) == 0
+            out = capsys.readouterr().out
+            assert json.loads(out)["value"] == str(value), text
+            assert main(["integrate", "--format", "csv", "--", text]) == 0
+            assert capsys.readouterr().out == "%s\n" % value
+
+    def test_integrals_form_no_product(self, capsys, monkeypatch, table):
+        # a psi quartic and (K+B)^4 are one integrate_product each: neither
+        # the free product nor the quotient product runs
+        def refuse(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(cli, "_free_product", refuse)
+        monkeypatch.setattr(chowring, "quotient_product", refuse)
+        for text, value in [
+            ("psi[1,2]*psi[2,3]*psi[3,1]*psi[4,5]", "9"),
+            ("(K+B)^4", "1502"),
+        ]:
+            assert main(["integrate", text]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == value
 
 
 class TestOutputs:
