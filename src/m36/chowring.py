@@ -16,14 +16,16 @@ an inadmissible monomial lies in the monomial ideal.
 Every degree is built by the same function, _eliminate: all of its relation
 rows (degree 0 has none) go into one integer echelon form with rightmost
 pivots (so the lexicographically smallest monomials survive as the basis),
-which gives the rank, the reduced rows for normal forms and the torsion
-certificate of the whole relation lattice.  One function, build_degrees,
-builds the tables of the six-lines space (build_quotient) and Keel's rings
-of M-bar_{0,n} (m0nring), so Keel's known answers test it.  It builds degree
-1 first, in the calling process, because the linear relations that open its
-pivots generate the relations of every higher degree; those then depend on
-nothing else and run side by side in worker processes.  Torsion-freeness is
-certified in every degree by the invariant factors of
+which gives the rank, the torsion certificate of the whole relation lattice
+and the pivot rows.  The build reads nothing more: the reduced rows for
+normal forms (DegreeData.rref) are made from the pivot rows on first use.
+One function, build_degrees, builds the tables of the six-lines space
+(build_quotient) and Keel's rings of M-bar_{0,n} (m0nring), so Keel's known
+answers test it.  It builds degree 1 first, in the calling process, because
+the linear relations that open its pivots generate the relations of every
+higher degree; those then depend on nothing else and run side by side in
+worker processes, each of which enumerates its own admissible monomials.
+Torsion-freeness is certified in every degree by the invariant factors of
 exactla.smith_from_echelon.  For the six-lines tables the rank profile
 (1, 51, 127+|S2|, 51, 1) is a theorem; a computed mismatch raises
 VerificationError rather than a report with different numbers.
@@ -66,7 +68,7 @@ Sums of elements add term by term (RingElement._plus), and _collect sums
 the (monomial, coefficient) terms of free products and relabelings; both
 drop zeros.  The column kernel sums by column.  Normal forms reduce by the
 degree's rref with exactla.reduce_row, the same back-substitution that
-builds it.
+makes it.
 
 Integrals read the top degree's functional, its values by column, which
 is certified to be 1 on every point (DegreeData.functional), so the
@@ -105,6 +107,7 @@ from .boundarycomplex import build_complex
 from .exactla import (
     IntEchelon,
     reduce_row,
+    rref_from_pivots,
     smith_from_echelon,
 )
 
@@ -389,22 +392,31 @@ def _product_table(lower, index):
 def _row_stream(generators, monomials_lower, products):
     """Deterministic relation-row stream for one degree: multiplier monomials
     in reverse lexicographic order, generators in order; rows are
-    {col: coeff}, their keys in the order of the generator's own items.
+    {col: coeff} with their keys ascending.
 
-    Each multiplier's columns are one slice of the degree's product table,
-    and every generator's row is read off that slice; products
-    that are not admissible have no column and drop out.  On the
-    all-line-fiber config the degree-4 stream of the 14 relations that
-    build_quotient multiplies (26,082 rows of mean length 2.75) takes a
-    median 0.043 s, plus 0.008 s for its table, against 0.077 s for the 14
-    degree-1 pivot rows as stored (30,489 rows of mean length 3.95);
-    degree 3 (6,580 rows of mean length 3.52) takes 0.017 s plus 0.004 s
-    against 0.023 s (7,504 rows of mean length 5.15).  Five runs each in
-    one process, 2 shared cores, CPython 3.11.7."""
+    Each multiplier's columns are one slice of the degree's product table.
+    Its admissible divisors are walked in ascending order, and each adds its
+    coefficient to the row of every generator that holds it; products that
+    are not admissible have no column and drop out.  Multiplying a monomial
+    by a larger divisor gives a lexicographically larger product, so each
+    row's keys come out ascending.  On the all-line-fiber config the
+    degree-4 stream of the 14 relations that build_quotient multiplies
+    (26,082 rows of mean length 2.75) takes a median 0.015-0.016 s,
+    against 0.040-0.041 s when each generator's row was read off the slice
+    entry by entry; degree 3 (6,580 rows) takes 0.004 s against 0.010 s.
+    Seven alternating runs each in one process, two sittings, 2 shared
+    cores, CPython 3.11.7."""
+    incidence = [[] for _ in range(_WIDTH)]
+    for j, g in enumerate(generators):
+        for d, c in g.items():
+            incidence[d].append((j, c))
     for i in reversed(range(len(monomials_lower))):
-        cols = products[_WIDTH * i : _WIDTH * (i + 1)].tolist()
-        for g in generators:
-            row = {col: c for d, c in g.items() if (col := cols[d]) != _NO_COLUMN}
+        rows = [{} for _ in generators]
+        for d, col in enumerate(products[_WIDTH * i : _WIDTH * (i + 1)]):
+            if col != _NO_COLUMN:
+                for j, c in incidence[d]:
+                    rows[j][col] = c
+        for row in rows:
             if row:
                 yield row
 
@@ -413,20 +425,31 @@ def _row_stream(generators, monomials_lower, products):
 class DegreeData:
     """One degree of a quotient: its admissible monomials and their columns,
     and what _eliminate computes from them (in a pool worker for degrees
-    2-4): rank, invariant factors, rref, basis columns and the product
-    table from the degree below.  Only masks and functional are added
-    later, each read off these fields on first use."""
+    2-4): rank, invariant factors, the echelon's pivot rows, basis columns
+    and the product table from the degree below.  Only rref, masks and
+    functional are added later, each read off these fields on first use."""
 
     monomials: tuple
     index: dict
     rank: int
     torsion: tuple
-    rref: dict  # {lead: (num, den)}, the rational row e_lead + num/den
+    # the echelon's {lead: row} pivot rows, None once rref is made from them
+    pivots: dict
     basis_cols: tuple
     products: array  # the degree's _product_table
-    # the degree's own elimination, timed in the process that ran it: a pool
-    # worker for degrees 2-4, whose times overlap
+    # the degree's own elimination, timed in the process that ran it (a pool
+    # worker for degrees 2-4, whose times overlap), without the rref
     runtime_ms: int = 0
+
+    @functools.cached_property
+    def rref(self):
+        """{lead: (num, den)}, the rational row e_lead + num/den: the pivot
+        rows fully reduced, in the process that takes the first normal form
+        or integral in this degree, which then drops the pivot rows.  The
+        build reads the echelon alone, so neither it nor its pool workers
+        pay for the rref."""
+        pivots, self.pivots = self.pivots, None
+        return rref_from_pivots(pivots)
 
     @functools.cached_property
     def masks(self):
@@ -464,14 +487,15 @@ class DegreeData:
 
 class GradedQuotientTable:
     """Per-degree quotient data for one resolution config, not changed after
-    the build except that each degree's masks are read on the first product
-    and degree 4's functional on the first integral: the product tables
-    that quotient_product reads come back from the build with their
-    degrees.  On the all-line-fiber config the tables take 411,580 bytes
-    together, 325,000 of them in degree 4, and the masks at most 131,316
-    bytes, counting each int as its own object; they are read off the
-    tables in 11-17 ms.  runtime_ms is the wall time of the whole build,
-    degrees run side by side included."""
+    the build except that each degree's masks are read on the first product,
+    its rref, which replaces its pivot rows, on the first normal form or
+    integral there, and degree 4's functional on the first integral: the
+    product tables that quotient_product reads come back from the build
+    with their degrees.  On the all-line-fiber config the tables take
+    411,580 bytes together, 325,000 of them in degree 4, and the masks at
+    most 131,316 bytes, counting each int as its own object; they are read
+    off the tables in 11-17 ms.  runtime_ms is the wall time of the whole
+    build, degrees run side by side included, and no rref."""
 
     def __init__(self, config, degrees, runtime_ms):
         self.config = config
@@ -515,8 +539,8 @@ def _expected_profile(cfg):
 
 def _eliminate(generators, lower, index, opening=None):
     """One degree: every row of _row_stream(generators, lower, index) goes
-    into one IntEchelon, then rref and smith_from_echelon run once.  Returns
-    the echelon and, by name, the degree's DegreeData fields other than
+    into one IntEchelon, then smith_from_echelon runs once.  Returns the
+    echelon and, by name, the degree's DegreeData fields other than
     monomials and index.  When opening is a list, the rows whose insert
     opens a pivot are appended to it, in stream order."""
     t0 = time.monotonic()
@@ -526,12 +550,11 @@ def _eliminate(generators, lower, index, opening=None):
     for row in _row_stream(generators, lower, products):
         if ech.insert(row) is not None and opening is not None:
             opening.append(row)
-    rref = ech.rref()
     return ech, dict(
         rank=ncols - ech.rank,
         torsion=smith_from_echelon(ech),
-        rref=rref,
-        basis_cols=tuple(c for c in range(ncols) if c not in rref),
+        pivots=ech.pivots,
+        basis_cols=tuple(c for c in range(ncols) if c not in ech.pivots),
         products=products,
         runtime_ms=int((time.monotonic() - t0) * 1000),
     )
@@ -541,9 +564,14 @@ def _leads(ech):
     return {c: row[c] for c, row in ech.pivots.items()}
 
 
-def _degree(generators, lower, index):
-    """_eliminate without the echelon: all that a pool worker sends back."""
-    return _eliminate(generators, lower, index)[1]
+def _degree(generators, complex_, k):
+    """One degree k >= 1 as a pool worker builds it: the admissible
+    monomials of degrees k-1 and k, enumerated here, and _eliminate of them
+    without the echelon.  Returns (the degree-k monomials, the fields)."""
+    monomials = admissible_monomials(complex_, k)
+    index = {m: i for i, m in enumerate(monomials)}
+    lower = admissible_monomials(complex_, k - 1)
+    return monomials, _eliminate(generators, lower, index)[1]
 
 
 def _pool_workers(jobs):
@@ -591,18 +619,26 @@ def build_degrees(complex_, relations, top, name):
     once degree 1 is built in this process, degrees top down to 2 (longest
     first) are independent, and they run side by side in a pool of
     min(top - 1, usable CPUs) forked worker processes, or one after another
-    here where _pool_workers finds no pool possible.  The workers get every
+    here where _pool_workers finds no pool possible.  This process
+    enumerates only the monomials of degrees 0 and 1.  A job is
+    (the opening relations, complex_, k): its worker enumerates the
+    monomials of degrees k-1 and k itself and sends back those of degree k
+    with the fields of _eliminate, the pivot rows among them, so each index
+    is built here from the monomials that come back.  The workers get every
     input as an argument, and the pool is joined before build_degrees
     returns or raises.  Row order changes the cost, not the result: on the
     six-lines space reverse multiplier order gives smaller pivot entries
     than forward order (5 bits in degree 2 against 10), and inserting
     degrees 2-4 takes 0.46-0.63 s of CPU time against 1.12-1.43 s (three
     runs each)."""
-    monomials = [admissible_monomials(complex_, k) for k in range(top + 1)]
+    monomials = [admissible_monomials(complex_, k) for k in (0, 1)]
     indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
     opening = []
     ech, fields = _eliminate(relations, monomials[0], indexes[1], opening)
-    built = {0: _degree((), (), indexes[0]), 1: fields}
+    built = {
+        0: (monomials[0], _eliminate((), (), indexes[0])[1]),
+        1: (monomials[1], fields),
+    }
     # the opening rows, keyed by degree-1 column, as {vertex: coeff}
     generators = [
         {monomials[1][col][0]: c for col, c in row.items()} for row in opening
@@ -616,11 +652,7 @@ def build_degrees(complex_, relations, top, name):
             "degree-1 relation lattice of %s" % (len(generators), name)
         )
     ks = range(top, 1, -1)
-    jobs = (
-        [generators] * len(ks),
-        [monomials[k - 1] for k in ks],
-        [indexes[k] for k in ks],
-    )
+    jobs = ([generators] * len(ks), [complex_] * len(ks), ks)
     workers = _pool_workers(len(ks))
     if workers:
         # imported here: concurrent.futures.process takes tens of ms to
@@ -634,8 +666,10 @@ def build_degrees(complex_, relations, top, name):
     else:
         built.update(zip(ks, map(_degree, *jobs)))
     degrees = [
-        DegreeData(monomials=tuple(monomials[k]), index=indexes[k], **built[k])
-        for k in range(top + 1)
+        DegreeData(
+            monomials=tuple(ms), index={m: i for i, m in enumerate(ms)}, **fields
+        )
+        for ms, fields in (built[k] for k in range(top + 1))
     ]
     torsion = [k for k, dd in enumerate(degrees) if any(d != 1 for d in dd.torsion)]
     if torsion:
@@ -651,15 +685,15 @@ def build_quotient(cfg, mode="two-prime"):
 
     On the all-line-fiber config, over 10 builds each in fresh processes
     alternating with builds in one process (2 shared cores, CPython
-    3.11.7), the build takes a median 0.51 s of wall time (0.42-0.57)
-    against 0.68 s (0.55-0.91) in one process, and 0.83 s of CPU time in
-    this process and its workers together against 0.68 s.  Degrees 2, 3
-    and 4 take a median 0.10, 0.32 and 0.24 s in their workers.  With two
-    usable CPUs degree 2 starts when the first worker is done, and degree
-    4 ended before degree 3 in 9 of the 10 builds; degrees 4 and 2
-    together take a median 0.35 s, about as long as degree 3 alone.
-    Memory grows instead: the process and its workers together peak at a
-    median 46 MB of proportional set size, against 27 MB in one process.
+    3.11.7), the build takes a median 0.44 s of wall time (0.35-0.60)
+    against 0.52 s (0.47-0.79) in one process, and 0.72 s of CPU time in
+    this process and its workers together against 0.51 s.  Degrees 2, 3
+    and 4 take a median 0.10, 0.25 and 0.28 s in their workers; their
+    rrefs are not made here (DegreeData.rref).  With two usable CPUs
+    degree 2 starts when the first worker is done.  Memory grows with the
+    workers: the process and its workers together peak at a median 37 MB
+    of proportional set size, against 19 MB in one process (six builds
+    each).
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in

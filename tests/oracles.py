@@ -177,7 +177,7 @@ def reference_masks(products, width):
 def keel_reference_degrees(ring):
     """The DegreeData of the Keel ring ring, built degree by degree in this
     process with every one of Keel's relations in every degree, one
-    chowring._degree call each: no opening relations, no certificate of
+    chowring._eliminate call each: no opening relations, no certificate of
     them and no pool."""
     complex_ = flag_complex(ring.gens, m0n_compatible)
     keel = _keel_generators(ring.gens, ring.n)
@@ -190,7 +190,7 @@ def keel_reference_degrees(ring):
             chowring.DegreeData(
                 monomials=tuple(monomials),
                 index=index,
-                **chowring._degree(keel, lower, index),
+                **chowring._eliminate(keel, lower, index)[1],
             )
         )
         lower = monomials
@@ -227,13 +227,15 @@ def psi_functional(t):
 
 
 def point_off_one(dd):
-    """A copy of the top degree dd whose rref doubles the value of its last
-    squarefree lead column, a point other than the first one, which the
-    functional is normalized on: that point integrates to 2."""
+    """A copy of the top degree dd whose rref, primed in the copy's cache,
+    doubles the value of its last squarefree lead column, a point other
+    than the first one, which the functional is normalized on: that point
+    integrates to 2."""
     (j0,) = dd.basis_cols
     last = max(
         c for c in dd.rref if len(set(dd.monomials[c])) == len(dd.monomials[c])
     )
     num, den = dd.rref[last]
-    rref = {**dd.rref, last: ({**num, j0: 2 * num[j0]}, den)}
-    return dataclasses.replace(dd, rref=rref)
+    copy = dataclasses.replace(dd)
+    vars(copy)["rref"] = {**dd.rref, last: ({**num, j0: 2 * num[j0]}, den)}
+    return copy

@@ -247,7 +247,8 @@ class TestAdmissibleMonomials:
 
 def reference_row_stream(generators, monomials_lower, index):
     """The relation rows entry by entry: each entry d of each generator forms
-    its product monomial m*d by sorted insertion and looks up its column."""
+    its product monomial m*d by sorted insertion and looks up its column.
+    Each row's keys are ascending."""
     for m in reversed(monomials_lower):
         for g in generators:
             row = {}
@@ -257,7 +258,7 @@ def reference_row_stream(generators, monomials_lower, index):
                 if col is not None:
                     row[col] = c
             if row:
-                yield row
+                yield dict(sorted(row.items()))
 
 
 def degree_one_pivot_rows(cfg):
@@ -290,8 +291,8 @@ class TestRowStream:
         ids=["all_p1", "all_p2", "mixed_7"],
     )
     def test_column_map_gives_the_per_entry_rows(self, cfg, degrees):
-        # the same rows in the same order, each with its keys in the same
-        # order, from the denser degree-1 pivot rows and from the sixty raw
+        # the same rows in the same order, each with its keys ascending,
+        # from the denser degree-1 pivot rows and from the sixty raw
         # generators that relation_row_stream uses
         monomials, indexes, pivot_rows = degree_one_pivot_rows(cfg)
         raw = chowring._linear_relation_vectors()
@@ -320,6 +321,8 @@ class TestBuildQuotient:
         dd = table.degrees[0]
         assert (dd.monomials, dd.index) == (((),), {(): 0})
         assert (dd.rank, dd.torsion, dd.rref, dd.basis_cols) == (1, (), {}, (0,))
+        # the rref, once made, replaces the pivot rows
+        assert dd.pivots is None
 
     def test_two_prime_matches(self, table):
         # the mode is a report label: one certified table serves both, and
@@ -431,10 +434,13 @@ class TestBuildQuotient:
         opening = opening_relations()
         for k in (2, 3, 4):
             args = (monomials[k - 1], indexes[k])
-            old = chowring._degree(pivot_rows, *args)
-            new = chowring._degree(opening, *args)
-            for field in ("rank", "torsion", "rref", "basis_cols", "products"):
+            old = chowring._eliminate(pivot_rows, *args)[1]
+            new = chowring._eliminate(opening, *args)[1]
+            for field in ("rank", "torsion", "basis_cols", "products"):
                 assert old[field] == new[field], (k, field)
+            assert exactla.rref_from_pivots(old["pivots"]) == (
+                exactla.rref_from_pivots(new["pivots"])
+            ), k
 
     def test_hermite_passes_get_only_non_unit_leads(self, monkeypatch):
         # every lead of degrees 0 and 4 is 1, so no pass runs there; degrees
@@ -480,6 +486,32 @@ class TestBuildQuotient:
             assert hashlib.sha256(text.encode()).hexdigest() == want[str(k)], k
 
 
+class TestLazyRref:
+    """The build reads each degree's echelon alone; the rref of a degree is
+    made from its pivot rows by the first normal form or integral there."""
+
+    def test_each_rref_is_made_on_first_use(self, table):
+        t = build_quotient(config_all_p1())
+        for dd in t.degrees:
+            assert "rref" not in vars(dd)
+            assert len(dd.pivots) == len(dd.monomials) - dd.rank
+        assert t.degrees[0].pivots == {}
+        e = F(1, 2) * F(1, 2) + E(1, 2, 3) * G((1, 2), (3, 4), (5, 6))
+        assert normal_form(e, t) == normal_form(e, table)
+        made = [k for k, dd in enumerate(t.degrees) if "rref" in vars(dd)]
+        assert made == [2]
+        assert [dd.pivots is None for dd in t.degrees] == [
+            False, False, True, False, False
+        ]
+        psi56, psi65 = classes.psi(5, 6), classes.psi(6, 5)
+        assert integrate(psi65, t, times=(psi56, psi56, psi65)) == 1
+        made = [k for k, dd in enumerate(t.degrees) if "rref" in vars(dd)]
+        assert made == [2, 4]
+        assert [dd.pivots is None for dd in t.degrees] == [
+            False, False, True, False, True
+        ]
+
+
 class TestParallelBuild:
     """Degrees 2-4 are built in forked pool workers when more than one CPU
     is usable, and in this process by the same function otherwise."""
@@ -488,18 +520,43 @@ class TestParallelBuild:
     def _usable_cpus(monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)))
 
+    @staticmethod
+    def _assert_same_degrees(serial, pooled):
+        """The fields that the workers send back, pivot rows included, are
+        equal, and then so is the rref made from them, which replaces
+        them."""
+        assert len(serial) == len(pooled)
+        for k, (a, b) in enumerate(zip(serial, pooled)):
+            assert (
+                a.monomials, a.index, a.rank, a.torsion, a.pivots, a.basis_cols
+            ) == (
+                b.monomials, b.index, b.rank, b.torsion, b.pivots, b.basis_cols
+            ), k
+            assert a.products == b.products, k
+            assert a.rref == b.rref, k
+            assert a.pivots is None is b.pivots, k
+
     @pytest.mark.parametrize("name", ["table", "table_mixed"])
     def test_one_cpu_build_matches_the_pool(self, request, monkeypatch, name):
-        pooled = request.getfixturevalue(name)
+        cfg = request.getfixturevalue(name).config
+        self._usable_cpus(monkeypatch, 2)
+        if chowring._pool_workers(3) != 2:
+            pytest.skip("no fork start method: degrees 2-4 run in this process")
+        pooled = build_quotient(cfg)
         self._usable_cpus(monkeypatch, 1)
-        serial = build_quotient(pooled.config)
-        assert len(serial.degrees) == len(pooled.degrees)
-        for a, b in zip(serial.degrees, pooled.degrees):
-            assert (a.monomials, a.index, a.rank, a.torsion, a.rref, a.basis_cols) == (
-                b.monomials, b.index, b.rank, b.torsion, b.rref, b.basis_cols
-            )
+        serial = build_quotient(cfg)
+        self._assert_same_degrees(serial.degrees, pooled.degrees)
         assert serial.ranks == pooled.ranks
         assert serial.torsion_free == pooled.torsion_free
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_one_cpu_keel_ring_matches_the_pool(self, monkeypatch, n):
+        # M-bar_{0,5} has one job and builds it here; M-bar_{0,6} has two
+        self._usable_cpus(monkeypatch, 2)
+        pooled = M0nRing(n)
+        self._usable_cpus(monkeypatch, 1)
+        serial = M0nRing(n)
+        self._assert_same_degrees(serial.degrees, pooled.degrees)
 
     def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity

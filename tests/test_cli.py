@@ -565,6 +565,27 @@ class TestLinearFold:
             assert main(["integrate", text]) == 0
             assert json.loads(capsys.readouterr().out)["value"] == value
 
+    def test_nested_products_join_the_chain(self, capsys, monkeypatch, table):
+        # a power inside a product gives its factors to the one
+        # integrate_product of the outer node: no quotient product is taken
+        # first, and the values are those of the flat products
+        calls = []
+        quotient_product = chowring.quotient_product
+
+        def counting(*args):
+            calls.append(args)
+            return quotient_product(*args)
+
+        monkeypatch.setattr(chowring, "quotient_product", counting)
+        for text, value in [
+            ("psi[5,6]^2*psi[6,5]^2", "1"),
+            ("(K+B)^2*(K+B)^2", "1502"),
+            ("(psi[5,6]*psi[5,6])*psi[6,5]^2", "1"),
+        ]:
+            assert main(["integrate", text]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == value, text
+        assert calls == []
+
 
 class TestOutputs:
     def test_ranks_json(self, capsys):

@@ -28,6 +28,7 @@ ALLOWED = {
     "cli.parse_expression": "benchmark/child.py and selfcheck.py call it",
     "exactla.ModpEchelon": "benchmark/tracing.py wraps its insert and kernel_basis",
     "exactla.ModpEchelon.kernel_basis": "benchmark/tracing.py wraps it",
+    "exactla.IntEchelon.rref": "benchmark/tracing.py wraps it",
     "labels.perm_compose": "planned caller: the S6 config census (ROADMAP F)",
     "labels.perm_inverse": "planned caller: the S6 config census (ROADMAP F)",
     "labels.IDENTITY_PERM": "planned caller: the S6 config census (ROADMAP F)",
@@ -50,6 +51,11 @@ SHARED = {
         "no caller in src/m36; benchmark/tracing.py wraps it, and the "
         "ech.insert(row) calls reach IntEchelon.insert"
     ),
+    "exactla.IntEchelon.rref": (
+        "no caller in src/m36; benchmark/tracing.py wraps it, and the "
+        "dd.rref reads reach DegreeData.rref"
+    ),
+    "chowring.DegreeData.rref": "chowring.normal_form: reduce_row(row, dd.rref)",
 }
 
 # The same for fields: a field whose name another class also declares, read
