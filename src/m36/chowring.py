@@ -14,11 +14,15 @@ monomial of degree k-1}.  Those projections are exact: any product landing on
 an inadmissible monomial lies in the monomial ideal.
 
 Every degree is built by the same function, _eliminate: all of its relation
-rows (degree 0 has none) go into one integer echelon form with rightmost
-pivots (so the lexicographically smallest monomials survive as the basis),
-which gives the rank, the torsion certificate of the whole relation lattice
-and the pivot rows.  The build reads nothing more: the reduced rows for
-normal forms (DegreeData.rref) are made from the pivot rows on first use.
+rows (degree 0 has none) go through exactla.peel, which absorbs the rows of
+at most two unit entries into a signed union-find over the columns and puts
+the rest into one integer echelon form with rightmost pivots (so the
+lexicographically smallest monomials survive as the basis).  Together they
+give the rank, the torsion certificate of the whole relation lattice and the
+pivot rows; on the all-line-fiber config the union-find gives 6,557 of the
+6,784 pivots of degree 4 and 927 of the 2,449 of degree 3.  The build reads
+nothing more: the reduced rows for normal forms (DegreeData.rref) are made
+from the pivot rows on first use.
 One function, build_degrees, builds the tables of the six-lines space
 (build_quotient) and Keel's rings of M-bar_{0,n} (m0nring), so Keel's known
 answers test it.  It builds degree 1 first, in the calling process, because
@@ -106,6 +110,7 @@ from . import labels
 from .boundarycomplex import build_complex
 from .exactla import (
     IntEchelon,
+    peel,
     reduce_row,
     rref_from_pivots,
     smith_from_echelon,
@@ -425,15 +430,17 @@ def _row_stream(generators, monomials_lower, products):
 class DegreeData:
     """One degree of a quotient: its admissible monomials and their columns,
     and what _eliminate computes from them (in a pool worker for degrees
-    2-4): rank, invariant factors, the echelon's pivot rows, basis columns
-    and the product table from the degree below.  Only rref, masks and
-    functional are added later, each read off these fields on first use."""
+    2-4): rank, invariant factors, the pivot rows of exactla.peel, basis
+    columns and the product table from the degree below.  Only rref, masks
+    and functional are added later, each read off these fields on first
+    use."""
 
     monomials: tuple
     index: dict
     rank: int
     torsion: tuple
-    # the echelon's {lead: row} pivot rows, None once rref is made from them
+    # {lead: row}, one echelon row per pivot from exactla.peel, None once
+    # rref is made from them
     pivots: dict
     basis_cols: tuple
     products: array  # the degree's _product_table
@@ -538,40 +545,39 @@ def _expected_profile(cfg):
 
 
 def _eliminate(generators, lower, index, opening=None):
-    """One degree: every row of _row_stream(generators, lower, index) goes
-    into one IntEchelon, then smith_from_echelon runs once.  Returns the
-    echelon and, by name, the degree's DegreeData fields other than
-    monomials and index.  When opening is a list, the rows whose insert
-    opens a pivot are appended to it, in stream order."""
+    """One degree: every row of _row_stream(generators, lower, products),
+    where products is the product table of lower and index, goes through
+    exactla.peel, and smith_from_echelon runs once on the IntEchelon of the
+    rows that the peel keeps.  Returns, by name, the degree's DegreeData
+    fields other than monomials and index.  When opening is a list, the rows
+    that open a pivot, absorbed by the peel or inserted, are appended to
+    it."""
     t0 = time.monotonic()
     ncols = len(index)
     products = _product_table(lower, index)
-    ech = IntEchelon()
-    for row in _row_stream(generators, lower, products):
-        if ech.insert(row) is not None and opening is not None:
-            opening.append(row)
-    return ech, dict(
-        rank=ncols - ech.rank,
-        torsion=smith_from_echelon(ech),
-        pivots=ech.pivots,
-        basis_cols=tuple(c for c in range(ncols) if c not in ech.pivots),
+    pivots, ech = peel(_row_stream(generators, lower, products), ncols, opening)
+    return dict(
+        rank=ncols - len(pivots),
+        torsion=(1,) * (len(pivots) - ech.rank) + smith_from_echelon(ech),
+        pivots=pivots,
+        basis_cols=tuple(c for c in range(ncols) if c not in pivots),
         products=products,
         runtime_ms=int((time.monotonic() - t0) * 1000),
     )
 
 
-def _leads(ech):
-    return {c: row[c] for c, row in ech.pivots.items()}
+def _leads(pivots):
+    return {c: row[c] for c, row in pivots.items()}
 
 
 def _degree(generators, complex_, k):
     """One degree k >= 1 as a pool worker builds it: the admissible
-    monomials of degrees k-1 and k, enumerated here, and _eliminate of them
-    without the echelon.  Returns (the degree-k monomials, the fields)."""
+    monomials of degrees k-1 and k, enumerated here, and _eliminate of them.
+    Returns (the degree-k monomials, the fields)."""
     monomials = admissible_monomials(complex_, k)
     index = {m: i for i, m in enumerate(monomials)}
     lower = admissible_monomials(complex_, k - 1)
-    return monomials, _eliminate(generators, lower, index)[1]
+    return monomials, _eliminate(generators, lower, index)
 
 
 def _pool_workers(jobs):
@@ -614,29 +620,29 @@ def build_degrees(complex_, relations, top, name):
     degree-k relation lattice is the degree-1 lattice times the monomials of
     degree k-1, so any Z-basis of it gives the same degrees; the opening
     relations are certified to be one on every build, since their own
-    echelon must have the leads of degree 1 (nested lattices with the same
-    pivot columns and lead products are equal), or VerificationError.  So
-    once degree 1 is built in this process, degrees top down to 2 (longest
-    first) are independent, and they run side by side in a pool of
-    min(top - 1, usable CPUs) forked worker processes, or one after another
-    here where _pool_workers finds no pool possible.  This process
-    enumerates only the monomials of degrees 0 and 1.  A job is
-    (the opening relations, complex_, k): its worker enumerates the
-    monomials of degrees k-1 and k itself and sends back those of degree k
-    with the fields of _eliminate, the pivot rows among them, so each index
-    is built here from the monomials that come back.  The workers get every
-    input as an argument, and the pool is joined before build_degrees
-    returns or raises.  Row order changes the cost, not the result: on the
-    six-lines space reverse multiplier order gives smaller pivot entries
-    than forward order (5 bits in degree 2 against 10), and inserting
-    degrees 2-4 takes 0.46-0.63 s of CPU time against 1.12-1.43 s (three
-    runs each)."""
+    echelon must have the leads of every degree-1 pivot, the ones that the
+    peel absorbs included (nested lattices with the same pivot columns and
+    lead products are equal), or VerificationError.  So once degree 1 is
+    built in this process, degrees top down to 2 are independent, and they
+    run side by side in a pool of min(top - 1, usable CPUs) forked worker
+    processes, or one after another here where _pool_workers finds no pool
+    possible.  This process enumerates only the monomials of degrees 0 and
+    1.  A job is (the opening relations, complex_, k): its worker
+    enumerates the monomials of degrees k-1 and k itself and sends back
+    those of degree k with the fields of _eliminate, the pivot rows among
+    them, so each index is built here from the monomials that come back.
+    The workers get every input as an argument, and the pool is joined
+    before build_degrees returns or raises.  Row order changes the cost,
+    not the result: on the six-lines space reverse multiplier order gives
+    smaller pivot entries than forward order (5, 4 and 2 bits in degrees
+    2-4 against 6, 5 and 3), and peeling degrees 2-4 takes 0.29-0.37 s of
+    CPU time against 0.48-0.55 s (three runs each)."""
     monomials = [admissible_monomials(complex_, k) for k in (0, 1)]
     indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
     opening = []
-    ech, fields = _eliminate(relations, monomials[0], indexes[1], opening)
+    fields = _eliminate(relations, monomials[0], indexes[1], opening)
     built = {
-        0: (monomials[0], _eliminate((), (), indexes[0])[1]),
+        0: (monomials[0], _eliminate((), (), indexes[0])),
         1: (monomials[1], fields),
     }
     # the opening rows, keyed by degree-1 column, as {vertex: coeff}
@@ -646,7 +652,7 @@ def build_degrees(complex_, relations, top, name):
     check = IntEchelon()
     for g in generators:
         check.insert(g)
-    if _leads(check) != _leads(ech):
+    if _leads(check.pivots) != _leads(fields["pivots"]):
         raise VerificationError(
             "the %d relations that open degree-1 pivots do not generate the "
             "degree-1 relation lattice of %s" % (len(generators), name)
@@ -685,15 +691,16 @@ def build_quotient(cfg, mode="two-prime"):
 
     On the all-line-fiber config, over 10 builds each in fresh processes
     alternating with builds in one process (2 shared cores, CPython
-    3.11.7), the build takes a median 0.44 s of wall time (0.35-0.60)
-    against 0.52 s (0.47-0.79) in one process, and 0.72 s of CPU time in
-    this process and its workers together against 0.51 s.  Degrees 2, 3
-    and 4 take a median 0.10, 0.25 and 0.28 s in their workers; their
+    3.11.7), the build takes a median 0.43 s of wall time (0.27-0.55)
+    against 0.56 s (0.37-0.66) in one process, and 0.72 s of CPU time in
+    this process and its workers together against 0.63 s.  Degrees 2, 3
+    and 4 take a median 0.13, 0.29 and 0.12 s in their workers; their
     rrefs are not made here (DegreeData.rref).  With two usable CPUs
-    degree 2 starts when the first worker is done.  Memory grows with the
-    workers: the process and its workers together peak at a median 37 MB
-    of proportional set size, against 19 MB in one process (six builds
-    each).
+    degree 2 starts when the first worker is done, which is degree 4's
+    since the peel.  Memory grows with the workers: the process and its
+    workers together peak at a median 39 MB of proportional set size,
+    against 22 MB in one process (polled every 5 ms from a thread of the
+    building process).
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in

@@ -13,7 +13,10 @@ content.  Each pivot row is reduced once, when it is stored: its entry at
 every smaller pivot column then lies in [0, that column's lead).  A stored
 row goes stale as pivots appear below it, so insertion eliminates against
 a copy of each pivot row that is brought back to that reduced form when
-insertion reaches it stale.  The echelon gives three things at once:
+insertion reaches it stale.  chowring puts peel in front of the echelon:
+rows of at most two unit entries are absorbed by a signed union-find over
+the columns, and only the rest are inserted.  The echelon gives three
+things at once:
 
   * the rank (number of pivot rows),
   * a torsion certificate: the pivot rows are triangular on their lead
@@ -34,17 +37,18 @@ When some lead is not 1, each unit-lead row still splits off an invariant
 factor 1, and the rest of the Smith normal form comes from alternating
 Hermite passes over the rows whose lead is not 1: insert them into an
 IntEchelon, transpose, and repeat until the matrix is diagonal.  On the
-program's tables that takes a median 0.002 to 0.004 s in degree 2, the
+program's tables that takes a median 0.009 to 0.011 s in degree 2, the
 most of any degree, and 0.001 s or less in degrees 1 and 3 (5 runs each on
-all line fibers, all plane fibers and a mixed config with seven plane
-fibers; 2 shared cores, CPython 3.11.7); degree 4 and the homology boundary
+all line fibers and all plane fibers, fresh copies of the rows included;
+2 shared cores, CPython 3.11.7); degree 4 and the homology boundary
 matrices have only unit leads.
 
 Matrices in this project have entries almost entirely in {-1, 0, 1} and very
 sparse rows, which is why this pure-Python kernel is fast enough.  Reducing
-each row as it is stored keeps the pivot rows small: their largest entry
-has 3, 5, 3 and 2 bits in degrees 1 to 4 of the all-line-fiber build, the
-same on all plane fibers and on a mixed config with seven plane fibers.
+each row as it is stored keeps the pivot rows small: behind the peel their
+largest entry has 3, 5, 4 and 2 bits in degrees 1 to 4 of the
+all-line-fiber build, and 3, 5, 4 and 3 on all plane fibers and on a mixed
+config with seven plane fibers.
 """
 
 from __future__ import annotations
@@ -128,9 +132,10 @@ class IntEchelon:
     reduced form at every smaller pivot column when insert reaches it, so a
     row in the span no longer walks a chain of stale rows one column at a
     time (path compression, as in union-find: Tarjan, J. ACM 22, 1975).  On
-    the all-line-fiber build, inserting degrees 3 and 4 takes 50,430 and
-    74,534 submul calls, refreshes included, against 238,513 and 752,006
-    when each row eliminates against the stored rows."""
+    the all-line-fiber build, inserting all the rows of degrees 3 and 4
+    takes 50,430 and 74,534 submul calls, refreshes included, against
+    238,513 and 752,006 when each row eliminates against the stored rows;
+    inserting only the rows that peel keeps takes 34,006 and 1,918."""
 
     def __init__(self):
         self.pivots = {}
@@ -250,6 +255,116 @@ class IntEchelon:
     def rref(self):
         """rref_from_pivots of a copy of the pivot rows."""
         return rref_from_pivots(dict(self.pivots))
+
+
+def _drain(items):
+    """The items of a list in order, each dropped from the list as it is
+    yielded, so that what replaces it need not wait for the whole list."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
+def peel(rows, ncols, opened=None):
+    """(pivots, ech) for the lattice of {col: coeff} integer rows over
+    columns 0..ncols-1: pivots holds one {lead: row} row per lead of its
+    echelon form with rightmost leads, and ech is the IntEchelon of the rows
+    left over once the rows with at most two unit entries are absorbed by a
+    signed union-find over the columns.  That is the first step of
+    structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90);
+    path compression is Tarjan's (J. ACM 22, 1975).
+
+    The union-find reads x_c = sign[c] * x_parent[c], and the root of a
+    component is its smallest column.  Each row is first rewritten on roots,
+    without the roots that have been zeroed.  An empty row is dead; a row
+    +-x_r zeroes the root r; a row +-x_a +- x_b with a > b merges a under b;
+    every other row, a non-unit one such as 2x - 2y or 2x included, is kept.
+    The kept rows are rewritten again, pass after pass, until a pass absorbs
+    nothing; then they go into ech in order.  When opened is a list, every
+    row that opens a pivot, absorbed or inserted, is appended to it as it
+    was given.
+
+    The pivot rows are e_b - sign[b] e_root(b) for each merged column b,
+    e_r for each zeroed root r and ech's rows, which hold only the roots
+    left.  Their leads differ, so they are an echelon form of the same
+    lattice: it has the pivot columns, leads and rref of an IntEchelon of
+    all the rows, and its invariant factors are a 1 for each absorbed row
+    and then those of smith_from_echelon(ech).  On the all-line-fiber
+    build, degree 4's 26,082 rows give 4,400 merges, 2,157 zeroed roots
+    and 1,904 rows for ech; degree 3's 6,580 give 741, 186 and 4,956."""
+    parent = list(range(ncols))
+    sign = [1] * ncols
+    zeroed = bytearray(ncols)
+    absorbed = []
+
+    def find(c):
+        """The root of c, with the path from c compressed onto it and
+        sign[c] made relative to it."""
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        for x in reversed(path):
+            p = parent[x]
+            if p != c:
+                sign[x] *= sign[p]
+                parent[x] = c
+        return c
+
+    track = opened is not None
+    pending = ((row if track else None, row) for row in rows)
+    while True:
+        before = len(absorbed)
+        kept = []
+        for given, row in pending:
+            out = {}
+            for c, v in row.items():
+                r = parent[c]
+                if r != c:
+                    if parent[r] != r:
+                        r = find(c)
+                    v *= sign[c]
+                if zeroed[r]:
+                    continue
+                v += out.get(r, 0)
+                if v:
+                    out[r] = v
+                else:
+                    out.pop(r, None)
+            if len(out) == 1:
+                ((r, v),) = out.items()
+                if v == 1 or v == -1:
+                    zeroed[r] = 1
+                    absorbed.append(r)
+                    if track:
+                        opened.append(given)
+                    continue
+            elif len(out) == 2:
+                (a, va), (b, vb) = out.items()
+                if (va == 1 or va == -1) and (vb == 1 or vb == -1):
+                    if a < b:
+                        a, b = b, a
+                    parent[a] = b
+                    sign[a] = -va * vb
+                    absorbed.append(a)
+                    if track:
+                        opened.append(given)
+                    continue
+            elif not out:
+                continue
+            kept.append((given, out))
+        if len(absorbed) == before:
+            break
+        pending = _drain(kept)
+    ech = IntEchelon()
+    for given, row in _drain(kept):
+        if ech.insert(row) is not None and track:
+            opened.append(given)
+    pivots = {}
+    for c in absorbed:
+        pivots[c] = {c: 1} if zeroed[c] else {find(c): -sign[c], c: 1}
+    pivots.update(ech.pivots)
+    return pivots, ech
 
 
 def rref_from_pivots(pivots):
@@ -376,8 +491,8 @@ def smith_from_echelon(ech):
     lead column through smaller columns, so the cokernel is the free group
     on the other columns modulo the span of those copies, whose invariant
     factors the passes find.  On the all-line-fiber build 5, 31 and 3
-    rows reach them in degrees 1 to 3, of 14, 473 and 2,449 pivot rows;
-    with every lead 1 no pass runs."""
+    rows reach them in degrees 1 to 3, of the 14, 355 and 1,522 pivot rows
+    of the echelon behind peel; with every lead 1 no pass runs."""
     nonunit = [lead for lead, row in ech.pivots.items() if row[lead] != 1]
     units = (1,) * (ech.rank - len(nonunit))
     if not nonunit:

@@ -190,7 +190,7 @@ def keel_reference_degrees(ring):
             chowring.DegreeData(
                 monomials=tuple(monomials),
                 index=index,
-                **chowring._eliminate(keel, lower, index)[1],
+                **chowring._eliminate(keel, lower, index),
             )
         )
         lower = monomials

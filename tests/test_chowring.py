@@ -269,8 +269,8 @@ def degree_one_pivot_rows(cfg):
     monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
     indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
     raw = chowring._linear_relation_vectors()
-    ech, _ = chowring._eliminate(raw, monomials[0], indexes[1])
-    return monomials, indexes, [ech.pivots[lead] for lead in sorted(ech.pivots)]
+    pivots = chowring._eliminate(raw, monomials[0], indexes[1])["pivots"]
+    return monomials, indexes, [pivots[lead] for lead in sorted(pivots)]
 
 
 def opening_relations():
@@ -434,8 +434,8 @@ class TestBuildQuotient:
         opening = opening_relations()
         for k in (2, 3, 4):
             args = (monomials[k - 1], indexes[k])
-            old = chowring._eliminate(pivot_rows, *args)[1]
-            new = chowring._eliminate(opening, *args)[1]
+            old = chowring._eliminate(pivot_rows, *args)
+            new = chowring._eliminate(opening, *args)
             for field in ("rank", "torsion", "basis_cols", "products"):
                 assert old[field] == new[field], (k, field)
             assert exactla.rref_from_pivots(old["pivots"]) == (

@@ -13,8 +13,10 @@ from m36 import exactla
 from m36.exactla import (
     IntEchelon,
     ModpEchelon,
+    peel,
     rank_over_rationals,
     reduce_row,
+    rref_from_pivots,
     smith_from_echelon,
     smith_normal_form,
     submul,
@@ -508,6 +510,134 @@ class TestHermiteInsert:
         p, q = 2**61 - 1, 2**31 - 1  # both prime
         assert smith_normal_form([{0: p}]) == (p,)
         assert smith_normal_form([{0: p * q, 1: q}, {1: p}]) == (1, p * p * q)
+
+
+def short_row_matrix(rng, nrows, ncols):
+    """Rows of the kinds the peel sorts: +-x, +-x +- y, the same with a
+    non-unit coefficient, and longer random rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.5:
+            cols = rng.sample(range(ncols), rng.choice((1, 2, 2)))
+            rows.append({c: rng.choice((-1, 1)) for c in cols})
+        elif kind < 0.65:
+            cols = rng.sample(range(ncols), rng.choice((1, 2)))
+            rows.append({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in cols})
+        else:
+            rows.append(random_matrix(rng, 1, ncols, density=0.35, lo=-3, hi=3)[0])
+    return rows
+
+
+def peeled_invariants(pivots, ech):
+    """The invariant factors of the lattice from the peel's output: a 1 for
+    each absorbed row, then those of the echelon of the rows it kept."""
+    return (1,) * (len(pivots) - ech.rank) + smith_from_echelon(ech)
+
+
+class TestPeel:
+    """exactla.peel against one IntEchelon of all the rows: the same pivot
+    columns, leads, rref and invariant factors."""
+
+    @staticmethod
+    def assert_same_lattice(rows, ncols):
+        before = copy.deepcopy(rows)
+        opened = []
+        pivots, ech = peel(rows, ncols, opened)
+        assert rows == before
+        ref = exactla._echelon(rows)
+        assert {c: r[c] for c, r in pivots.items()} == {
+            c: r[c] for c, r in ref.pivots.items()
+        }
+        # an echelon form: every row ends at its lead
+        assert all(max(r) == c for c, r in pivots.items())
+        assert set(ech.pivots) <= set(pivots)
+        assert rref_from_pivots(dict(pivots)) == ref.rref()
+        assert peeled_invariants(pivots, ech) == smith_from_echelon(ref)
+        # the rows that open a pivot, kept as given, span the same space
+        assert len(opened) == len(pivots)
+        assert all(any(r is g for g in rows) for r in opened)
+        assert set(peel(opened, ncols)[0]) == set(pivots)
+        return pivots, ech, opened
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_matrices_match_the_echelon(self, seed):
+        rng = random.Random(2800 + seed)
+        ncols = rng.randint(2, 14)
+        rows = short_row_matrix(rng, rng.randint(1, 2 * ncols), ncols)
+        pivots, ech, _opened = self.assert_same_lattice(rows, ncols)
+        if seed < 12:
+            assert list(peeled_invariants(pivots, ech)) == sympy_invariants(
+                rows, ncols
+            )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_long_merge_chains_match_the_echelon(self, seed):
+        # mostly +-x +- y rows over many columns, so that components grow
+        # by merging roots that already have children and the union-find
+        # walks and compresses paths of several steps
+        rng = random.Random(2900 + seed)
+        ncols = rng.randint(20, 40)
+        rows = [
+            {c: rng.choice((-1, 1)) for c in rng.sample(range(ncols), 2)}
+            for _ in range(ncols - 2)
+        ]
+        rows += short_row_matrix(rng, 8, ncols)
+        rng.shuffle(rows)
+        self.assert_same_lattice(rows, ncols)
+
+    def test_compressed_path_keeps_its_sign(self):
+        # x3 = -x2, x2 = -x1, x1 = -x0: reading x3 walks 3 -> 2 -> 1 -> 0
+        # and finds x3 = -x0, so x3 + x4 = 0 makes x4 = x0
+        rows = [{2: 1, 3: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}, {3: 1, 4: 1}]
+        pivots, ech, _opened = self.assert_same_lattice(rows, 5)
+        assert pivots[4] == {0: -1, 4: 1}
+        assert pivots[3] == {0: 1, 3: 1}
+        assert pivots[2] == {0: -1, 2: 1}
+        assert ech.rank == 0
+
+    def test_sign_inconsistent_cycle_gives_two(self):
+        # x - y and y - z merge z and y under x; x + z then reads 2x
+        rows = [{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: 1}]
+        pivots, ech, _opened = self.assert_same_lattice(rows, 3)
+        assert ech.pivots == {0: {0: 2}}
+        assert peeled_invariants(pivots, ech) == (1, 1, 2)
+
+    def test_unit_singleton_zeroes_a_merged_component(self):
+        # x1 = x0 and x2 = -x1 put 1 and 2 under 0; x2 = 0 then zeroes the
+        # root 0, so the later x1 + 3 x3 reads 3 x3
+        rows = [{0: -1, 1: 1}, {1: 1, 2: 1}, {2: 1}, {1: 1, 3: 3}]
+        pivots, ech, opened = self.assert_same_lattice(rows, 4)
+        assert pivots == {1: {0: -1, 1: 1}, 2: {0: 1, 2: 1}, 0: {0: 1}, 3: {3: 3}}
+        assert ech.pivots == {3: {3: 3}}
+        assert opened == rows
+        assert peeled_invariants(pivots, ech) == (1, 1, 1, 3)
+
+    def test_non_unit_two_term_row_reaches_the_echelon(self):
+        rows = [{0: 2, 1: -2}, {2: 1, 3: -1}]
+        pivots, ech, opened = self.assert_same_lattice(rows, 4)
+        assert ech.pivots == {1: {0: -2, 1: 2}}
+        assert opened == [rows[1], rows[0]]
+        assert peeled_invariants(pivots, ech) == (1, 2)
+
+    def test_signed_duplicates_die(self):
+        rows = [
+            {0: 1, 1: -1}, {0: -1, 1: 1}, {1: 1, 0: -1}, {2: -1}, {2: 1},
+            {1: 2, 3: 2}, {1: -2, 3: -2},
+        ]
+        pivots, ech, opened = self.assert_same_lattice(rows, 4)
+        assert opened == [rows[0], rows[3], rows[5]]
+        assert pivots == {1: {0: -1, 1: 1}, 2: {2: 1}, 3: {0: 2, 3: 2}}
+        assert ech.rank == 1
+
+    def test_row_turns_two_term_on_a_later_pass(self):
+        # x0 + x1 + x2 + x3 is kept in the first pass; x3 = -x2 then makes
+        # it x0 + x1, which the second pass merges, so no row is inserted
+        rows = [{0: 1, 1: 1, 2: 1, 3: 1}, {2: 1, 3: 1}]
+        pivots, ech, opened = self.assert_same_lattice(rows, 4)
+        assert opened == [rows[1], rows[0]]
+        assert pivots == {3: {2: 1, 3: 1}, 1: {0: 1, 1: 1}}
+        assert ech.rank == 0
 
 
 @pytest.mark.parametrize("seed", range(6))

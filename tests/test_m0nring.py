@@ -147,6 +147,37 @@ class TestKeelCertificate:
             M0nRing(n)
         assert multiprocessing.active_children() == []
 
+    def test_two_term_degree_one_is_absorbed_and_certified(self, monkeypatch):
+        # M-bar_{0,4}'s two Keel relations are D12 - D13 and D12 - D23: the
+        # peel merges both, so no row reaches the integer echelon, and both
+        # open a pivot.  The certificate compares the opening relations with
+        # every degree-1 pivot, the absorbed ones included
+        smith, echelon_ranks = chowring.smith_from_echelon, []
+
+        def recording(ech):
+            echelon_ranks.append(ech.rank)
+            return smith(ech)
+
+        monkeypatch.setattr(chowring, "smith_from_echelon", recording)
+        ring = M0nRing(4)
+        assert echelon_ranks == [0, 0]
+        assert ring.ranks == (1, 1)
+        assert ring.degrees[1].torsion == (1, 1)
+        # x1 = x0 and x2 = x0; the build made the rref to certify the points
+        assert ring.degrees[1].rref == {1: ({0: -1}, 1), 2: ({0: -1}, 1)}
+
+        eliminate = chowring._eliminate
+
+        def dropping_first(generators, lower, index, opening=None):
+            out = eliminate(generators, lower, index, opening)
+            if opening:
+                del opening[0]
+            return out
+
+        monkeypatch.setattr(chowring, "_eliminate", dropping_first)
+        with pytest.raises(VerificationError, match=r"the 1 relations .*0,4"):
+            M0nRing(4)
+
     def test_torsion_is_refused(self, monkeypatch):
         def with_a_two(ech):
             return (1,) * (ech.rank - 1) + (2,) if ech.rank else ()

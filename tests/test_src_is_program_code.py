@@ -46,7 +46,7 @@ ALLOWED = {
 SHARED = {
     "chowring.GradedQuotientTable.ranks": "chowring.build_quotient: table.ranks",
     "m0nring.M0nRing.ranks": "verification.crit_m0n_oracles: ring.ranks",
-    "exactla.IntEchelon.insert": "chowring._eliminate: ech.insert(row)",
+    "exactla.IntEchelon.insert": "exactla.peel: ech.insert(row)",
     "exactla.ModpEchelon.insert": (
         "no caller in src/m36; benchmark/tracing.py wraps it, and the "
         "ech.insert(row) calls reach IntEchelon.insert"
