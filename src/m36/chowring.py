@@ -13,22 +13,24 @@ admissible monomials modulo the projections of {linear relation x admissible
 monomial of degree k-1}.  Those projections are exact: any product landing on
 an inadmissible monomial lies in the monomial ideal.
 
-Every degree is built by the same function, _eliminate: all of its relation
-rows (degree 0 has none) go through exactla.peel, which absorbs the rows of
-at most two unit entries into a signed union-find over the columns and puts
-the rest into one integer echelon form with rightmost pivots (so the
-lexicographically smallest monomials survive as the basis).  Together they
-give the rank, the torsion certificate of the whole relation lattice and the
-pivot rows; on the all-line-fiber config the union-find gives 6,557 of the
-6,784 pivots of degree 4 and 927 of the 2,449 of degree 3.  The build reads
+Every degree is built by the same function, _degree: it enumerates the
+degree's admissible monomials, and all of its relation rows (degree 0 has
+none) go through exactla.peel, which absorbs the rows of at most two unit
+entries into a signed union-find over the columns and puts the rest into
+one integer echelon form with rightmost pivots (so the lexicographically
+smallest monomials survive as the basis).  Together they give the rank,
+the torsion certificate of the whole relation lattice and the pivot rows;
+on the all-line-fiber config the union-find gives 6,557 of the 6,784
+pivots of degree 4 and 927 of the 2,449 of degree 3.  The build reads
 nothing more: the reduced rows for normal forms (DegreeData.rref) are made
 from the pivot rows on first use.
+
 One function, build_degrees, builds the tables of the six-lines space
 (build_quotient) and Keel's rings of M-bar_{0,n} (m0nring), so Keel's known
-answers test it.  It builds degree 1 first, in the calling process, because
-the linear relations that open its pivots generate the relations of every
-higher degree; those then depend on nothing else and run side by side in
-worker processes, each of which enumerates its own admissible monomials.
+answers test it.  Degrees above 1 multiply only the linear relations that
+open a pivot when one echelon takes them in order, which every build
+certifies against degree 1 in the calling process; those degrees then
+depend on nothing else and run side by side in worker processes.
 Torsion-freeness is certified in every degree by the invariant factors of
 exactla.smith_from_echelon.  For the six-lines tables the rank profile
 (1, 51, 127+|S2|, 51, 1) is a theorem; a computed mismatch raises
@@ -373,15 +375,15 @@ _WIDTH = len(labels.DIVISORS)
 _NO_COLUMN = 0xFFFF
 
 
-def _product_table(lower, index):
-    """The product table of the degree whose columns are index, over the
+def _product_table(lower, monomials):
+    """The product table of the degree whose columns are monomials, over the
     multiplier monomials lower of one degree less, as a flat array("H").
     Every factor of an admissible monomial is admissible, so each monomial
     less one copy of each distinct divisor in it gives one entry, and every
     admissible product is found."""
     lower_index = {m: i for i, m in enumerate(lower)}
     out = array("H", [_NO_COLUMN]) * (_WIDTH * len(lower))
-    for mono, col in index.items():
+    for col, mono in enumerate(monomials):
         prev = None
         for pos, d in enumerate(mono):
             if d != prev:
@@ -428,15 +430,13 @@ def _row_stream(generators, monomials_lower, products):
 
 @dataclass
 class DegreeData:
-    """One degree of a quotient: its admissible monomials and their columns,
-    and what _eliminate computes from them (in a pool worker for degrees
-    2-4): rank, invariant factors, the pivot rows of exactla.peel, basis
-    columns and the product table from the degree below.  Only rref, masks
-    and functional are added later, each read off these fields on first
-    use."""
+    """One degree of a quotient as _degree builds it (in a pool worker for
+    degrees 2-4): its admissible monomials, rank, invariant factors, the
+    pivot rows of exactla.peel, basis columns and the product table from
+    the degree below.  Only index, rref, masks and functional are added
+    later, each read off these fields on first use."""
 
     monomials: tuple
-    index: dict
     rank: int
     torsion: tuple
     # {lead: row}, one echelon row per pivot from exactla.peel, None once
@@ -445,8 +445,15 @@ class DegreeData:
     basis_cols: tuple
     products: array  # the degree's _product_table
     # the degree's own elimination, timed in the process that ran it (a pool
-    # worker for degrees 2-4, whose times overlap), without the rref
+    # worker for degrees 2-4, whose times overlap), without the enumeration
+    # of its monomials or the rref
     runtime_ms: int = 0
+
+    @functools.cached_property
+    def index(self):
+        """{monomial: column}, made in the process that reads it, so no pool
+        worker sends it back."""
+        return {m: i for i, m in enumerate(self.monomials)}
 
     @functools.cached_property
     def rref(self):
@@ -544,19 +551,21 @@ def _expected_profile(cfg):
     return (1, 51, 127 + len(cfg.s2), 51, 1)
 
 
-def _eliminate(generators, lower, index, opening=None):
-    """One degree: every row of _row_stream(generators, lower, products),
-    where products is the product table of lower and index, goes through
-    exactla.peel, and smith_from_echelon runs once on the IntEchelon of the
-    rows that the peel keeps.  Returns, by name, the degree's DegreeData
-    fields other than monomials and index.  When opening is a list, the rows
-    that open a pivot, absorbed by the peel or inserted, are appended to
-    it."""
+def _degree(generators, complex_, k):
+    """The DegreeData of degree k.  The admissible monomials of degrees k
+    and k-1 are enumerated here; the relation rows, _row_stream of the
+    generators times those of degree k-1, go through exactla.peel, and
+    smith_from_echelon runs once on the IntEchelon of the rows that the
+    peel keeps.  runtime_ms times all but the enumeration.  Degree 0 has no
+    relation rows."""
+    monomials = tuple(admissible_monomials(complex_, k))
+    lower = admissible_monomials(complex_, k - 1) if k else ()
     t0 = time.monotonic()
-    ncols = len(index)
-    products = _product_table(lower, index)
-    pivots, ech = peel(_row_stream(generators, lower, products), ncols, opening)
-    return dict(
+    ncols = len(monomials)
+    products = _product_table(lower, monomials)
+    pivots, ech = peel(_row_stream(generators, lower, products), ncols)
+    return DegreeData(
+        monomials=monomials,
         rank=ncols - len(pivots),
         torsion=(1,) * (len(pivots) - ech.rank) + smith_from_echelon(ech),
         pivots=pivots,
@@ -566,18 +575,15 @@ def _eliminate(generators, lower, index, opening=None):
     )
 
 
+def _opening_relations(relations):
+    """The {vertex: coeff} relations that open a pivot when one IntEchelon
+    takes them in order."""
+    probe = IntEchelon()
+    return [r for r in relations if probe.insert(r) is not None]
+
+
 def _leads(pivots):
     return {c: row[c] for c, row in pivots.items()}
-
-
-def _degree(generators, complex_, k):
-    """One degree k >= 1 as a pool worker builds it: the admissible
-    monomials of degrees k-1 and k, enumerated here, and _eliminate of them.
-    Returns (the degree-k monomials, the fields)."""
-    monomials = admissible_monomials(complex_, k)
-    index = {m: i for i, m in enumerate(monomials)}
-    lower = admissible_monomials(complex_, k - 1)
-    return monomials, _eliminate(generators, lower, index)
 
 
 def _pool_workers(jobs):
@@ -612,47 +618,35 @@ def build_degrees(complex_, relations, top, name):
     the {vertex: coeff} linear relations, with rank and torsion certified
     exactly over Z in every degree, or VerificationError naming the space.
 
-    Every degree is built alike by _eliminate.  The rows of degree 1 are the
-    linear relations themselves.  Every higher degree multiplies the ones
-    among them that open a pivot when degree 1 takes them in order: for the
-    six-lines space 14 of the sixty, rows of 20 entries, where the degree-1
-    pivot rows hold 404 entries after their reduction at store time.  Every
-    degree-k relation lattice is the degree-1 lattice times the monomials of
-    degree k-1, so any Z-basis of it gives the same degrees; the opening
-    relations are certified to be one on every build, since their own
-    echelon must have the leads of every degree-1 pivot, the ones that the
-    peel absorbs included (nested lattices with the same pivot columns and
-    lead products are equal), or VerificationError.  So once degree 1 is
-    built in this process, degrees top down to 2 are independent, and they
-    run side by side in a pool of min(top - 1, usable CPUs) forked worker
-    processes, or one after another here where _pool_workers finds no pool
-    possible.  This process enumerates only the monomials of degrees 0 and
-    1.  A job is (the opening relations, complex_, k): its worker
-    enumerates the monomials of degrees k-1 and k itself and sends back
-    those of degree k with the fields of _eliminate, the pivot rows among
-    them, so each index is built here from the monomials that come back.
-    The workers get every input as an argument, and the pool is joined
-    before build_degrees returns or raises.  Row order changes the cost,
-    not the result: on the six-lines space reverse multiplier order gives
-    smaller pivot entries than forward order (5, 4 and 2 bits in degrees
-    2-4 against 6, 5 and 3), and peeling degrees 2-4 takes 0.29-0.37 s of
-    CPU time against 0.48-0.55 s (three runs each)."""
-    monomials = [admissible_monomials(complex_, k) for k in (0, 1)]
-    indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
-    opening = []
-    fields = _eliminate(relations, monomials[0], indexes[1], opening)
-    built = {
-        0: (monomials[0], _eliminate((), (), indexes[0])),
-        1: (monomials[1], fields),
-    }
-    # the opening rows, keyed by degree-1 column, as {vertex: coeff}
-    generators = [
-        {monomials[1][col][0]: c for col, c in row.items()} for row in opening
-    ]
+    Every degree is built by _degree.  The rows of degree 1 are the linear
+    relations themselves.  Every higher degree multiplies only the opening
+    relations (_opening_relations): for the six-lines space 14 of the sixty,
+    rows of 20 entries, where the degree-1 pivot rows hold 404 entries
+    after their reduction at store time.  Every degree-k relation lattice
+    is the degree-1 lattice times the monomials of degree k-1, so any
+    Z-basis of it gives the same degrees.  Every build certifies that the
+    opening relations are one: their own echelon must have the leads of
+    every degree-1 pivot, the ones that the peel absorbs included (nested
+    lattices with the same pivot columns and lead products are equal), or
+    VerificationError.  The degree-1 columns are the vertices, so the leads
+    compare as they are.  Degrees 0 and 1 are built in this process and
+    the certificate is checked before any worker starts; degrees top down
+    to 2 then run side by side in a pool of min(top - 1, usable CPUs)
+    forked worker processes, or one after another here where _pool_workers
+    finds no pool possible.  A job is (the opening relations, complex_, k),
+    so the workers get every input as an argument, and each sends back its
+    degree's DegreeData; the pool is joined before build_degrees returns or
+    raises.  Row order changes the cost, not the result: on the six-lines
+    space reverse multiplier order gives smaller pivot entries than forward
+    order (5, 4 and 2 bits in degrees 2-4 against 6, 5 and 3), and peeling
+    degrees 2-4 takes 0.29-0.37 s of CPU time against 0.48-0.55 s (three
+    runs each)."""
+    degrees = [_degree(relations, complex_, k) for k in (0, 1)]
+    generators = _opening_relations(relations)
     check = IntEchelon()
     for g in generators:
         check.insert(g)
-    if _leads(check.pivots) != _leads(fields["pivots"]):
+    if _leads(check.pivots) != _leads(degrees[1].pivots):
         raise VerificationError(
             "the %d relations that open degree-1 pivots do not generate the "
             "degree-1 relation lattice of %s" % (len(generators), name)
@@ -668,15 +662,10 @@ def build_degrees(complex_, relations, top, name):
 
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            built.update(zip(ks, pool.map(_degree, *jobs)))
+            higher = list(pool.map(_degree, *jobs))
     else:
-        built.update(zip(ks, map(_degree, *jobs)))
-    degrees = [
-        DegreeData(
-            monomials=tuple(ms), index={m: i for i, m in enumerate(ms)}, **fields
-        )
-        for ms, fields in (built[k] for k in range(top + 1))
-    ]
+        higher = list(map(_degree, *jobs))
+    degrees += reversed(higher)
     torsion = [k for k, dd in enumerate(degrees) if any(d != 1 for d in dd.torsion)]
     if torsion:
         raise VerificationError(
@@ -689,18 +678,19 @@ def build_quotient(cfg, mode="two-prime"):
     """The graded quotient table of a resolution config, by build_degrees,
     with the rank profile of the theorem or VerificationError.
 
-    On the all-line-fiber config, over 10 builds each in fresh processes
-    alternating with builds in one process (2 shared cores, CPython
-    3.11.7), the build takes a median 0.43 s of wall time (0.27-0.55)
-    against 0.56 s (0.37-0.66) in one process, and 0.72 s of CPU time in
-    this process and its workers together against 0.63 s.  Degrees 2, 3
-    and 4 take a median 0.13, 0.29 and 0.12 s in their workers; their
-    rrefs are not made here (DegreeData.rref).  With two usable CPUs
-    degree 2 starts when the first worker is done, which is degree 4's
-    since the peel.  Memory grows with the workers: the process and its
-    workers together peak at a median 39 MB of proportional set size,
-    against 22 MB in one process (polled every 5 ms from a thread of the
-    building process).
+    On the all-line-fiber config (two sittings of 10 builds each in fresh
+    processes, alternating with builds in one process; 2 shared cores whose
+    load varied, CPython 3.11.7) the build takes a median 0.38 and 0.50 s
+    of wall time against 0.45 and 0.42 s in one process, and 0.56 and
+    0.49 s of CPU time in this process and its workers together against
+    0.45 and 0.42 s: the workers save wall time only when the second core
+    is free.  In one process degrees 2, 3 and 4 take a median 87-103,
+    195-227 and 67-78 ms (DegreeData.runtime_ms); their rrefs are not made
+    here (DegreeData.rref).  With two usable CPUs degree 2 starts when the
+    first worker is done, which is degree 4's.  Memory grows with the
+    workers: the process and its workers together peak at a median 37 MB
+    of proportional set size, against 21 MB in one process (6 builds each,
+    polled every 5 ms from a thread of the building process).
 
     mode, "exact" or "two-prime", selects no computation: both run the same
     exact path.  It is validated and otherwise ignored; the label lives in

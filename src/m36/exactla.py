@@ -265,7 +265,7 @@ def _drain(items):
         yield items.pop()
 
 
-def peel(rows, ncols, opened=None):
+def peel(rows, ncols):
     """(pivots, ech) for the lattice of {col: coeff} integer rows over
     columns 0..ncols-1: pivots holds one {lead: row} row per lead of its
     echelon form with rightmost leads, and ech is the IntEchelon of the rows
@@ -280,9 +280,7 @@ def peel(rows, ncols, opened=None):
     +-x_r zeroes the root r; a row +-x_a +- x_b with a > b merges a under b;
     every other row, a non-unit one such as 2x - 2y or 2x included, is kept.
     The kept rows are rewritten again, pass after pass, until a pass absorbs
-    nothing; then they go into ech in order.  When opened is a list, every
-    row that opens a pivot, absorbed or inserted, is appended to it as it
-    was given.
+    nothing; then they go into ech in order.
 
     The pivot rows are e_b - sign[b] e_root(b) for each merged column b,
     e_r for each zeroed root r and ech's rows, which hold only the roots
@@ -311,12 +309,11 @@ def peel(rows, ncols, opened=None):
                 parent[x] = c
         return c
 
-    track = opened is not None
-    pending = ((row if track else None, row) for row in rows)
+    pending = rows
     while True:
         before = len(absorbed)
         kept = []
-        for given, row in pending:
+        for row in pending:
             out = {}
             for c, v in row.items():
                 r = parent[c]
@@ -336,8 +333,6 @@ def peel(rows, ncols, opened=None):
                 if v == 1 or v == -1:
                     zeroed[r] = 1
                     absorbed.append(r)
-                    if track:
-                        opened.append(given)
                     continue
             elif len(out) == 2:
                 (a, va), (b, vb) = out.items()
@@ -347,19 +342,14 @@ def peel(rows, ncols, opened=None):
                     parent[a] = b
                     sign[a] = -va * vb
                     absorbed.append(a)
-                    if track:
-                        opened.append(given)
                     continue
             elif not out:
                 continue
-            kept.append((given, out))
+            kept.append(out)
         if len(absorbed) == before:
             break
         pending = _drain(kept)
-    ech = IntEchelon()
-    for given, row in _drain(kept):
-        if ech.insert(row) is not None and track:
-            opened.append(given)
+    ech = _echelon(_drain(kept))
     pivots = {}
     for c in absorbed:
         pivots[c] = {c: 1} if zeroed[c] else {find(c): -sign[c], c: 1}

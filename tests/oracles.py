@@ -177,24 +177,11 @@ def reference_masks(products, width):
 def keel_reference_degrees(ring):
     """The DegreeData of the Keel ring ring, built degree by degree in this
     process with every one of Keel's relations in every degree, one
-    chowring._eliminate call each: no opening relations, no certificate of
+    chowring._degree call each: no opening relations, no certificate of
     them and no pool."""
     complex_ = flag_complex(ring.gens, m0n_compatible)
     keel = _keel_generators(ring.gens, ring.n)
-    out = []
-    lower = ()
-    for k in range(ring.top + 1):
-        monomials = chowring.admissible_monomials(complex_, k)
-        index = {m: i for i, m in enumerate(monomials)}
-        out.append(
-            chowring.DegreeData(
-                monomials=tuple(monomials),
-                index=index,
-                **chowring._eliminate(keel, lower, index),
-            )
-        )
-        lower = monomials
-    return out
+    return [chowring._degree(keel, complex_, k) for k in range(ring.top + 1)]
 
 
 def free_ring_outcome(command, text, t, pt):

@@ -269,19 +269,14 @@ def degree_one_pivot_rows(cfg):
     monomials = [admissible_monomials(complex_, k) for k in range(MAX_DEGREE + 1)]
     indexes = [{m: i for i, m in enumerate(ms)} for ms in monomials]
     raw = chowring._linear_relation_vectors()
-    pivots = chowring._eliminate(raw, monomials[0], indexes[1])["pivots"]
+    pivots = chowring._degree(raw, complex_, 1).pivots
     return monomials, indexes, [pivots[lead] for lead in sorted(pivots)]
 
 
 def opening_relations():
-    """The linear relations whose row opens a pivot when degree 1 inserts
-    the sixty in order, as degree 1's elimination reports them.  Every
-    config admits all 65 divisors in degree 1, so columns are divisor
-    indices."""
-    index = {(d,): d for d in range(len(labels.DIVISORS))}
-    opening = []
-    chowring._eliminate(chowring._linear_relation_vectors(), [()], index, opening)
-    return opening
+    """The linear relations that degrees 2-4 multiply: those of the sixty
+    that open a pivot when one echelon takes them in order."""
+    return chowring._opening_relations(chowring._linear_relation_vectors())
 
 
 class TestRowStream:
@@ -299,7 +294,7 @@ class TestRowStream:
         for generators, ks in ((pivot_rows, degrees), (raw, (1, 2))):
             for k in ks:
                 args = (generators, monomials[k - 1], indexes[k])
-                products = chowring._product_table(monomials[k - 1], indexes[k])
+                products = chowring._product_table(monomials[k - 1], monomials[k])
                 pairs = zip_longest(
                     chowring._row_stream(generators, monomials[k - 1], products),
                     reference_row_stream(*args),
@@ -317,12 +312,23 @@ class TestBuildQuotient:
         assert table.admissible_counts() == (1, 65, 600, 2500, 6785)
 
     def test_degree_zero_is_the_unit(self, table):
-        # degree 0 goes through the same elimination, with no relation rows
+        # degree 0 goes through the same _degree, with no relation rows
         dd = table.degrees[0]
         assert (dd.monomials, dd.index) == (((),), {(): 0})
         assert (dd.rank, dd.torsion, dd.rref, dd.basis_cols) == (1, (), {}, (0,))
         # the rref, once made, replaces the pivot rows
         assert dd.pivots is None
+
+    def test_degrees_zero_and_one_are_degree_calls(self, table):
+        complex_ = build_complex(config_all_p1())
+        relations = chowring._linear_relation_vectors()
+        for k in (0, 1):
+            got, want = table.degrees[k], chowring._degree(relations, complex_, k)
+            for field in (
+                "monomials", "index", "rank", "torsion", "rref", "basis_cols"
+            ):
+                assert getattr(got, field) == getattr(want, field), (k, field)
+            assert got.products.tolist() == want.products.tolist(), k
 
     def test_two_prime_matches(self, table):
         # the mode is a report label: one certified table serves both, and
@@ -400,10 +406,10 @@ class TestBuildQuotient:
     def test_every_relation_dies_against_the_opening_ones(self):
         relations = chowring._linear_relation_vectors()
         opening = opening_relations()
-        assert len(opening) == 14
-        # the relations that a fresh echelon of the sixty alone finds opening
-        probe = IntEchelon()
-        assert opening == [r for r in relations if probe.insert(r) is not None]
+        # pinned: 14 of the sixty, in their order
+        assert opening == [
+            relations[i] for i in (0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 20, 21, 24, 30)
+        ]
         ech = IntEchelon()
         for r in opening:
             assert ech.insert(r) is not None
@@ -412,15 +418,10 @@ class TestBuildQuotient:
     def test_dropping_an_opening_relation_fails_the_build(self, monkeypatch):
         # the 14 are certified on every build: their echelon must have the
         # leads of degree 1, else the lattices differ
-        eliminate = chowring._eliminate
-
-        def dropping_first(generators, lower, index, opening=None):
-            out = eliminate(generators, lower, index, opening)
-            if opening:
-                del opening[0]
-            return out
-
-        monkeypatch.setattr(chowring, "_eliminate", dropping_first)
+        opening = chowring._opening_relations
+        monkeypatch.setattr(
+            chowring, "_opening_relations", lambda relations: opening(relations)[1:]
+        )
         with pytest.raises(VerificationError, match="13 relations"):
             build_quotient(config_all_p1())
 
@@ -430,37 +431,34 @@ class TestBuildQuotient:
     def test_opening_relations_match_the_pivot_rows(self, cfg):
         # the degree-1 pivot rows, which degrees 2-4 multiplied before, span
         # the same lattice, so every output of degrees 2-4 is the same
-        monomials, indexes, pivot_rows = degree_one_pivot_rows(cfg)
+        complex_ = build_complex(cfg)
+        pivot_rows = degree_one_pivot_rows(cfg)[2]
         opening = opening_relations()
         for k in (2, 3, 4):
-            args = (monomials[k - 1], indexes[k])
-            old = chowring._eliminate(pivot_rows, *args)
-            new = chowring._eliminate(opening, *args)
-            for field in ("rank", "torsion", "basis_cols", "products"):
-                assert old[field] == new[field], (k, field)
-            assert exactla.rref_from_pivots(old["pivots"]) == (
-                exactla.rref_from_pivots(new["pivots"])
-            ), k
+            old = chowring._degree(pivot_rows, complex_, k)
+            new = chowring._degree(opening, complex_, k)
+            for field in ("rank", "torsion", "basis_cols", "products", "rref"):
+                assert getattr(old, field) == getattr(new, field), (k, field)
 
     def test_hermite_passes_get_only_non_unit_leads(self, monkeypatch):
         # every lead of degrees 0 and 4 is 1, so no pass runs there; degrees
         # 1-3 hand the passes only their 5, 31 and 3 non-unit-lead rows, of
         # 14, 473 and 2,449 pivot rows
         monkeypatch.setattr(chowring, "_pool_workers", lambda jobs: 0)
-        eliminate, dense = chowring._eliminate, exactla._dense_snf
+        build, dense = chowring._degree, exactla._dense_snf
         degree = []
         calls = {}
 
-        def tagging(generators, lower, index, opening=None):
-            degree.append(len(next(iter(index))))
-            return eliminate(generators, lower, index, opening)
+        def tagging(generators, complex_, k):
+            degree.append(k)
+            return build(generators, complex_, k)
 
         def spy(rows):
             assert all(row[max(row)] != 1 for row in rows)
             calls.setdefault(degree[-1], []).append(len(rows))
             return dense(rows)
 
-        monkeypatch.setattr(chowring, "_eliminate", tagging)
+        monkeypatch.setattr(chowring, "_degree", tagging)
         monkeypatch.setattr(exactla, "_dense_snf", spy)
         t = build_quotient(config_all_p1())
         assert sorted(degree) == [0, 1, 2, 3, 4]

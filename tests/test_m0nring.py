@@ -23,8 +23,10 @@ from oracles import (
     point_off_one,
     reference_product_table,
 )
+from m36.boundarycomplex import flag_complex
 from m36.m0nring import (
     M0nRing,
+    _keel_generators,
     m0n_compatible,
     m0n_divisor,
     m0n_divisors,
@@ -119,9 +121,9 @@ class TestKeelCertificate:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_build_degrees_matches_the_reference(self, n, r4, r5, r6):
-        # build_degrees multiplies only the opening relations (2 of 2, 5 of
-        # 10 and 9 of 30) and runs n = 6 in the pool; every Keel relation in
-        # every degree, in process, gives the same degrees
+        # build_degrees multiplies only the opening relations and runs n = 6
+        # in the pool; every Keel relation in every degree, in process, gives
+        # the same degrees
         ring = {4: r4, 5: r5, 6: r6}[n]
         want = keel_reference_degrees(ring)
         assert len(ring.degrees) == len(want) == n - 2
@@ -132,17 +134,29 @@ class TestKeelCertificate:
                 assert getattr(got, field) == getattr(ref, field), (k, field)
             assert got.products.tolist() == ref.products.tolist(), k
 
+    @pytest.mark.parametrize("n,keel,opening", [(4, 2, 2), (5, 10, 5), (6, 30, 9)])
+    def test_opening_relation_counts(self, n, keel, opening):
+        relations = _keel_generators(m0n_divisors(n), n)
+        assert len(relations) == keel
+        assert len(chowring._opening_relations(relations)) == opening
+
+    def test_degrees_zero_and_one_are_degree_calls(self, r5):
+        complex_ = flag_complex(r5.gens, m0n_compatible)
+        keel = _keel_generators(r5.gens, 5)
+        for k in (0, 1):
+            got, want = r5.degrees[k], chowring._degree(keel, complex_, k)
+            for field in (
+                "monomials", "index", "rank", "torsion", "rref", "basis_cols"
+            ):
+                assert getattr(got, field) == getattr(want, field), (k, field)
+            assert got.products.tolist() == want.products.tolist(), k
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_dropping_an_opening_relation_fails_the_build(self, monkeypatch, n):
-        eliminate = chowring._eliminate
-
-        def dropping_first(generators, lower, index, opening=None):
-            out = eliminate(generators, lower, index, opening)
-            if opening:
-                del opening[0]
-            return out
-
-        monkeypatch.setattr(chowring, "_eliminate", dropping_first)
+        opening = chowring._opening_relations
+        monkeypatch.setattr(
+            chowring, "_opening_relations", lambda relations: opening(relations)[1:]
+        )
         with pytest.raises(VerificationError, match=r"M-bar_\{0,%d\}" % n):
             M0nRing(n)
         assert multiprocessing.active_children() == []
@@ -166,15 +180,10 @@ class TestKeelCertificate:
         # x1 = x0 and x2 = x0; the build made the rref to certify the points
         assert ring.degrees[1].rref == {1: ({0: -1}, 1), 2: ({0: -1}, 1)}
 
-        eliminate = chowring._eliminate
-
-        def dropping_first(generators, lower, index, opening=None):
-            out = eliminate(generators, lower, index, opening)
-            if opening:
-                del opening[0]
-            return out
-
-        monkeypatch.setattr(chowring, "_eliminate", dropping_first)
+        opening = chowring._opening_relations
+        monkeypatch.setattr(
+            chowring, "_opening_relations", lambda relations: opening(relations)[1:]
+        )
         with pytest.raises(VerificationError, match=r"the 1 relations .*0,4"):
             M0nRing(4)
 
