@@ -58,14 +58,15 @@ factor's divisors reach it through per-column divisor masks
 (DegreeData.masks), so only admissible products are visited: in the 126
 psi quartics of the benchmark's seed-1 query round, a mean 21%, 14% and
 11% of the (running column, divisor) pairs of the second, third and
-fourth factor are admissible.  quotient_product forms monomial keys and
+fourth factor are admissible.  normal_form reads its element through the
+same kernel, as a product of one factor.  product forms monomial keys and
 Fractions once, for the result.  integrate never forms them: each hit of
 the last factor in the top degree adds its value times the integration
 functional at its column to one int, so no degree-4 element is built.
-On the all-line-fiber table (2 shared cores,
-CPython 3.11.7; the range of the medians of six sittings, whose load
-varied, each timing this path and, alternately, one that built the
-degree-4 product and then integrated it) `integrate "(K+B)^4"` takes
+On the all-line-fiber table (2 shared cores, CPython 3.11.7; the range of
+the medians of six sittings, whose load varied, each timing this path
+and, alternately, one that built the degree-4 product and then
+integrated it) `integrate "(K+B)^4"` takes
 0.009-0.015 s through the CLI, against 0.020-0.036 s; the 140 small
 queries of the benchmark's seed-1 query round, run through cli.main in one
 process, take 0.031-0.056 s against 0.041-0.086 s.
@@ -90,8 +91,8 @@ restriction, the descent test and the K+B check in classes read them.
 
 Inside the engine every coefficient is an integer: the rref rows are integer
 numerators over one row denominator.  Fraction appears only at the API
-boundary, where normal_form, quotient_product and integrate clear the
-denominators of their inputs first and divide them back out of each
+boundary, where _chain clears the denominators of the inputs of
+normal_form, product and integrate and they divide them back out of each
 result, where sums add Fraction terms, and where the integration
 functional reads its values.
 """
@@ -314,30 +315,26 @@ def duality_element(e):
 # relation generators
 
 
-_LINEAR_CACHE = None
-
-
+@functools.cache
 def linear_relations():
-    """The sixty degree-1 relation generators: for each restriction line i,
-    spectator mark j, and alternate pairing of the remaining four marks, the
-    difference of pulled-back four-point boundary sums.  Config-independent.
+    """The sixty degree-1 relation generators, as a tuple built once per
+    process: for each restriction line i, spectator mark j, and alternate
+    pairing of the remaining four marks, the difference of pulled-back
+    four-point boundary sums.  Config-independent.
     """
-    global _LINEAR_CACHE
-    if _LINEAR_CACHE is None:
-        from . import classes
+    from . import classes
 
-        gens = []
-        for i in labels.LINES:
-            for j in labels.LINES:
-                if j == i:
-                    continue
-                a, b, c, d = sorted(set(labels.LINES) - {i, j})
-                base = classes.pullback_r(i, (a, b)) + classes.pullback_r(i, (c, d))
-                for p, q, r, s in ((a, c, b, d), (a, d, b, c)):
-                    alt = classes.pullback_r(i, (p, q)) + classes.pullback_r(i, (r, s))
-                    gens.append(base - alt)
-        _LINEAR_CACHE = tuple(gens)
-    return list(_LINEAR_CACHE)
+    gens = []
+    for i in labels.LINES:
+        for j in labels.LINES:
+            if j == i:
+                continue
+            a, b, c, d = sorted(set(labels.LINES) - {i, j})
+            base = classes.pullback_r(i, (a, b)) + classes.pullback_r(i, (c, d))
+            for p, q, r, s in ((a, c, b, d), (a, d, b, c)):
+                alt = classes.pullback_r(i, (p, q)) + classes.pullback_r(i, (r, s))
+                gens.append(base - alt)
+    return tuple(gens)
 
 
 def _linear_relation_vectors():
@@ -504,12 +501,12 @@ class GradedQuotientTable:
     the build except that each degree's masks are read on the first product,
     its rref, which replaces its pivot rows, on the first normal form or
     integral there, and degree 4's functional on the first integral: the
-    product tables that quotient_product reads come back from the build
-    with their degrees.  On the all-line-fiber config the tables take
-    411,580 bytes together, 325,000 of them in degree 4, and the masks at
-    most 131,316 bytes, counting each int as its own object; they are read
-    off the tables in 11-17 ms.  runtime_ms is the wall time of the whole
-    build, degrees run side by side included, and no rref."""
+    product tables that product reads come back from the build with their
+    degrees.  On the all-line-fiber config the tables take 411,580 bytes
+    together, 325,000 of them in degree 4, and the masks at most 131,316
+    bytes, counting each int as its own object; they are read off the
+    tables in 11-17 ms.  runtime_ms is the wall time of the whole build,
+    degrees run side by side included, and no rref."""
 
     def __init__(self, config, degrees, runtime_ms):
         self.config = config
@@ -764,25 +761,21 @@ def _check_vertices(mono, degrees):
 
 
 def normal_form(e, t):
-    """Canonical representative of e on the chosen basis monomials.  Each
-    monomial has one column, so the degree-k terms of e are a row once the
-    lcm L of their denominators is cleared; the integer reduction (num, den)
-    of that row gives the coefficients num / (L * den).  An inadmissible
-    monomial is zero and drops out, unless it names no generator of t."""
-    top = len(t.degrees) - 1
-    rows = {}
-    for m, c in e.coeffs.items():
-        if len(m) > top:
-            raise ValueError("element exceeds degree %d" % top)
-        col = t.degrees[len(m)].index.get(m)
-        if col is None:
-            _check_vertices(m, t.degrees)
-        else:
-            rows.setdefault(len(m), {})[col] = c
+    """Canonical representative of e on the chosen basis monomials.  e is
+    read into columns by _chain, as a product of one factor: its admissible
+    terms become one row of integer numerators per degree over the lcm L of
+    their denominators, an inadmissible monomial is zero and drops out
+    unless it names no generator of t, and a degree past the top is
+    refused.  The integer reduction (num, den) of each row gives the
+    coefficients num / (L * den)."""
+    chain = _chain([e.coeffs], t.degrees)
+    if chain is None:
+        return RingElement.zero()
+    running, scale, _total = chain
     out = {}
-    for k in sorted(rows):
-        dd = t.degrees[k]
-        scale, row = clear_denominators(rows[k])
+    for dd, row in zip(t.degrees, running):
+        if not row:
+            continue
         num, den = reduce_row(row, dd.rref)
         den *= scale
         for col, v in num.items():
@@ -868,8 +861,9 @@ def _times(running, live, factor, degrees, weights=None):
 
 
 def _chain(factors, degrees, weights=None):
-    """The column kernel of quotient_product and integrate_product: the
-    product of the {monomial: coeff} factors, left to right, as (running,
+    """The column kernel, the one reader of elements into the quotient's
+    columns, for normal_form, product and integrate_product: the product
+    of the {monomial: coeff} factors, left to right, as (running,
     scale, total), or None when a factor or the running product is zero.
     Products beyond the top degree are refused by _check_degree_cap before
     any term is formed.  running holds integer numerators by degree as
@@ -912,31 +906,26 @@ def _chain(factors, degrees, weights=None):
     return running, scale, total
 
 
-def quotient_product(factors, degrees):
-    """The product of the sequence of {monomial: coeff} elements factors,
-    taken left to right in the quotient whose DegreeData are degrees: the
-    free product without its inadmissible monomials, one when there are no
-    factors.  Products beyond the top degree, len(degrees) - 1, are refused
-    before any term is formed.  The product is taken by column (_chain), and
-    monomial keys and Fractions are formed once, for the result."""
-    chain = _chain(factors, degrees)
+def product(factors, t):
+    """The product of the RingElements factors, taken left to right in the
+    ring of t: the free product without its inadmissible monomials, one when
+    there are no factors.  Products beyond the top degree are refused before
+    any term is formed.  The product is taken by column, as one chain
+    (_chain), and monomial keys and Fractions are formed once, for the
+    result.  Four factors K+B are one such chain; on the all-line-fiber
+    table it takes a median 0.016-0.028 s (six sittings, 2 shared cores,
+    CPython 3.11.7)."""
+    degrees = t.degrees
+    chain = _chain([f.coeffs for f in factors], degrees)
     if chain is None:
-        return {}
+        return RingElement.zero()
     running, scale, _total = chain
-    return {
+    return RingElement._raw({
         degrees[k].monomials[col]: v if scale == 1 else Fraction(v, scale)
         for k, terms in enumerate(running)
         for col, v in terms.items()
         if v
-    }
-
-
-def product(factors, t):
-    """The product of the factors in the ring of t, taken left to right by
-    one quotient_product.  Four factors K+B are one such chain; on the
-    all-line-fiber table it takes a median 0.016-0.028 s (six sittings, 2
-    shared cores, CPython 3.11.7)."""
-    return RingElement._raw(quotient_product([f.coeffs for f in factors], t.degrees))
+    })
 
 
 def is_zero_in(e, t):

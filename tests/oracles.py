@@ -13,8 +13,11 @@ without the quotient evaluation that the CLI takes when it can.  The
 integration functional normalized on psi[5,6]^2 psi[6,5]^2, the rule before
 the point normalization, is the reference that rule must agree with, and a
 top degree with one point moved off 1 is what the point certificate must
-refuse.  The lex-smallest member of a psi orbit, by a min over all 720
-relabelings, is the reference for the program's orbit map.
+refuse.  Normal forms taken term by term, each degree's denominators
+cleared on their own, are the reference for normal_form, which reads its
+element through the product kernel.  The lex-smallest member of a psi
+orbit, by a min over all 720 relabelings, is the reference for the
+program's orbit map.
 """
 
 import dataclasses
@@ -25,7 +28,7 @@ from math import comb
 from m36 import chowring, classes, cli, labels
 from m36.boundarycomplex import flag_complex
 from m36.chowring import MAX_DEGREE
-from m36.exactla import IntEchelon
+from m36.exactla import IntEchelon, reduce_row
 from m36.m0nring import _keel_generators, m0n_compatible
 
 
@@ -145,6 +148,33 @@ def reference_chain(factors, degrees):
                 terms[mono] = terms.get(mono, 0) + ca * cb
         out = {m: c for m, c in terms.items() if c and m in degrees[len(m)].index}
     return out
+
+
+def reference_normal_form(e, t):
+    """The normal form of the RingElement e in the ring of t, term by term:
+    each monomial looked up in its degree's index, each degree's row
+    cleared of its own denominators and reduced by that degree's rref.  A
+    monomial past the top degree raises ValueError ("element exceeds
+    degree N"), as does an inadmissible one that names no divisor of t."""
+    top = len(t.degrees) - 1
+    rows = {}
+    for m, c in e.coeffs.items():
+        if len(m) > top:
+            raise ValueError("element exceeds degree %d" % top)
+        col = t.degrees[len(m)].index.get(m)
+        if col is None:
+            chowring._check_vertices(m, t.degrees)
+        else:
+            rows.setdefault(len(m), {})[col] = c
+    out = {}
+    for k in sorted(rows):
+        dd = t.degrees[k]
+        scale, row = chowring.clear_denominators(rows[k])
+        num, den = reduce_row(row, dd.rref)
+        den *= scale
+        for col, v in num.items():
+            out[dd.monomials[col]] = v if den == 1 else Fraction(v, den)
+    return chowring.RingElement(out)
 
 
 def free_fold(factors, top):

@@ -61,6 +61,7 @@ from oracles import (
     psi_functional,
     reference_chain,
     reference_masks,
+    reference_normal_form,
     reference_product_table,
 )
 
@@ -701,6 +702,62 @@ class TestNormalForm:
         assert table.torsion_free
         assert table.ranks == (1, 51, 127, 51, 1)
 
+    @pytest.mark.parametrize(
+        "name", ["table", "table_p2", "table_mixed", "m0n5", "m0n6"]
+    )
+    def test_matches_the_reference(self, request, name):
+        if name.startswith("m0n"):
+            t, ngens = _ring(name)
+        else:
+            t, ngens = request.getfixturevalue(name), len(labels.DIVISORS)
+        degrees = t.degrees
+        top = len(degrees) - 1
+        rng = random.Random(3030 + len(name) + ngens)
+        coeffs = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+        seen = Counter()
+        for i in range(80):
+            # one element in four is only a multiple of a relation
+            alone = i % 4 == 0
+            terms = Counter()
+            for _ in range(0 if alone else rng.randint(1, 8)):
+                k = rng.randint(0, top)
+                if rng.random() < 0.2:
+                    mono = tuple(sorted(rng.randrange(ngens) for _ in range(k)))
+                else:
+                    mono = rng.choice(degrees[k].monomials)
+                terms[mono] += rng.choice(coeffs)
+                seen["constant"] += k == 0
+                seen["inadmissible"] += mono not in degrees[k].index
+            if alone or rng.random() < 0.4:
+                # a multiple of an rref row, den at its lead column and num
+                # elsewhere, which the reduction cancels
+                k = rng.choice([k for k in range(1, top + 1) if degrees[k].rref])
+                dd = degrees[k]
+                lead, (num, den) = rng.choice(sorted(dd.rref.items()))
+                c = rng.choice(coeffs)
+                terms[dd.monomials[lead]] += c * den
+                for col, v in num.items():
+                    terms[dd.monomials[col]] += c * v
+                seen["relation"] += 1
+            e = RingElement(dict(terms))
+            seen["mixed"] += len({len(m) for m in e.coeffs}) > 1
+            seen["fraction"] += any(type(c) is Fraction for c in e.coeffs.values())
+            got = normal_form(e, t)
+            assert got == reference_normal_form(e, t)
+            assert normal_form(e - got, t).is_zero()
+            seen["zero" if got.is_zero() else "nonzero"] += 1
+        assert len(seen) == 7 and min(seen.values()) >= 3, seen
+        assert normal_form(RingElement.zero(), t).is_zero()
+        past = RingElement._raw({(0,) * (top + 1): 1})
+        for nf in (normal_form, reference_normal_form):
+            with pytest.raises(ValueError, match="exceeds degree %d" % top):
+                nf(past, t)
+        if ngens < len(labels.DIVISORS):
+            unknown = RingElement({(ngens,): Fraction(1, 2)})
+            for nf in (normal_form, reference_normal_form):
+                with pytest.raises(ValueError, match="unknown generator index"):
+                    nf(unknown, t)
+
 
 class TestIntegrate:
     def test_requires_degree_four(self, table):
@@ -1040,13 +1097,14 @@ RINGS = ["all_p1", "all_p2", "mixed_7", "m0n5", "m0n6"]
 
 
 class TestChainedProduct:
-    """quotient_product over a whole chain of factors: it raises where the
-    left fold of free products raises, and otherwise gives that fold
-    restricted to admissible monomials."""
+    """product over a whole chain of factors: it raises where the left fold
+    of free products raises, and otherwise gives that fold restricted to
+    admissible monomials."""
 
     @pytest.mark.parametrize("name", RINGS)
     def test_matches_the_fold_of_free_products(self, name):
-        degrees, ngens = _ring_degrees(name)
+        ring, ngens = _ring(name)
+        degrees = ring.degrees
         top = len(degrees) - 1
         rng = random.Random(2136 + len(name) + ngens)
         # pairs of divisors that never meet: their product is zero in the
@@ -1078,6 +1136,9 @@ class TestChainedProduct:
                 "apart": [{(a,): 1}, {(b,): 3}],
             }[start]
             elements = [RingElement(f) for f in factors]
+            # _raw lets zero and inadmissible factors reach the chain as
+            # they are
+            raw = [RingElement._raw(f) for f in factors]
             try:
                 free = free_fold(factors, top)
             except ValueError as e:
@@ -1085,14 +1146,14 @@ class TestChainedProduct:
                     with pytest.raises(ValueError, match=str(e)):
                         functools.reduce(operator.mul, elements, RingElement.one())
                 with pytest.raises(ValueError, match=str(e)):
-                    chowring.quotient_product(factors, degrees)
+                    chowring.product(raw, ring)
                 outcomes["raised"] += 1
                 starts[start, "raised"] += 1
                 continue
             if ngens == len(labels.DIVISORS):
                 one = RingElement.one()
                 assert functools.reduce(operator.mul, elements, one).coeffs == free
-            got = chowring.quotient_product(factors, degrees)
+            got = chowring.product(raw, ring).coeffs
             assert got == reference_chain(factors, degrees)
             assert all(got.values())
             if all(type(c) is int for f in factors for c in f.values()):

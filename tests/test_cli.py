@@ -553,11 +553,11 @@ class TestLinearFold:
     def test_integrals_form_no_product(self, capsys, monkeypatch, table):
         # a psi quartic and (K+B)^4 are one integrate_product each: neither
         # the free product nor the quotient product runs
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("a product was formed")
 
         monkeypatch.setattr(cli, "_free_product", refuse)
-        monkeypatch.setattr(chowring, "quotient_product", refuse)
+        monkeypatch.setattr(chowring, "product", refuse)
         for text, value in [
             ("psi[1,2]*psi[2,3]*psi[3,1]*psi[4,5]", "9"),
             ("(K+B)^4", "1502"),
@@ -570,13 +570,13 @@ class TestLinearFold:
         # integrate_product of the outer node: no quotient product is taken
         # first, and the values are those of the flat products
         calls = []
-        quotient_product = chowring.quotient_product
+        product = chowring.product
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return quotient_product(*args)
+            return product(*args, **kwargs)
 
-        monkeypatch.setattr(chowring, "quotient_product", counting)
+        monkeypatch.setattr(chowring, "product", counting)
         for text, value in [
             ("psi[5,6]^2*psi[6,5]^2", "1"),
             ("(K+B)^2*(K+B)^2", "1502"),
@@ -806,6 +806,34 @@ class TestGoldenOutputs:
         out = capsys.readouterr().out
         out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+    def test_query_round(self, capsys):
+        # the queries evaluated in the quotient: every psi orbit integrated
+        # on all-P1, a product node of degree 1 with a Fraction factor
+        # restricted at every point, and a degree-2 product restricted to
+        # a plane, their stdout joined in order
+        out = []
+        for argv in query_round():
+            assert main(argv) == 0, argv
+            out.append(capsys.readouterr().out)
+        want = (GOLDEN / "query-round.txt").read_bytes()
+        assert "".join(out).encode("utf-8") == want
+
+
+def query_round():
+    """The argv lists whose joined stdout is golden/query-round.txt."""
+    argvs = [
+        ["integrate", "*".join("psi[%d,%d]" % p for p in rep)]
+        for rep, _size in classes.psi_orbits()
+    ]
+    for pt in labels.SINGULAR_POINTS:
+        point = ",".join("%d%d" % p for p in pt.matching)
+        argvs.append(["restrict", "1/2*(F[12]-F[13])*3", "--point", point])
+    argvs.append(
+        ["restrict", "(F[12]+1/2*F[34])*(F[12]+F[56])", "--config", ONE_PLANE]
+        + ["--point", "12,34,56"]
+    )
+    return argvs
 
 
 def _run_python(args):
