@@ -52,17 +52,18 @@ table: for every admissible monomial of degree k-1 and every divisor, the
 column of their product in degree k, or a mark that it is not admissible.
 The same table feeds the relation-row stream of the degree's elimination
 and _chain, the one column kernel, which takes a whole chain of factors:
-the running product starts as the first factor's admissible columns and
-stays integer numerators by (degree, column) across all of them.  A
-factor's divisors reach it through per-column divisor masks
-(DegreeData.masks), so only admissible products are visited: in the 126
-psi quartics of the benchmark's seed-1 query round, a mean 21%, 14% and
-11% of the (running column, divisor) pairs of the second, third and
-fourth factor are admissible.  normal_form reads its element through the
-same kernel, as a product of one factor.  product forms monomial keys and
-Fractions once, for the result.  integrate never forms them: each hit of
-the last factor in the top degree adds its value times the integration
-functional at its column to one int, so no degree-4 element is built.
+the running product starts at one, every factor multiplies it by _times,
+and it stays integer numerators by (degree, column) across all of them; a
+zero product is one without columns.  A factor's divisors reach it
+through per-column divisor masks (DegreeData.masks), so only admissible
+products are visited: in the 126 psi quartics of the benchmark's seed-1
+query round, a mean 21%, 14% and 11% of the (running column, divisor)
+pairs of the second, third and fourth factor are admissible.
+normal_form reads its element through the same kernel, as a product of
+one factor.  product forms monomial keys and Fractions once, for the
+result.  integrate never forms them: each hit of the last factor in the
+top degree adds its value times the integration functional at its column
+to one int, so no degree-4 element is built.
 On the all-line-fiber table (2 shared cores, CPython 3.11.7; the range of
 the medians of six sittings, whose load varied, each timing this path
 and, alternately, one that built the degree-4 product and then
@@ -366,8 +367,8 @@ def admissible_monomials(complex_, k):
 # Entry _WIDTH * i + d of a degree's product table is the column of the
 # degree-(k-1) monomial i times the divisor d, or _NO_COLUMN where that
 # product is not admissible.  A column fits in 16 bits: the largest degree,
-# degree 4 of the all-plane-fiber config, has 6,935.  M(0,n) for n <= 6 has at
-# most 25 boundary divisors, so its tables share the width.
+# degree 4 of the all-plane-fiber config, has 6,935.  M(0,n) for n <= 7 has at
+# most 56 boundary divisors, so its tables share the width.
 _WIDTH = len(labels.DIVISORS)
 _NO_COLUMN = 0xFFFF
 
@@ -712,16 +713,12 @@ def build_quotient(cfg, mode="two-prime"):
     return table
 
 
-_BUILT = {}
-
-
+@functools.cache
 def table(cfg):
     """The table of cfg, built on first use and kept for the process.  The
     CLI, the acceptance criteria and the test fixtures all read this cache;
     build_quotient itself never caches."""
-    if cfg not in _BUILT:
-        _BUILT[cfg] = build_quotient(cfg)
-    return _BUILT[cfg]
+    return build_quotient(cfg)
 
 
 def ranks_report(t, mode):
@@ -768,10 +765,7 @@ def normal_form(e, t):
     unless it names no generator of t, and a degree past the top is
     refused.  The integer reduction (num, den) of each row gives the
     coefficients num / (L * den)."""
-    chain = _chain([e.coeffs], t.degrees)
-    if chain is None:
-        return RingElement.zero()
-    running, scale, _total = chain
+    running, scale, _total = _chain([e.coeffs], t.degrees)
     out = {}
     for dd, row in zip(t.degrees, running):
         if not row:
@@ -863,46 +857,29 @@ def _times(running, live, factor, degrees, weights=None):
 def _chain(factors, degrees, weights=None):
     """The column kernel, the one reader of elements into the quotient's
     columns, for normal_form, product and integrate_product: the product
-    of the {monomial: coeff} factors, left to right, as (running,
-    scale, total), or None when a factor or the running product is zero.
-    Products beyond the top degree are refused by _check_degree_cap before
-    any term is formed.  running holds integer numerators by degree as
-    {column: int} over one denominator, scale, the product of the factors'
-    denominators: it starts as the first factor's admissible columns,
-    taken by index, and each further factor multiplies it by _times.  With
+    of the {monomial: coeff} factors, left to right, as (running, scale,
+    total).  Products beyond the top degree are refused by
+    _check_degree_cap before any term is formed.  running holds integer
+    numerators by degree as {column: int} over one denominator, scale, the
+    product of the factors' denominators: it starts at one, and every
+    factor multiplies it by _times.  Once a factor or the running product
+    is zero, the product is zero: no column, scale 1 and total 0.  With
     weights, the top degree's functional, the top degree of the product is
-    never stored: the last factor's top-degree hits, or the first factor's
-    top-degree columns when it is the only one, are summed against weights
-    into the int total."""
-    top = len(degrees) - 1
-    _check_degree_cap(factors, top)
+    never stored: the last factor's top-degree hits are summed against
+    weights into the int total."""
+    _check_degree_cap(factors, len(degrees) - 1)
     running = [{} for _ in degrees]
-    if not factors:
-        running[0][0] = 1
-        return running, 1, 0
-    first, *rest = factors
-    if not first:
-        return None
-    scale, first = clear_denominators(first)
-    for mono, c in first.items():
-        col = degrees[len(mono)].index.get(mono)
-        if col is None:
-            _check_vertices(mono, degrees)
-        else:
-            running[len(mono)][col] = c
-    total = 0
-    for i, factor in enumerate(rest, 2):
+    running[0][0] = 1
+    scale, total = 1, 0
+    for i, factor in enumerate(factors, 1):
         # zeros left by cancellation stay until the result; they add nothing
         live = [k for k, terms in enumerate(running) if any(terms.values())]
         if not live or not factor:
-            return None
+            return [{} for _ in degrees], 1, 0
         factor_scale, factor = clear_denominators(factor)
         scale *= factor_scale
         last = weights if i == len(factors) else None
         running, total = _times(running, live, factor, degrees, last)
-    if weights is not None:
-        # a one-factor chain has its top degree here; a longer one none
-        total += sum(v * weights[col] for col, v in running[top].items())
     return running, scale, total
 
 
@@ -916,10 +893,7 @@ def product(factors, t):
     table it takes a median 0.016-0.028 s (six sittings, 2 shared cores,
     CPython 3.11.7)."""
     degrees = t.degrees
-    chain = _chain([f.coeffs for f in factors], degrees)
-    if chain is None:
-        return RingElement.zero()
-    running, scale, _total = chain
+    running, scale, _total = _chain([f.coeffs for f in factors], degrees)
     return RingElement._raw({
         degrees[k].monomials[col]: v if scale == 1 else Fraction(v, scale)
         for k, terms in enumerate(running)
@@ -972,10 +946,7 @@ def integrate(e, t, *, times=()):
     top = len(degrees) - 1
     factors = [f.coeffs for f in times]
     factors.append(e.coeffs)
-    chain = _chain(factors, degrees, degrees[top].functional)
-    if chain is None:
-        return Fraction(0)
-    running, scale, total = chain
+    running, scale, total = _chain(factors, degrees, degrees[top].functional)
     if any(any(terms.values()) for terms in running[:top]):
         raise ValueError("integrand must be homogeneous of degree %d" % top)
     return Fraction(total, scale)
@@ -1066,15 +1037,16 @@ def line_degrees(e):
     }
 
 
-def restrict_to_fiber(e, pt, t):
+def restrict_to_fiber(e, pt, cfg):
     """Restriction of a class to the exceptional fiber over one singular
-    point, using the fiber kind assigned by t's config.  A divisor D restricts
-    to l_p(D) times the hyperplane class of a line and to -l_p(D) times that
-    of a plane (line_forms)."""
+    point, using the fiber kind that the config cfg assigns.  A divisor D
+    restricts to l_p(D) times the hyperplane class of a line and to -l_p(D)
+    times that of a plane (line_forms).  It reads no quotient table, so
+    none is built for it."""
     form = line_forms().get(pt)
     if form is None:
         raise ValueError("unknown singular point %r" % (pt,))
-    kind = t.config.fiber(pt)
+    kind = cfg.fiber(pt)
     cap = 2 if kind == labels.FIBER_P1 else 3
     coeffs = [0] * cap
     for mono, c in e.coeffs.items():

@@ -1,4 +1,4 @@
-"""Keel's presentation of A*(M-bar_{0,n}) for n up to 6, built by
+"""Keel's presentation of A*(M-bar_{0,n}) for n up to 7, built by
 chowring.build_degrees, the function that builds the tables of the
 six-lines space.
 
@@ -98,8 +98,8 @@ class M0nRing:
     or unless every point of the top degree integrates to 1."""
 
     def __init__(self, n):
-        if not 4 <= n <= 6:
-            raise ValueError("n must be between 4 and 6")
+        if not 4 <= n <= 7:
+            raise ValueError("n must be between 4 and 7")
         self.n = n
         self.top = n - 3
         self.gens = m0n_divisors(n)

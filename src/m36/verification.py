@@ -357,13 +357,14 @@ def crit_property_suites():
     pts = list(labels.SINGULAR_POINTS)
     gens = [chowring.RingElement.from_divisor(d) for d in labels.DIVISORS]
     fibers = {
-        pt: [chowring.restrict_to_fiber(g, pt, table) for g in gens] for pt in pts
+        pt: [chowring.restrict_to_fiber(g, pt, table.config) for g in gens]
+        for pt in pts
     }
     for i in range(65):
         for j in range(i, 65):
             prod = chowring.product((gens[i], gens[j]), table)
             for pt in pts:
-                lhs = chowring.restrict_to_fiber(prod, pt, table)
+                lhs = chowring.restrict_to_fiber(prod, pt, table.config)
                 rhs = fibers[pt][i] * fibers[pt][j]
                 if lhs != rhs:
                     mult_ok = False

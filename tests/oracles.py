@@ -226,7 +226,8 @@ def free_ring_outcome(command, text, t, pt):
     except cli.UsageError as err:
         return 2, "error: %s\n" % err, None
     if command == "restrict":
-        return 0, "", [str(c) for c in chowring.restrict_to_fiber(e, pt, t).coeffs]
+        fv = chowring.restrict_to_fiber(e, pt, t.config)
+        return 0, "", [str(c) for c in fv.coeffs]
     if not e.is_zero() and e.degrees() != [4]:
         return 2, "error: integrand must be homogeneous of degree 4\n", None
     return 0, "", str(chowring.integrate(e, t))

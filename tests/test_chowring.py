@@ -548,9 +548,10 @@ class TestParallelBuild:
         assert serial.ranks == pooled.ranks
         assert serial.torsion_free == pooled.torsion_free
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7])
     def test_one_cpu_keel_ring_matches_the_pool(self, monkeypatch, n):
         # M-bar_{0,5} has one job and builds it here; M-bar_{0,6} has two
+        # and M-bar_{0,7} three
         self._usable_cpus(monkeypatch, 2)
         pooled = M0nRing(n)
         self._usable_cpus(monkeypatch, 1)
@@ -703,7 +704,7 @@ class TestNormalForm:
         assert table.ranks == (1, 51, 127, 51, 1)
 
     @pytest.mark.parametrize(
-        "name", ["table", "table_p2", "table_mixed", "m0n5", "m0n6"]
+        "name", ["table", "table_p2", "table_mixed", "m0n5", "m0n6", "m0n7"]
     )
     def test_matches_the_reference(self, request, name):
         if name.startswith("m0n"):
@@ -913,8 +914,8 @@ class TestQuotientProduct:
             if free.degrees() == [4]:
                 assert integrate(quot, t) == integrate(free, t)
             for pt in SINGULAR_POINTS:
-                assert restrict_to_fiber(quot, pt, t) == restrict_to_fiber(
-                    free, pt, t
+                assert restrict_to_fiber(quot, pt, t.config) == restrict_to_fiber(
+                    free, pt, t.config
                 )
             degrees_seen.update(free.degrees())
         assert degrees_seen == {1, 2, 3, 4}
@@ -1093,7 +1094,7 @@ def _random_factor(rng, degrees, ngens, most):
     return {m: c for m, c in out.items() if c}
 
 
-RINGS = ["all_p1", "all_p2", "mixed_7", "m0n5", "m0n6"]
+RINGS = ["all_p1", "all_p2", "mixed_7", "m0n5", "m0n6", "m0n7"]
 
 
 class TestChainedProduct:
@@ -1400,17 +1401,17 @@ class TestFiberRestriction:
 
     def test_line_fiber_generator_images(self, table):
         pt = self.PT
-        assert restrict_to_fiber(F(1, 2), pt, table).coeffs == (0, -1)
-        assert restrict_to_fiber(F(1, 3), pt, table).coeffs == (0, 0)
-        assert restrict_to_fiber(E(1, 2, 3), pt, table).coeffs == (0, 0)
+        assert restrict_to_fiber(F(1, 2), pt, table.config).coeffs == (0, -1)
+        assert restrict_to_fiber(F(1, 3), pt, table.config).coeffs == (0, 0)
+        assert restrict_to_fiber(E(1, 2, 3), pt, table.config).coeffs == (0, 0)
         assert restrict_to_fiber(
-            G((1, 2), (3, 4), (5, 6)), pt, table
+            G((1, 2), (3, 4), (5, 6)), pt, table.config
         ).coeffs == (0, 1)
         assert restrict_to_fiber(
-            G((1, 2), (5, 6), (3, 4)), pt, table
+            G((1, 2), (5, 6), (3, 4)), pt, table.config
         ).coeffs == (0, 1)
         assert restrict_to_fiber(
-            G((1, 3), (2, 4), (5, 6)), pt, table
+            G((1, 3), (2, 4), (5, 6)), pt, table.config
         ).coeffs == (0, 0)
 
     def test_line_forms_read_off_the_matching(self):
@@ -1440,19 +1441,19 @@ class TestFiberRestriction:
 
     def test_plane_fiber_generator_images(self, table_p2):
         pt = self.PT
-        assert restrict_to_fiber(F(1, 2), pt, table_p2).coeffs == (0, 1, 0)
+        assert restrict_to_fiber(F(1, 2), pt, table_p2.config).coeffs == (0, 1, 0)
         assert restrict_to_fiber(
-            G((1, 2), (3, 4), (5, 6)), pt, table_p2
+            G((1, 2), (3, 4), (5, 6)), pt, table_p2.config
         ).coeffs == (0, -1, 0)
-        assert restrict_to_fiber(E(1, 2, 3), pt, table_p2).coeffs == (0, 0, 0)
+        assert restrict_to_fiber(E(1, 2, 3), pt, table_p2.config).coeffs == (0, 0, 0)
 
     def test_truncation(self, table, table_p2):
         f = F(1, 2)
-        assert restrict_to_fiber(f * f, self.PT, table).coeffs == (0, 0)
-        sq = restrict_to_fiber(f * f, self.PT, table_p2)
+        assert restrict_to_fiber(f * f, self.PT, table.config).coeffs == (0, 0)
+        sq = restrict_to_fiber(f * f, self.PT, table_p2.config)
         assert sq.coeffs == (0, 0, 1)
         cube = F(1, 2) * F(3, 4) * F(5, 6)
-        assert restrict_to_fiber(cube, self.PT, table_p2).coeffs == (0, 0, 0)
+        assert restrict_to_fiber(cube, self.PT, table_p2.config).coeffs == (0, 0, 0)
 
     def test_multiplicative_on_samples(self, table, table_p2):
         rng = random.Random(13)
@@ -1461,30 +1462,31 @@ class TestFiberRestriction:
                 a = RingElement.from_divisor(rng.choice(labels.DIVISORS))
                 b = RingElement.from_divisor(rng.choice(labels.DIVISORS))
                 pt = rng.choice(SINGULAR_POINTS)
-                ra = restrict_to_fiber(a, pt, t)
-                rb = restrict_to_fiber(b, pt, t)
-                assert restrict_to_fiber(a * b, pt, t) == ra * rb
+                ra = restrict_to_fiber(a, pt, t.config)
+                rb = restrict_to_fiber(b, pt, t.config)
+                assert restrict_to_fiber(a * b, pt, t.config) == ra * rb
 
     def test_relations_restrict_to_zero(self, table, table_p2):
         for t in (table, table_p2):
             for g in linear_relations():
                 for pt in SINGULAR_POINTS:
-                    assert not any(restrict_to_fiber(g, pt, t).coeffs)
+                    assert not any(restrict_to_fiber(g, pt, t.config).coeffs)
 
     def test_fiber_value_mismatch(self, table):
-        a = restrict_to_fiber(F(1, 2), SINGULAR_POINTS[0], table)
-        b = restrict_to_fiber(F(1, 2), SINGULAR_POINTS[1], table)
+        a = restrict_to_fiber(F(1, 2), SINGULAR_POINTS[0], table.config)
+        b = restrict_to_fiber(F(1, 2), SINGULAR_POINTS[1], table.config)
         with pytest.raises(ValueError):
             a * b
 
     def test_unknown_point(self, table):
         with pytest.raises(ValueError):
-            restrict_to_fiber(F(1, 2), pair((1, 2)), table)
+            restrict_to_fiber(F(1, 2), pair((1, 2)), table.config)
 
     def test_str(self, table, table_p2):
-        assert str(restrict_to_fiber(F(1, 2), self.PT, table)) == "-p"
-        assert str(restrict_to_fiber(F(1, 2) * F(1, 2), self.PT, table_p2)) == "h^2"
-        assert str(restrict_to_fiber(E(1, 2, 3), self.PT, table)) == "0"
+        assert str(restrict_to_fiber(F(1, 2), self.PT, table.config)) == "-p"
+        sq = restrict_to_fiber(F(1, 2) * F(1, 2), self.PT, table_p2.config)
+        assert str(sq) == "h^2"
+        assert str(restrict_to_fiber(E(1, 2, 3), self.PT, table.config)) == "0"
 
 
 class TestSingularSpace:

@@ -234,12 +234,12 @@ class TestCanonical:
     def test_kb_vanishes_on_lines(self, table):
         kb = canonical_divisor() + total_boundary()
         for pt in labels.SINGULAR_POINTS:
-            assert restrict_to_fiber(kb, pt, table).coeffs == (0, 0)
+            assert restrict_to_fiber(kb, pt, table.config).coeffs == (0, 0)
 
     def test_kb_vanishes_on_planes_too(self, table_p2):
         kb = canonical_divisor() + total_boundary()
         pt = labels.singular_point(((1, 2), (3, 4), (5, 6)))
-        assert restrict_to_fiber(kb, pt, table_p2).coeffs[1] == 0
+        assert restrict_to_fiber(kb, pt, table_p2.config).coeffs[1] == 0
 
 
 class TestCurves:

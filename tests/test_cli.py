@@ -807,6 +807,19 @@ class TestGoldenOutputs:
         out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
+    def test_restrict_builds_a_table_only_for_a_product(self, capsys, monkeypatch):
+        # restriction reads only the config's fiber kinds, so K+B gives its
+        # golden bytes without a table, and a product node asks for one
+        def refuse(_cfg):
+            raise AssertionError("a table was asked for")
+
+        monkeypatch.setattr(chowring, "table", refuse)
+        assert main(["restrict", "K+B", "--point", "12,34,56"]) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (GOLDEN / "restrict-kb.json").read_bytes()
+        with pytest.raises(AssertionError, match="a table was asked for"):
+            main(["restrict", "psi[1,2]*2", "--point", "12,34,56"])
+
     def test_query_round(self, capsys):
         # the queries evaluated in the quotient: every psi orbit integrated
         # on all-P1, a product node of degree 1 with a Fraction factor

@@ -13,6 +13,7 @@ from m36.chowring import (
     RingElement,
     VerificationError,
     integrate,
+    integrate_product,
     is_zero_in,
     normal_form,
     product,
@@ -61,11 +62,17 @@ def r6():
     return M0nRing(6)
 
 
+@pytest.fixture(scope="module")
+def r7():
+    return M0nRing(7)
+
+
 class TestDivisors:
     def test_counts(self):
         assert len(m0n_divisors(4)) == 3
         assert len(m0n_divisors(5)) == 10
         assert len(m0n_divisors(6)) == 25
+        assert len(m0n_divisors(7)) == 56
 
     def test_canonical_side_avoids_n(self):
         assert m0n_divisor(5, {4, 5}).part == (1, 2, 3)
@@ -99,32 +106,42 @@ class TestRanks:
     def test_n6(self, r6):
         assert r6.ranks == (1, 16, 16, 1)
 
+    def test_n7(self, r7):
+        # the first Keel ring of degree 4, the top degree of the six-lines
+        # space
+        assert r7.ranks == (1, 42, 127, 42, 1)
+
     def test_bad_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="between 4 and 7"):
             M0nRing(3)
-        with pytest.raises(ValueError):
-            M0nRing(7)
+        with pytest.raises(ValueError, match="between 4 and 7"):
+            M0nRing(8)
 
 
 class TestKeelCertificate:
     """Keel's theorem: every Chow group of M-bar_{0,n} is free over Z."""
 
-    def test_every_invariant_factor_is_one(self, r4, r5, r6):
-        for ring in (r4, r5, r6):
+    def test_every_invariant_factor_is_one(self, r4, r5, r6, r7):
+        for ring in (r4, r5, r6, r7):
             for dd in ring.degrees:
                 assert len(dd.torsion) == len(dd.rref)
                 assert all(d == 1 for d in dd.torsion)
 
-    def test_pivot_row_counts(self, r4, r5, r6):
-        for ring, want in ((r4, (2,)), (r5, (5, 24)), (r6, (9, 114, 339))):
+    def test_pivot_row_counts(self, r4, r5, r6, r7):
+        for ring, want in (
+            (r4, (2,)),
+            (r5, (5, 24)),
+            (r6, (9, 114, 339)),
+            (r7, (14, 419, 2254, 6250)),
+        ):
             assert tuple(len(dd.rref) for dd in ring.degrees[1:]) == want
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_build_degrees_matches_the_reference(self, n, r4, r5, r6):
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_build_degrees_matches_the_reference(self, n, r4, r5, r6, r7):
         # build_degrees multiplies only the opening relations and runs n = 6
-        # in the pool; every Keel relation in every degree, in process, gives
-        # the same degrees
-        ring = {4: r4, 5: r5, 6: r6}[n]
+        # and 7 in the pool; every Keel relation in every degree, in
+        # process, gives the same degrees
+        ring = {4: r4, 5: r5, 6: r6, 7: r7}[n]
         want = keel_reference_degrees(ring)
         assert len(ring.degrees) == len(want) == n - 2
         for k, (got, ref) in enumerate(zip(ring.degrees, want)):
@@ -134,7 +151,9 @@ class TestKeelCertificate:
                 assert getattr(got, field) == getattr(ref, field), (k, field)
             assert got.products.tolist() == ref.products.tolist(), k
 
-    @pytest.mark.parametrize("n,keel,opening", [(4, 2, 2), (5, 10, 5), (6, 30, 9)])
+    @pytest.mark.parametrize(
+        "n,keel,opening", [(4, 2, 2), (5, 10, 5), (6, 30, 9), (7, 70, 14)]
+    )
     def test_opening_relation_counts(self, n, keel, opening):
         relations = _keel_generators(m0n_divisors(n), n)
         assert len(relations) == keel
@@ -195,8 +214,8 @@ class TestKeelCertificate:
         with pytest.raises(VerificationError, match="torsion"):
             M0nRing(5)
 
-    def test_top_functional_is_integral(self, r4, r5, r6):
-        for ring in (r4, r5, r6):
+    def test_top_functional_is_integral(self, r4, r5, r6, r7):
+        for ring in (r4, r5, r6, r7):
             top = ring.degrees[ring.top]
             # one value per column of the top degree, zero or not
             assert len(top.functional) == len(top.monomials)
@@ -212,7 +231,7 @@ class TestKeelCertificate:
             top_functional(top, {chain: 2})
         assert top_functional(top, {chain: 1}) == top.functional
 
-    @pytest.mark.parametrize("n,points", [(4, 3), (5, 15), (6, 105)])
+    @pytest.mark.parametrize("n,points", [(4, 3), (5, 15), (6, 105), (7, 945)])
     def test_point_normalization_is_the_chain_normalization(self, n, points):
         # the functional is normalized on the first squarefree monomial and
         # checked on every other one; Keel's nested chain is one of them
@@ -231,9 +250,9 @@ class TestKeelCertificate:
 
 
 class TestKeelRelations:
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_all_pairings_agree(self, n, r5, r6):
-        ring = {5: r5, 6: r6}[n]
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_all_pairings_agree(self, n, r5, r6, r7):
+        ring = {5: r5, 6: r6, 7: r7}[n]
         for quad in itertools.combinations(range(1, n + 1), 4):
             i, j, k, l = quad
             nfs = []
@@ -260,8 +279,8 @@ class TestPsi:
         psi1 = m0n_psi(1, r4)
         assert psi1 == RingElement({(r4.gen_index[m0n_divisor(4, {2, 3})],): 1})
 
-    def test_reference_independence(self, r5, r6):
-        for ring in (r5, r6):
+    def test_reference_independence(self, r5, r6, r7):
+        for ring in (r5, r6, r7):
             n = ring.n
             for i in range(1, n + 1):
                 others = [m for m in range(1, n + 1) if m != i]
@@ -279,8 +298,9 @@ class TestPsi:
         assert integrate(product((psi1, psi1), r5), r5) == 1
         assert integrate(product((psi1, psi2), r5), r5) == 2
 
-    def test_all_psi_monomials_match_multinomial(self, r4, r5, r6):
-        for ring in (r4, r5, r6):
+    def test_all_psi_monomials_match_multinomial(self, r4, r5, r6, r7):
+        counts = {}
+        for ring in (r4, r5, r6, r7):
             n = ring.n
             for ks in compositions(n - 3, n):
                 elem = RingElement.one()
@@ -288,28 +308,41 @@ class TestPsi:
                     for _ in range(k):
                         elem = product((elem, m0n_psi(i, ring)), ring)
                 assert integrate(elem, ring) == psi_multinomial(n, ks), ks
+                counts[n] = counts.get(n, 0) + 1
+        assert counts == {4: 4, 5: 15, 6: 56, 7: 210}
 
-    def test_string_equation(self, r5, r6):
-        # forgetting the last mark: a degree-3 integral upstairs is the sum of
-        # the integrals with one exponent lowered
-        for ks in compositions(3, 5):
-            up = RingElement.one()
-            for i, k in enumerate(ks, start=1):
-                for _ in range(k):
-                    up = product((up, m0n_psi(i, r6)), r6)
-            lhs = integrate(up, r6)
-            rhs = 0
-            for i, k in enumerate(ks):
-                if k == 0:
-                    continue
-                down = RingElement.one()
-                lowered = list(ks)
-                lowered[i] -= 1
-                for j, kk in enumerate(lowered, start=1):
-                    for _ in range(kk):
-                        down = product((down, m0n_psi(j, r5)), r5)
-                rhs += integrate(down, r5)
-            assert lhs == rhs, ks
+    def test_kappa_one_powers(self, r4, r5, r6, r7):
+        # kappa_1 = sum of the psi_i minus the total boundary; its top power
+        # integrates to 1, 5, 61 and 1379 (Kaufmann, Manin and Zagier, Comm.
+        # Math. Phys. 181, 1996)
+        for ring, want in ((r4, 1), (r5, 5), (r6, 61), (r7, 1379)):
+            psis = [m0n_psi(i, ring) for i in range(1, ring.n + 1)]
+            boundary = RingElement({(g,): 1 for g in range(len(ring.gens))})
+            kappa = sum(psis, RingElement.zero()) - boundary
+            assert integrate_product([kappa] * ring.top, ring) == want, ring.n
+
+    def test_string_equation(self, r5, r6, r7):
+        # forgetting the last mark: a top-degree integral upstairs, psi_n
+        # absent, is the sum of the integrals with one exponent lowered
+        for upper, lower in ((r6, r5), (r7, r6)):
+            for ks in compositions(upper.top, lower.n):
+                up = RingElement.one()
+                for i, k in enumerate(ks, start=1):
+                    for _ in range(k):
+                        up = product((up, m0n_psi(i, upper)), upper)
+                lhs = integrate(up, upper)
+                rhs = 0
+                for i, k in enumerate(ks):
+                    if k == 0:
+                        continue
+                    down = RingElement.one()
+                    lowered = list(ks)
+                    lowered[i] -= 1
+                    for j, kk in enumerate(lowered, start=1):
+                        for _ in range(kk):
+                            down = product((down, m0n_psi(j, lower)), lower)
+                    rhs += integrate(down, lower)
+                assert lhs == rhs, (upper.n, ks)
 
 
 class TestIntegration:
@@ -367,8 +400,8 @@ class TestProductTables:
     degree: 65 slots per multiplier monomial, of which M(0,n) uses the
     first len(gens)."""
 
-    def test_entry_by_entry(self, r5, r6):
-        for ring in (r5, r6):
+    def test_entry_by_entry(self, r5, r6, r7):
+        for ring in (r5, r6, r7):
             assert len(ring.degrees[0].products) == 0
             for k in range(1, ring.top + 1):
                 want = reference_product_table(

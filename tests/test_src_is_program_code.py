@@ -14,13 +14,16 @@ is pinned with the line that reads it (SHARED, SHARED_FIELDS).  Dunder
 methods are the interpreter's to call and are skipped.  Attributes are the
 fields declared in class bodies (dataclass fields) and the self.x assigned
 in __init__; one counts as read when some attribute load in src/m36 outside
-its own assignment carries its name.
+its own assignment carries its name.  A reason that names a benchmark/*.py
+file holds only while that file carries the definition's short name.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "m36"
+BENCHMARK = SRC.parents[1] / "benchmark"
 
 # Program code that no code in src/m36 calls, each kept for a stated reader.
 ALLOWED = {
@@ -253,3 +256,30 @@ def test_allowlist_names_existing_definitions():
     qualnames = {qualname for _module, qualname, _a, _b in defs + attrs}
     assert set(ALLOWED) <= qualnames, sorted(set(ALLOWED) - qualnames)
     assert all(reason for reason in ALLOWED.values())
+
+
+def _stale_benchmark_reasons(entries):
+    """The qualified names among entries whose reason names a benchmark
+    file (benchmark/child.py, or a bare selfcheck.py after it) that does
+    not carry the definition's short name as a word."""
+    out = []
+    for qualname, reason in entries.items():
+        if "benchmark/" not in reason:
+            continue
+        short = re.compile(r"\b%s\b" % re.escape(qualname.rsplit(".", 1)[1]))
+        for name in re.findall(r"(\w+\.py)\b", reason):
+            path = BENCHMARK / name
+            if not path.is_file() or not short.search(path.read_text("utf-8")):
+                out.append(qualname)
+                break
+    return out
+
+
+def test_benchmark_reasons_name_what_the_benchmark_reads():
+    assert _stale_benchmark_reasons(ALLOWED) == []
+    assert _stale_benchmark_reasons(SHARED) == []
+    # a shim the benchmark stopped reading, or a file it does not have
+    assert _stale_benchmark_reasons({
+        "cli._gone": "benchmark/child.py calls it",
+        "cli._table": "benchmark/child.py and missing.py call it",
+    }) == ["cli._gone", "cli._table"]
