@@ -194,14 +194,16 @@ def crit_psi_table():
 
 
 def crit_m0n_oracles():
-    """The four-to-six-point oracles: Chow ranks, every psi integral against
+    """The four-to-seven-point oracles: Chow ranks, every psi integral against
     the multinomial formula, and the 0/1 table for psi products on the
     five-line space."""
     ok = True
     details = {}
-    want_ranks = {4: (1, 1), 5: (1, 5, 1), 6: (1, 16, 16, 1)}
+    want_ranks = {
+        4: (1, 1), 5: (1, 5, 1), 6: (1, 16, 16, 1), 7: (1, 42, 127, 42, 1)
+    }
     rings = {}
-    for n in (4, 5, 6):
+    for n in want_ranks:
         ring = rings[n] = m0nring.M0nRing(n)
         good = ring.ranks == want_ranks[n]
         psis = [m0nring.m0n_psi(i, ring) for i in range(1, n + 1)]

@@ -44,7 +44,7 @@ def test_psi_table():
 def test_m0n_oracles():
     res = run(verification.crit_m0n_oracles())
     assert res.details == {
-        "n4": "ok", "n5": "ok", "n6": "ok", "five-line": "ok"
+        "n4": "ok", "n5": "ok", "n6": "ok", "n7": "ok", "five-line": "ok"
     }
 
 

@@ -1288,14 +1288,32 @@ class TestIntegrateProduct:
     @pytest.mark.parametrize("name", RINGS)
     def test_matches_integrate_of_the_product(self, name):
         t, ngens = _ring(name)
+        top = len(t.degrees) - 1
+        index, func = t.degrees[top].index, t.degrees[top].functional
         rng = random.Random(36636)
-        seen = Counter()
+        seen, draws = Counter(), Counter()
         for _ in range(250):
             factors = self._chain(rng, t, ngens)
             elements = [RingElement(f) for f in factors]
             want = _outcome(lambda: integrate(product(elements, t), t))
             got = _outcome(lambda: chowring.integrate_product(elements, t))
             assert got == want, factors
+            # the reference never runs _times; it cannot see the degree cap
+            # or an unknown generator
+            if got[0] == "value" or got[1].startswith("integrand"):
+                ref = reference_chain(factors, t.degrees)
+                lower = any(len(m) < top for m in ref)
+                assert (got[0] == "raised") == lower, factors
+                if not lower:
+                    assert got[1] == sum(c * func[index[m]] for m, c in ref.items())
+                for i, f in enumerate(factors[1:], 1):
+                    if () in f and any(
+                        len(m) == top for m in reference_chain(factors[:i], t.degrees)
+                    ):
+                        draws["constant at the top"] += 1
+                        break
+                draws["constant first"] += set(factors[0]) == {()}
+                draws["longer last"] += any(len(m) in (2, 3) for m in factors[-1])
             if got[0] == "value":
                 assert type(got[1]) is Fraction
                 seen["zero" if got[1] == 0 else "value"] += 1
@@ -1308,6 +1326,7 @@ class TestIntegrateProduct:
             want.add("unknown")
         assert set(seen) == want, seen
         assert min(seen.values()) >= 5, seen
+        assert len(draws) == 3 and min(draws.values()) >= 5, draws
 
     def test_errors_match(self):
         r5 = M0nRing(5)
