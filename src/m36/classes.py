@@ -41,6 +41,18 @@ def _check_pair(ij):
     return (min(i, j), max(i, j))
 
 
+def _cyclics_through(k, ij):
+    """The three cyclic divisors G[kx, ij, yz], x running up the lines
+    outside ij and k."""
+    i, j = ij
+    l, m, n = sorted(LINESET - {i, j, k})
+    return [
+        labels.cyclic((k, l), (i, j), (m, n)),
+        labels.cyclic((k, m), (i, j), (l, n)),
+        labels.cyclic((k, n), (i, j), (l, m)),
+    ]
+
+
 def pullback_f(k, ij):
     """Pullback of the four-point boundary divisor D_ij along the map that
     forgets the line k (restriction to the line i of the pencil basepoint
@@ -48,15 +60,11 @@ def pullback_f(k, ij):
     i, j = _check_pair(ij)
     if k not in LINESET or k in (i, j):
         raise ValueError("forgotten line %r must avoid the pair %r" % (k, ij))
-    l, m, n = sorted(LINESET - {i, j, k})
-    out = RingElement.from_divisors([
+    return RingElement.from_divisors([
         labels.triple((i, j, k)),
         labels.pair((i, j)),
-        labels.cyclic((i, j), (k, l), (m, n)),
-        labels.cyclic((i, j), (k, m), (l, n)),
-        labels.cyclic((i, j), (k, n), (l, m)),
+        *map(labels.cyclic_partner, _cyclics_through(k, (i, j))),
     ])
-    return out
 
 
 def pullback_r(k, ij):
@@ -65,15 +73,11 @@ def pullback_r(k, ij):
     i, j = _check_pair(ij)
     if k not in LINESET or k in (i, j):
         raise ValueError("restriction line %r must avoid the pair %r" % (k, ij))
-    l, m, n = sorted(LINESET - {i, j, k})
-    out = RingElement.from_divisors([
-        labels.triple((l, m, n)),
+    return RingElement.from_divisors([
+        labels.triple(LINESET - {i, j, k}),
         labels.pair((i, j)),
-        labels.cyclic((k, l), (i, j), (m, n)),
-        labels.cyclic((k, m), (i, j), (l, n)),
-        labels.cyclic((k, n), (i, j), (l, m)),
+        *_cyclics_through(k, (i, j)),
     ])
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -137,12 +141,9 @@ def delta_pair(ij):
     divisors whose middle pair is ij, labeled by the smallest complement
     line."""
     i, j = _check_pair(ij)
-    k, l, m, n = sorted(LINESET - {i, j})
     return RingElement.from_divisors([
         labels.pair((i, j)),
-        labels.cyclic((k, l), (i, j), (m, n)),
-        labels.cyclic((k, m), (i, j), (l, n)),
-        labels.cyclic((k, n), (i, j), (l, m)),
+        *_cyclics_through(min(LINESET - {i, j}), (i, j)),
     ])
 
 
@@ -510,19 +511,11 @@ def psi_table(t):
         expected_zero = _too_many_repeats(key)
         if (value == 0) != expected_zero:
             rule_violations.append(_format_orbit(key))
-        pub = published.get(key)
-        if pub is None:
-            if value != 0:
-                mismatches.append({
-                    "orbit": _format_orbit(key),
-                    "computed": value,
-                    "published": None,
-                })
-        elif pub != value:
+        if value != published.get(key, 0):
             mismatches.append({
                 "orbit": _format_orbit(key),
                 "computed": value,
-                "published": pub,
+                "published": published.get(key),
             })
     return {
         "rows": rows,

@@ -1,4 +1,6 @@
-"""Exact sparse linear algebra over Z.
+"""Exact sparse linear algebra over Z.  Nothing here reduces modulo a prime;
+ModpEchelon is a name without an implementation, kept for the benchmark's
+tracer.
 
 Everything here is built around one primitive: an insertion echelon form with
 rightmost pivots.  Rows are {column: int} dicts without zero entries from end
@@ -384,68 +386,16 @@ def rref_from_pivots(pivots):
 
 
 class ModpEchelon:
-    """Insertion echelon over GF(p), rightmost pivots, rows normalized monic.
-    Nothing in the package uses it; benchmark/tracing.py wraps its insert
-    and kernel_basis."""
-
-    def __init__(self, p):
-        self.p = p
-        self.pivots = {}
+    """A shim with no implementation: every reduction in this module is over
+    Z.  Its only reader is benchmark/tracing.py, which wraps these two
+    methods by name; nothing calls them, so its exactla.modp_insert and
+    exactla.modp_kernel counters read 0."""
 
     def insert(self, row):
-        """row: {col: coeff} with integer coefficients, reduced mod p here
-        (zeros are dropped; the dict is not modified).  Returns the new pivot
-        column, or None if the row was already in the span mod p."""
-        p = self.p
-        pivots = self.pivots
-        row = {c: v for c, v in ((c, v % p) for c, v in row.items()) if v}
-        while row:
-            lead = max(row)
-            b = pivots.get(lead)
-            if b is None:
-                inv = pow(row[lead], p - 2, p)
-                if inv != 1:
-                    row = {c: v * inv % p for c, v in row.items()}
-                pivots[lead] = row
-                return lead
-            q = row[lead]
-            get = row.get
-            for col, v in b.items():
-                nv = (get(col, 0) - q * v) % p
-                if nv:
-                    row[col] = nv
-                else:
-                    row.pop(col, None)
-        return None
+        raise NotImplementedError("no mod-p echelon; use IntEchelon")
 
     def kernel_basis(self, ncols):
-        """Right-kernel basis mod p, one vector per non-pivot column; rows are
-        already monic, so back-reduction needs no division."""
-        p = self.p
-        reduced = {}
-        for lead in sorted(self.pivots):
-            row = dict(self.pivots[lead])
-            row.pop(lead)
-            for c in [c for c in row if c in reduced]:
-                coeff = row.pop(c)
-                for col, v in reduced[c].items():
-                    nv = (row.get(col, 0) - coeff * v) % p
-                    if nv:
-                        row[col] = nv
-                    else:
-                        row.pop(col, None)
-            reduced[lead] = row
-        pivot_cols = set(reduced)
-        out = []
-        for j in range(ncols):
-            if j in pivot_cols:
-                continue
-            v = {j: 1}
-            for lead, row in reduced.items():
-                if j in row:
-                    v[lead] = (-row[j]) % p
-            out.append(v)
-        return out
+        raise NotImplementedError("no mod-p echelon; use IntEchelon")
 
 
 def _echelon(rows):

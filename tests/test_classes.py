@@ -282,6 +282,21 @@ class TestPsiTable:
         assert hist == {1: 8, 2: 26, 3: 7, 4: 32, 5: 5, 6: 14, 7: 4, 8: 3, 9: 1}
         assert sum(hist.values()) == 100
 
+    def test_mismatches_are_reported(self, monkeypatch, table):
+        # one nonzero orbit left out of the published table, another changed
+        pub = load_published_psi_table()
+        missing, changed = sorted(pub)[:2]
+        edited = {k: v for k, v in pub.items() if k != missing}
+        edited[changed] += 1
+        monkeypatch.setattr(classes, "load_published_psi_table", lambda: edited)
+        got = psi_table(table)["published_mismatches"]
+        name = classes._format_orbit
+        assert sorted(got, key=lambda m: m["orbit"]) == sorted([
+            {"orbit": name(missing), "computed": pub[missing], "published": None},
+            {"orbit": name(changed), "computed": pub[changed],
+             "published": pub[changed] + 1},
+        ], key=lambda m: m["orbit"])
+
     def test_published_table_shape(self):
         pub = load_published_psi_table()
         assert len(pub) == 100

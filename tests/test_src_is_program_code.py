@@ -29,8 +29,13 @@ BENCHMARK = SRC.parents[1] / "benchmark"
 ALLOWED = {
     "cli._table": "benchmark/child.py calls it",
     "cli.parse_expression": "benchmark/child.py and selfcheck.py call it",
-    "exactla.ModpEchelon": "benchmark/tracing.py wraps its insert and kernel_basis",
-    "exactla.ModpEchelon.kernel_basis": "benchmark/tracing.py wraps it",
+    "exactla.ModpEchelon": (
+        "a shim with no implementation; benchmark/tracing.py wraps its "
+        "insert and kernel_basis"
+    ),
+    "exactla.ModpEchelon.kernel_basis": (
+        "a shim method that only raises; benchmark/tracing.py wraps it"
+    ),
     "exactla.IntEchelon.rref": "benchmark/tracing.py wraps it",
     "labels.perm_compose": "planned caller: the S6 config census (ROADMAP F)",
     "labels.perm_inverse": "planned caller: the S6 config census (ROADMAP F)",
@@ -51,8 +56,9 @@ SHARED = {
     "m0nring.M0nRing.ranks": "verification.crit_m0n_oracles: ring.ranks",
     "exactla.IntEchelon.insert": "exactla.peel: ech.insert(row)",
     "exactla.ModpEchelon.insert": (
-        "no caller in src/m36; benchmark/tracing.py wraps it, and the "
-        "ech.insert(row) calls reach IntEchelon.insert"
+        "a shim method that only raises, with no caller in src/m36; "
+        "benchmark/tracing.py wraps it, and the ech.insert(row) calls reach "
+        "IntEchelon.insert"
     ),
     "exactla.IntEchelon.rref": (
         "no caller in src/m36; benchmark/tracing.py wraps it, and the "
