@@ -16,6 +16,7 @@ pruned graph.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -71,33 +72,43 @@ def flag_complex(vertices, meets):
     return SimplicialComplex(tuple(vertices), tuple(_clique_faces(adj, n)))
 
 
+@functools.cache
+def _unresolved():
+    """The unresolved complex and the vertex mask of each of its faces, per
+    dimension, built once per process: they depend on no config."""
+    c = flag_complex(labels.DIVISORS, labels.intersects)
+    masks = tuple(tuple(sum(1 << v for v in face) for face in fs) for fs in c.faces)
+    return c, masks
+
+
 def build_complex(cfg=None):
     """The boundary complex; cfg=None gives the unresolved complex, a
-    ResolutionConfig applies the per-point face removals."""
-    unresolved = flag_complex(labels.DIVISORS, labels.intersects)
+    ResolutionConfig applies the per-point face removals to it."""
+    unresolved, masks = _unresolved()
+    if cfg is None:
+        return unresolved
+    forbidden = []
+    for pt in sorted(cfg.s1, key=lambda p: p.matching):
+        g1, g2 = labels.cyclic_divisors_of_point(pt)
+        forbidden.append(
+            (1 << labels.divisor_index(g1)) | (1 << labels.divisor_index(g2))
+        )
+    for pt in sorted(cfg.s2, key=lambda p: p.matching):
+        req = 0
+        for f in labels.pair_divisors_of_point(pt):
+            req |= 1 << labels.divisor_index(f)
+        forbidden.append(req)
     faces = unresolved.faces
-    if cfg is not None:
-        forbidden = []
-        for pt in sorted(cfg.s1, key=lambda p: p.matching):
-            g1, g2 = labels.cyclic_divisors_of_point(pt)
-            forbidden.append((1 << labels.divisor_index(g1)) | (1 << labels.divisor_index(g2)))
-        for pt in sorted(cfg.s2, key=lambda p: p.matching):
-            req = 0
-            for f in labels.pair_divisors_of_point(pt):
-                req |= 1 << labels.divisor_index(f)
-            forbidden.append(req)
-        filtered = [faces[0]]
-        for k in range(1, len(faces)):
-            kept = []
-            for face in faces[k]:
-                mask = 0
-                for v in face:
-                    mask |= 1 << v
-                if all(mask & req != req for req in forbidden):
-                    kept.append(face)
-            filtered.append(tuple(kept))
-        faces = tuple(filtered)
-    return SimplicialComplex(unresolved.vertices, faces)
+    filtered = [faces[0]]
+    for k in range(1, len(faces)):
+        filtered.append(
+            tuple(
+                face
+                for face, mask in zip(faces[k], masks[k])
+                if all(mask & req != req for req in forbidden)
+            )
+        )
+    return SimplicialComplex(unresolved.vertices, tuple(filtered))
 
 
 _EDGE_TYPES = (

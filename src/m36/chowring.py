@@ -18,12 +18,12 @@ degree's admissible monomials, and all of its relation rows (degree 0 has
 none) go through exactla.peel, which absorbs the rows of at most two unit
 entries into a signed union-find over the columns and puts the rest into
 one integer echelon form with rightmost pivots (so the lexicographically
-smallest monomials survive as the basis).  Together they give the rank,
-the torsion certificate of the whole relation lattice and the pivot rows;
-on the all-line-fiber config the union-find gives 6,557 of the 6,784
-pivots of degree 4 and 927 of the 2,449 of degree 3.  The build reads
-nothing more: the reduced rows for normal forms (DegreeData.rref) are made
-from the pivot rows on first use.
+smallest monomials survive as the basis), from degree 3 on by ascending
+lead.  Together they give the rank, the torsion certificate of the whole
+relation lattice and the pivot rows; on the all-line-fiber config the
+union-find gives 6,557 of the 6,784 pivots of degree 4 and 927 of the
+2,449 of degree 3.  The build reads nothing more: the reduced rows for
+normal forms (DegreeData.rref) are made from the pivot rows on first use.
 
 One function, build_degrees, builds the tables of the six-lines space
 (build_quotient) and Keel's rings of M-bar_{0,n} (m0nring), so Keel's known
@@ -352,16 +352,16 @@ def _linear_relation_vectors():
 
 def admissible_monomials(complex_, k):
     """Degree-k monomials whose support is a face of the complex, in
-    lexicographic order of the sorted index tuples: for each face of at most
-    k vertices, the size-k multisets on it that use every vertex."""
+    lexicographic order of the sorted index tuples: each face of at most k
+    vertices times every multiset of k minus its size of its vertices, so
+    each monomial is listed once and none is filtered out."""
     if k == 0:
         return [()]
     out = [
-        mono
+        tuple(sorted(face + rest))
         for faces in complex_.faces[:k]
         for face in faces
-        for mono in combinations_with_replacement(face, k)
-        if len(set(mono)) == len(face)
+        for rest in combinations_with_replacement(face, k - len(face))
     ]
     out.sort()
     return out
@@ -557,14 +557,16 @@ def _degree(generators, complex_, k):
     and k-1 are enumerated here; the relation rows, _row_stream of the
     generators times those of degree k-1, go through exactla.peel, and
     smith_from_echelon runs once on the IntEchelon of the rows that the
-    peel keeps.  runtime_ms times all but the enumeration.  Degree 0 has no
-    relation rows."""
+    peel keeps, which it inserts by ascending lead from degree 3 on (see
+    build_degrees).  runtime_ms times all but the enumeration.  Degree 0
+    has no relation rows."""
     monomials = tuple(admissible_monomials(complex_, k))
     lower = admissible_monomials(complex_, k - 1) if k else ()
     t0 = time.monotonic()
     ncols = len(monomials)
     products = _product_table(lower, monomials)
-    pivots, ech = peel(_row_stream(generators, lower, products), ncols)
+    rows = _row_stream(generators, lower, products)
+    pivots, ech = peel(rows, ncols, by_lead=k >= 3)
     return DegreeData(
         monomials=monomials,
         rank=ncols - len(pivots),
@@ -637,11 +639,19 @@ def build_degrees(complex_, relations, top, name):
     finds no pool possible.  A job is (the opening relations, complex_, k),
     so the workers get every input as an argument, and each sends back its
     degree's DegreeData; the pool is joined before build_degrees returns or
-    raises.  Row order changes the cost, not the result: on the six-lines
-    space reverse multiplier order gives smaller pivot entries than forward
-    order (5, 4 and 2 bits in degrees 2-4 against 6, 5 and 3), and peeling
-    degrees 2-4 takes 0.29-0.37 s of CPU time against 0.48-0.55 s (three
-    runs each)."""
+    raises.  Row order changes the cost, not the result, since leads,
+    invariant factors and rref are invariants of the lattice.  The stream
+    takes the multipliers in reverse order: on the six-lines space peeling
+    degrees 2-4 takes a median 0.21 s of CPU time against 0.46-0.59 s in
+    forward order, with pivot entries of 5, 5 and 3 bits against 6-10, 5
+    and 3 (all line fibers, all plane fibers and a mixed config with seven
+    plane fibers, three runs each).
+    From degree 3 on, the peel inserts the rows it keeps by ascending lead:
+    degree 3's echelon then takes a median 92-98 ms against 135-142 ms in
+    stream order, and degree 4's 4-6 ms either way.  Degree 2 keeps the
+    stream order, in which its echelon takes 64-75 ms against 258-454 ms
+    by ascending lead (seven interleaved runs each, 2 shared cores,
+    CPython 3.11.7).  Keel's rings take the same rule."""
     degrees = [_degree(relations, complex_, k) for k in (0, 1)]
     generators = _opening_relations(relations)
     check = IntEchelon()
@@ -681,13 +691,13 @@ def build_quotient(cfg, mode="two-prime"):
 
     On the all-line-fiber config (two sittings of 10 builds each in fresh
     processes, alternating with builds in one process; 2 shared cores whose
-    load varied, CPython 3.11.7) the build takes a median 0.38 and 0.50 s
-    of wall time against 0.45 and 0.42 s in one process, and 0.56 and
-    0.49 s of CPU time in this process and its workers together against
-    0.45 and 0.42 s: the workers save wall time only when the second core
-    is free.  In one process degrees 2, 3 and 4 take a median 87-103,
-    195-227 and 67-78 ms (DegreeData.runtime_ms); their rrefs are not made
-    here (DegreeData.rref).  With two usable CPUs degree 2 starts when the
+    second core was busy, CPython 3.11.7) the build takes a median 0.32
+    and 0.35 s of wall time against 0.27 and 0.29 s in one process, and as
+    much CPU time in this process and its workers together: the workers
+    save wall time only when the second core is free.  In one process
+    degrees 2, 3 and 4 take a median 68-71, 105-115 and 58-66 ms
+    (DegreeData.runtime_ms); their rrefs are not made here
+    (DegreeData.rref).  With two usable CPUs degree 2 starts when the
     first worker is done, which is degree 4's.  Memory grows with the
     workers: the process and its workers together peak at a median 37 MB
     of proportional set size, against 21 MB in one process (6 builds each,

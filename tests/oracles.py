@@ -1,28 +1,29 @@
 """Independent oracles that only the tests use.
 
 Each one recomputes something the program derives another way: kernels over
-Q from the integer echelon, the admissible-monomial counts from the face
-numbers alone, and the monomial relations straight from divisor
-intersections on a resolution (which divisors meet there, and which pair
-triples vanish at plane fibers), where the program instead removes faces
-from the unresolved complex.  The sympy-backed tests check the kernels; the
-counts and relations are checked against the program.  The Keel-ring
-reference builds A*(M-bar_{0,n}) without chowring.build_degrees, and the
-free-ring evaluation gives what the CLI's integrate and restrict must print
-without the quotient evaluation that the CLI takes when it can.  The
-integration functional normalized on psi[5,6]^2 psi[6,5]^2, the rule before
-the point normalization, is the reference that rule must agree with, and a
-top degree with one point moved off 1 is what the point certificate must
-refuse.  Normal forms taken term by term, each degree's denominators
-cleared on their own, are the reference for normal_form, which reads its
-element through the product kernel.  The lex-smallest member of a psi
-orbit, by a min over all 720 relabelings, is the reference for the
-program's orbit map.
+Q from the integer echelon, the admissible monomials by filtering the
+multisets on each face, their counts from the face numbers alone, and the
+monomial relations straight from divisor intersections on a resolution
+(which divisors meet there, and which pair triples vanish at plane fibers),
+where the program instead removes faces from the unresolved complex.  The
+sympy-backed tests check the kernels; the counts and relations are checked
+against the program.  The Keel-ring reference builds A*(M-bar_{0,n}) without
+chowring.build_degrees, and the free-ring evaluation gives what the CLI's
+integrate and restrict must print without the quotient evaluation that the
+CLI takes when it can.  The integration functional normalized on psi[5,6]^2
+psi[6,5]^2, the rule before the point normalization, is the reference that
+rule must agree with, and a top degree with one point moved off 1 is what
+the point certificate must refuse.  Normal forms taken term by term, each
+degree's denominators cleared on their own, are the reference for
+normal_form, which reads its element through the product kernel.  The
+lex-smallest member of a psi orbit, by a min over all 720 relabelings, is
+the reference for the program's orbit map.
 """
 
 import dataclasses
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 from m36 import chowring, classes, cli, labels
@@ -51,6 +52,21 @@ def nullspace_basis(rows, ncols):
                 vec[lead] = -Fraction(num[j], den)
         out.append(vec)
     return out
+
+
+def reference_admissible_monomials(complex_, k):
+    """The degree-k admissible monomials by filtering: every size-k multiset
+    on each face of at most k vertices, kept when it uses every vertex of
+    the face, sorted."""
+    if k == 0:
+        return [()]
+    return sorted(
+        mono
+        for faces in complex_.faces[:k]
+        for face in faces
+        for mono in combinations_with_replacement(face, k)
+        if len(set(mono)) == len(face)
+    )
 
 
 def admissible_count_formula(f_vector, k):

@@ -10,6 +10,7 @@ from m36.boundarycomplex import (
     SimplicialComplex,
     build_complex,
     edge_census,
+    flag_complex,
     homology_report,
     reduced_homology,
 )
@@ -72,6 +73,19 @@ class TestFaceCounts:
         assert build_complex(config_all_p1()).f_vector() == (65, 535, 1365, 1020, 0)
 
     def test_all_p2_f_vector(self):
+        assert build_complex(config_all_p2()).f_vector() == (65, 550, 1395, 1035, 0)
+
+    def test_unresolved_complex_is_built_once(self):
+        # kept for the process: a resolved build between two calls leaves
+        # it the flag complex it was, and the resolved complexes are still
+        # filtered from the whole of it
+        first = build_complex(None)
+        assert build_complex(config_all_p2()).f_vector() == (65, 550, 1395, 1035, 0)
+        second = build_complex(None)
+        assert second is first
+        assert second.faces == flag_complex(labels.DIVISORS, labels.intersects).faces
+        assert second.f_vector() == (65, 550, 1410, 1065, 15)
+        assert build_complex(config_all_p1()).f_vector() == (65, 535, 1365, 1020, 0)
         assert build_complex(config_all_p2()).f_vector() == (65, 550, 1395, 1035, 0)
 
     def test_top_simplices_are_the_matchings(self, delta):

@@ -40,9 +40,9 @@ from m36.chowring import (
     ranks_report,
     restrict_to_fiber,
 )
-from m36.boundarycomplex import build_complex
+from m36.boundarycomplex import build_complex, flag_complex
 from m36.exactla import IntEchelon, rank_over_rationals, reduce_row
-from m36.m0nring import M0nRing
+from m36.m0nring import M0nRing, m0n_compatible, m0n_divisors
 from m36.labels import (
     SINGULAR_POINTS,
     config_all_p1,
@@ -59,6 +59,7 @@ from oracles import (
     multiplicative_relation_generators,
     point_off_one,
     psi_functional,
+    reference_admissible_monomials,
     reference_chain,
     reference_masks,
     reference_normal_form,
@@ -236,6 +237,20 @@ class TestAdmissibleMonomials:
                 assert len(admissible_monomials(c, d)) == admissible_count_formula(
                     c.f_vector(), d
                 )
+
+    @pytest.mark.parametrize("name", ["all_p1", "all_p2", "mixed_7", "m0n_7"])
+    def test_matches_the_filtered_enumeration(self, name):
+        # each monomial is built as a face and a multiset on it, so nothing
+        # is filtered out: the list is the filter's, order included
+        if name == "m0n_7":
+            c = flag_complex(m0n_divisors(7), m0n_compatible)
+        else:
+            cfg = {"all_p1": config_all_p1(), "all_p2": config_all_p2()}
+            c = build_complex(cfg.get(name, MIXED_7))
+        for k in range(MAX_DEGREE + 1):
+            assert admissible_monomials(c, k) == reference_admissible_monomials(
+                c, k
+            ), k
 
     def test_lex_sorted_and_supported_on_faces(self):
         c = build_complex(config_all_p1())
@@ -465,6 +480,43 @@ class TestBuildQuotient:
         assert sorted(degree) == [0, 1, 2, 3, 4]
         assert calls == {1: [5], 2: [31], 3: [3]}
         assert t.torsion_free
+
+    def test_degrees_three_and_four_insert_by_ascending_lead(self, monkeypatch):
+        # degrees 0-2 put the rows the peel keeps into the echelon in
+        # stream order, degrees 3 and 4 by ascending largest column
+        peel, calls = chowring.peel, []
+
+        def spy(rows, ncols, by_lead=False):
+            calls.append(by_lead)
+            return peel(rows, ncols, by_lead)
+
+        monkeypatch.setattr(chowring, "peel", spy)
+        complex_ = build_complex(config_all_p1())
+        for k in range(MAX_DEGREE + 1):
+            chowring._degree(opening_relations(), complex_, k)
+        assert calls == [False, False, False, True, True]
+
+    @pytest.mark.parametrize("name", ["table", "table_p2", "table_mixed"])
+    def test_degree_three_is_the_same_in_stream_order(self, request, name):
+        # the echelon of degree 3's kept rows, taken by ascending lead or in
+        # stream order, has the same leads: the same torsion and basis
+        # columns as the table's
+        t = request.getfixturevalue(name)
+        dd, lower = t.degrees[3], t.degrees[2].monomials
+        ncols = len(dd.monomials)
+
+        def peeled(by_lead):
+            rows = chowring._row_stream(opening_relations(), lower, dd.products)
+            pivots, ech = exactla.peel(rows, ncols, by_lead)
+            torsion = (1,) * (len(pivots) - ech.rank)
+            torsion += exactla.smith_from_echelon(ech)
+            basis = tuple(c for c in range(ncols) if c not in pivots)
+            return {c: row[c] for c, row in pivots.items()}, torsion, basis
+
+        stream, by_lead = peeled(False), peeled(True)
+        assert stream == by_lead
+        assert stream[1:] == (dd.torsion, dd.basis_cols)
+        assert sorted(set(stream[0].values())) == [1, 2]
 
     @pytest.mark.parametrize("name", ["table", "table_p2", "table_mixed"])
     def test_rref_matches_golden_digest(self, request, name):

@@ -509,9 +509,9 @@ class TestPeel:
     columns, leads, rref and invariant factors."""
 
     @staticmethod
-    def assert_same_lattice(rows, ncols):
+    def assert_same_lattice(rows, ncols, by_lead=False):
         before = copy.deepcopy(rows)
-        pivots, ech = peel(rows, ncols)
+        pivots, ech = peel(rows, ncols, by_lead)
         assert rows == before
         ref = exactla._echelon(rows)
         assert {c: r[c] for c, r in pivots.items()} == {
@@ -549,6 +549,39 @@ class TestPeel:
         rows += short_row_matrix(rng, 8, ncols)
         rng.shuffle(rows)
         self.assert_same_lattice(rows, ncols)
+
+    def test_ascending_leads_keep_the_lattice(self, monkeypatch):
+        # unit-entry rows, as every relation row of the graded quotients
+        # is: the rows the peel keeps go into the echelon in stream order or
+        # by ascending largest column, and either way the pivot columns,
+        # leads, invariant factors and rref are those of one echelon of all
+        # the rows.  The stored rows differ, so the order reaches the
+        # echelon.
+        echelon, leads = exactla._echelon, []
+
+        def spy(rows):
+            rows = list(rows)
+            leads.append([max(row) for row in rows])
+            return echelon(rows)
+
+        differ = 0
+        for seed in range(30):
+            rng = random.Random(3500 + seed)
+            ncols = rng.randint(6, 30)
+            rows = []
+            for _ in range(rng.randint(ncols // 2, 2 * ncols)):
+                cols = rng.sample(range(ncols), rng.randint(1, 6))
+                rows.append({c: rng.choice((-1, 1)) for c in cols})
+            _, stream = self.assert_same_lattice(rows, ncols)
+            _, by_lead = self.assert_same_lattice(rows, ncols, by_lead=True)
+            differ += stream.pivots != by_lead.pivots
+            with monkeypatch.context() as m:
+                m.setattr(exactla, "_echelon", spy)
+                peel(rows, ncols)
+                peel(rows, ncols, by_lead=True)
+            kept, ascending = leads[-2:]
+            assert ascending == sorted(kept)
+        assert differ >= 10
 
     def test_compressed_path_keeps_its_sign(self):
         # x3 = -x2, x2 = -x1, x1 = -x0: reading x3 walks 3 -> 2 -> 1 -> 0
