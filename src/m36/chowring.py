@@ -1,4 +1,4 @@
-"""Graded Chow quotients for the resolved spaces of six lines.
+"""Graded Chow quotients of the resolved six-lines spaces and of M-bar_{0,n}.
 
 The ring of any small resolution is the polynomial ring on the 65 boundary
 divisors modulo two families of relations: sixty degree-1 combinations coming
@@ -25,12 +25,13 @@ union-find gives 6,557 of the 6,784 pivots of degree 4 and 927 of the
 2,449 of degree 3.  The build reads nothing more: the reduced rows for
 normal forms (DegreeData.rref) are made from the pivot rows on first use.
 
-One function, build_degrees, builds the tables of the six-lines space
-(build_quotient) and Keel's rings of M-bar_{0,n} (m0nring), so Keel's known
-answers test it.  Degrees above 1 multiply only the linear relations that
-open a pivot when one echelon takes them in order, which every build
-certifies against degree 1 in the calling process; those degrees then
-depend on nothing else and run side by side in worker processes.
+One function, build_degrees, builds one GradedQuotientTable for either
+family: the six-lines space (build_quotient) and Keel's rings of
+M-bar_{0,n} (m0nring.M0nRing), so Keel's known answers test it.  Degrees
+above 1 multiply only the linear relations that open a pivot when one
+echelon takes them in order, which every build certifies against degree
+1 in the calling process; those degrees then depend on nothing else and
+run side by side in worker processes.
 Torsion-freeness is certified in every degree by the invariant factors of
 exactla.smith_from_echelon.  For the six-lines tables the rank profile
 (1, 51, 127+|S2|, 51, 1) is a theorem; a computed mismatch raises
@@ -86,8 +87,8 @@ is certified to be 1 on every point (DegreeData.functional), so the
 published psi[5,6]^2 psi[6,5]^2 = 1 is a consequence that m36 verify
 checks.  An integral of a product is one integrate_product, or one
 integrate of its last factor times the others; integrate(e, t) alone is
-the one-factor case.  The queries read only a table's degrees, so Keel's
-rings (m0nring.M0nRing) take them too.
+the one-factor case.  The queries read only a table's degrees, so they
+take Keel's rings too.
 
 The fifteen line forms (line_forms), the degree of each divisor on each
 exceptional line, are certified to vanish on the linear relations: fiber
@@ -367,28 +368,28 @@ def admissible_monomials(complex_, k):
     return out
 
 
-# Entry _WIDTH * i + d of a degree's product table is the column of the
-# degree-(k-1) monomial i times the divisor d, or _NO_COLUMN where that
-# product is not admissible.  A column fits in 16 bits: the largest degree,
-# degree 4 of the all-plane-fiber config, has 6,935.  M(0,n) for n <= 7 has at
-# most 56 boundary divisors, so its tables share the width.
-_WIDTH = len(labels.DIVISORS)
+# Entry stride * i + d of a degree's product table is the column of the
+# degree-(k-1) monomial i times the vertex d, or _NO_COLUMN where that
+# product is not admissible; the stride is the complex's vertex count (65
+# divisors for six lines, 3 to 56 for M(0,4) to M(0,7)), kept beside the
+# table in DegreeData.stride.  A column fits in 16 bits: the largest degree,
+# degree 4 of the all-plane-fiber config, has 6,935.
 _NO_COLUMN = 0xFFFF
 
 
-def _product_table(lower, monomials):
+def _product_table(lower, monomials, stride):
     """The product table of the degree whose columns are monomials, over the
-    multiplier monomials lower of one degree less, as a flat array("H").
-    Every factor of an admissible monomial is admissible, so each monomial
-    less one copy of each distinct divisor in it gives one entry, and every
-    admissible product is found."""
+    multiplier monomials lower of one degree less, as a flat array("H") of
+    stride entries per multiplier.  Every factor of an admissible monomial
+    is admissible, so each monomial less one copy of each distinct vertex
+    in it gives one entry, and every admissible product is found."""
     lower_index = {m: i for i, m in enumerate(lower)}
-    out = array("H", [_NO_COLUMN]) * (_WIDTH * len(lower))
+    out = array("H", [_NO_COLUMN]) * (stride * len(lower))
     for col, mono in enumerate(monomials):
         prev = None
         for pos, d in enumerate(mono):
             if d != prev:
-                out[_WIDTH * lower_index[mono[:pos] + mono[pos + 1 :]] + d] = col
+                out[stride * lower_index[mono[:pos] + mono[pos + 1 :]] + d] = col
                 prev = d
     return out
 
@@ -397,30 +398,30 @@ def _product_table(lower, monomials):
 # per-degree elimination
 
 
-def _row_stream(generators, monomials_lower, products):
+def _row_stream(generators, monomials_lower, products, stride):
     """Deterministic relation-row stream for one degree: multiplier monomials
     in reverse lexicographic order, generators in order; rows are
     {col: coeff} with their keys ascending.
 
-    Each multiplier's columns are one slice of the degree's product table.
-    Its admissible divisors are walked in ascending order, and each adds its
-    coefficient to the row of every generator that holds it; products that
-    are not admissible have no column and drop out.  Multiplying a monomial
-    by a larger divisor gives a lexicographically larger product, so each
-    row's keys come out ascending.  On the all-line-fiber config the
-    degree-4 stream of the 14 relations that build_quotient multiplies
-    (26,082 rows of mean length 2.75) takes a median 0.015-0.016 s,
-    against 0.040-0.041 s when each generator's row was read off the slice
-    entry by entry; degree 3 (6,580 rows) takes 0.004 s against 0.010 s.
-    Seven alternating runs each in one process, two sittings, 2 shared
-    cores, CPython 3.11.7."""
-    incidence = [[] for _ in range(_WIDTH)]
+    Each multiplier's columns are one stride-long slice of the degree's
+    product table.  Its admissible divisors are walked in ascending order, and
+    each adds its coefficient to the row of every generator that holds it;
+    products that are not admissible have no column and drop out.  Multiplying
+    a monomial by a larger divisor gives a lexicographically larger product,
+    so each row's keys come out ascending.  On the all-line-fiber config the
+    degree-4 stream of the 14 relations that build_quotient multiplies (26,082
+    rows of mean length 2.75) takes a median 0.015-0.016 s, against
+    0.040-0.041 s when each generator's row was read off the slice entry by
+    entry; degree 3 (6,580 rows) takes 0.004 s against 0.010 s.  Seven
+    alternating runs each in one process, two sittings, 2 shared cores,
+    CPython 3.11.7."""
+    incidence = [[] for _ in range(stride)]
     for j, g in enumerate(generators):
         for d, c in g.items():
             incidence[d].append((j, c))
     for i in reversed(range(len(monomials_lower))):
         rows = [{} for _ in generators]
-        for d, col in enumerate(products[_WIDTH * i : _WIDTH * (i + 1)]):
+        for d, col in enumerate(products[stride * i : stride * (i + 1)]):
             if col != _NO_COLUMN:
                 for j, c in incidence[d]:
                     rows[j][col] = c
@@ -434,8 +435,9 @@ class DegreeData:
     """One degree of a quotient as _degree builds it (in a pool worker for
     degrees 2-4): its admissible monomials, rank, invariant factors, the
     pivot rows of exactla.peel, basis columns and the product table from
-    the degree below.  Only index, rref, masks and functional are added
-    later, each read off these fields on first use."""
+    the degree below with its stride, the vertex count.  Only index, rref,
+    masks and functional are added later, each read off these fields on
+    first use."""
 
     monomials: tuple
     rank: int
@@ -445,6 +447,7 @@ class DegreeData:
     pivots: dict
     basis_cols: tuple
     products: array  # the degree's _product_table
+    stride: int  # entries per multiplier in products: the vertex count
     # the degree's own elimination, timed in the process that ran it (a pool
     # worker for degrees 2-4, whose times overlap), without the enumeration
     # of its monomials or the rref
@@ -472,10 +475,10 @@ class DegreeData:
         divisors whose product with it is admissible, as the set bits of an
         int: products read by row on first use, in the process that
         multiplies, so neither the build nor its pool workers pay for it."""
-        products, none = self.products, _NO_COLUMN
+        products, stride, none = self.products, self.stride, _NO_COLUMN
         return [
-            sum(1 << d for d, p in enumerate(products[i : i + _WIDTH]) if p != none)
-            for i in range(0, len(products), _WIDTH)
+            sum(1 << d for d, p in enumerate(products[i : i + stride]) if p != none)
+            for i in range(0, len(products), stride)
         ]
 
     @functools.cached_property
@@ -501,19 +504,22 @@ class DegreeData:
 
 
 class GradedQuotientTable:
-    """Per-degree quotient data for one resolution config, not changed after
-    the build except that each degree's masks are read on the first product,
-    its rref, which replaces its pivot rows, on the first normal form or
-    integral there, and degree 4's functional on the first integral: the
-    product tables that product reads come back from the build with their
-    degrees.  On the all-line-fiber config the tables take 411,580 bytes
-    together, 325,000 of them in degree 4, and the masks at most 131,316
-    bytes, counting each int as its own object; they are read off the
-    tables in 11-17 ms.  runtime_ms is the wall time of the whole build,
+    """The quotient of the polynomial ring on gens, a complex's vertices, by
+    the linear relations it was built from, per degree, as build_degrees
+    makes it; config is None for a Keel ring.  Not changed after the build
+    except that each degree's masks are read on the first product, its
+    rref, which replaces its pivot rows, on the first normal form or
+    integral there, and the top functional on the first integral.  The
+    all-line-fiber config's product tables take 411,580 bytes, 325,000 of
+    them in degree 4, M(0,7)'s 324,688, and the former's masks at most
+    131,316 bytes, counting each int as its own object, read off the
+    tables in 11-17 ms.  runtime_ms is the wall time of build_degrees,
     degrees run side by side included, and no rref."""
 
-    def __init__(self, config, degrees, runtime_ms):
+    def __init__(self, config, gens, relations, degrees, runtime_ms):
         self.config = config
+        self.gens = gens
+        self.relations = relations
         self.degrees = degrees
         self.runtime_ms = runtime_ms
 
@@ -539,12 +545,11 @@ class GradedQuotientTable:
         return all(d == 1 for dd in self.degrees for d in dd.torsion)
 
     def relation_row_stream(self, k):
-        """All degree-k relation rows from the sixty linear generators, as
-        {col: coeff} dicts."""
+        """All degree-k relation rows from every linear relation the table
+        was built from, as {col: coeff} dicts."""
+        dd = self.degrees[k]
         return _row_stream(
-            _linear_relation_vectors(),
-            self.degrees[k - 1].monomials,
-            self.degrees[k].products,
+            self.relations, self.degrees[k - 1].monomials, dd.products, dd.stride
         )
 
 
@@ -563,9 +568,9 @@ def _degree(generators, complex_, k):
     monomials = tuple(admissible_monomials(complex_, k))
     lower = admissible_monomials(complex_, k - 1) if k else ()
     t0 = time.monotonic()
-    ncols = len(monomials)
-    products = _product_table(lower, monomials)
-    rows = _row_stream(generators, lower, products)
+    ncols, stride = len(monomials), len(complex_.vertices)
+    products = _product_table(lower, monomials, stride)
+    rows = _row_stream(generators, lower, products, stride)
     pivots, ech = peel(rows, ncols, by_lead=k >= 3)
     return DegreeData(
         monomials=monomials,
@@ -574,6 +579,7 @@ def _degree(generators, complex_, k):
         pivots=pivots,
         basis_cols=tuple(c for c in range(ncols) if c not in pivots),
         products=products,
+        stride=stride,
         runtime_ms=int((time.monotonic() - t0) * 1000),
     )
 
@@ -615,11 +621,12 @@ def _pool_workers(jobs):
     return min(jobs, cpus)
 
 
-def build_degrees(complex_, relations, top, name):
-    """The DegreeData of degrees 0 through top of the quotient of the
-    polynomial ring on the vertices of complex_, whose non-faces are zero, by
-    the {vertex: coeff} linear relations, with rank and torsion certified
-    exactly over Z in every degree, or VerificationError naming the space.
+def build_degrees(complex_, relations, top, name, config):
+    """The GradedQuotientTable of config (None for a Keel ring), degrees 0
+    through top of the quotient of the polynomial ring on the vertices of
+    complex_, whose non-faces are zero, by the {vertex: coeff} linear
+    relations, with rank and torsion certified exactly over Z in every
+    degree, or VerificationError naming the space.
 
     Every degree is built by _degree.  The rows of degree 1 are the linear
     relations themselves.  Every higher degree multiplies only the opening
@@ -652,6 +659,7 @@ def build_degrees(complex_, relations, top, name):
     stream order, in which its echelon takes 64-75 ms against 258-454 ms
     by ascending lead (seven interleaved runs each, 2 shared cores,
     CPython 3.11.7).  Keel's rings take the same rule."""
+    t0 = time.monotonic()
     degrees = [_degree(relations, complex_, k) for k in (0, 1)]
     generators = _opening_relations(relations)
     check = IntEchelon()
@@ -682,7 +690,8 @@ def build_degrees(complex_, relations, top, name):
         raise VerificationError(
             "torsion appeared in degrees %r for %s" % (torsion, name)
         )
-    return degrees
+    ms = int((time.monotonic() - t0) * 1000)
+    return GradedQuotientTable(config, complex_.vertices, relations, degrees, ms)
 
 
 def build_quotient(cfg, mode="two-prime"):
@@ -708,14 +717,8 @@ def build_quotient(cfg, mode="two-prime"):
     the CLI's reports."""
     if mode not in ("exact", "two-prime"):
         raise ValueError("mode must be 'exact' or 'two-prime'")
-    t0 = time.monotonic()
-    degrees = build_degrees(
-        build_complex(cfg), _linear_relation_vectors(), MAX_DEGREE, cfg.name()
-    )
-    table = GradedQuotientTable(
-        config=cfg,
-        degrees=degrees,
-        runtime_ms=int((time.monotonic() - t0) * 1000),
+    table = build_degrees(
+        build_complex(cfg), _linear_relation_vectors(), MAX_DEGREE, cfg.name(), cfg
     )
     got, expected = table.ranks, _expected_profile(cfg)
     if got != expected:
@@ -765,8 +768,8 @@ def clear_denominators(coeffs):
 
 def _check_vertices(mono, degrees):
     """ValueError when the sorted, inadmissible mono names no vertex: the
-    vertices are the divisors 0 to len(degrees[1].index) - 1."""
-    if mono[-1] >= len(degrees[1].index):
+    vertices are 0 to stride - 1, the stride being the vertex count."""
+    if mono[-1] >= degrees[0].stride:
         raise ValueError("unknown generator index in %r" % (mono,))
 
 
@@ -809,7 +812,7 @@ def _times(running, live, factor, degrees, weights=None):
     takes a median 40.1 ms against 37.2 ms for the fused step (six
     alternating sittings, 2 shared cores, CPython 3.11.7)."""
     top = len(degrees) - 1
-    mask, linear, walks = 0, [0] * _WIDTH, []
+    mask, linear, walks = 0, [0] * degrees[0].stride, []
     for mono, c in factor.items():
         if mono not in degrees[len(mono)].index:
             _check_vertices(mono, degrees)
@@ -825,10 +828,10 @@ def _times(running, live, factor, degrees, weights=None):
         if mask:
             dd, acc = degrees[k + 1], sums[k + 1]
             w = weights if k + 1 == top else None
-            products, masks = dd.products, dd.masks
+            products, stride, masks = dd.products, dd.stride, dd.masks
             for col, v in terms.items():
                 hits = masks[col] & mask
-                base = _WIDTH * col
+                base = stride * col
                 while hits:
                     bit = hits & -hits
                     d = bit.bit_length() - 1
@@ -842,11 +845,11 @@ def _times(running, live, factor, degrees, weights=None):
             j, cols = k, terms.items()
             for d in mono:
                 j += 1
-                products = degrees[j].products
+                products, stride = degrees[j].products, degrees[j].stride
                 cols = [
                     (p, v)
                     for col, v in cols
-                    if (p := products[_WIDTH * col + d]) != _NO_COLUMN
+                    if (p := products[stride * col + d]) != _NO_COLUMN
                 ]
             if j == top and weights is not None:
                 total += c * sum(v * weights[p] for p, v in cols)

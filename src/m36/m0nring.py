@@ -1,6 +1,6 @@
-"""Keel's presentation of A*(M-bar_{0,n}) for n up to 7, built by
-chowring.build_degrees, the function that builds the tables of the
-six-lines space.
+"""Keel's presentation of A*(M-bar_{0,n}) for n up to 7: M0nRing builds it
+by chowring.build_degrees as a chowring.GradedQuotientTable, the class and
+the function of the six-lines tables.
 
 The moduli spaces of stable rational curves have completely understood
 intersection theory, so M0nRing is a known-answer test of that engine: its
@@ -90,31 +90,25 @@ def _keel_generators(gens, n):
     return out
 
 
-class M0nRing:
-    """Graded quotient data for A*(M-bar_{0,n}), degrees 0 through n-3, by
+def M0nRing(n):
+    """The GradedQuotientTable of A*(M-bar_{0,n}), degrees 0 through n-3, by
     chowring.build_degrees from the flag complex of compatible divisors and
-    Keel's linear relations; chowring's queries take it like a table, on
-    RingElements over gens.  VerificationError where build_degrees raises,
-    or unless every point of the top degree integrates to 1."""
-
-    def __init__(self, n):
-        if not 4 <= n <= 7:
-            raise ValueError("n must be between 4 and 7")
-        self.n = n
-        self.top = n - 3
-        self.gens = m0n_divisors(n)
-        self.gen_index = {g: i for i, g in enumerate(self.gens)}
-        self.degrees = chowring.build_degrees(
-            flag_complex(self.gens, m0n_compatible),
-            _keel_generators(self.gens, n),
-            self.top,
-            "M-bar_{0,%d}" % n,
-        )
-        self.degrees[self.top].functional  # certifies the points at build
-
-    @property
-    def ranks(self):
-        return tuple(dd.rank for dd in self.degrees)
+    Keel's linear relations, with no config; its gens are the divisors of
+    m0n_divisors(n), and chowring's queries take it on RingElements over
+    their indexes.  VerificationError where build_degrees raises, or unless
+    every point of the top degree integrates to 1."""
+    if not 4 <= n <= 7:
+        raise ValueError("n must be between 4 and 7")
+    gens = m0n_divisors(n)
+    ring = chowring.build_degrees(
+        flag_complex(gens, m0n_compatible),
+        _keel_generators(gens, n),
+        n - 3,
+        "M-bar_{0,%d}" % n,
+        config=None,
+    )
+    ring.degrees[-1].functional  # certifies the points at build
+    return ring
 
 
 def m0n_psi(i, ring, refs=None):
@@ -122,7 +116,7 @@ def m0n_psi(i, ring, refs=None):
     on one side and both reference marks on the other.  The class does not
     depend on the reference choice; the default takes the two smallest marks
     different from i."""
-    n = ring.n
+    n = ring.gens[0].n
     if not 1 <= i <= n:
         raise ValueError("mark out of range")
     if refs is None:

@@ -223,8 +223,8 @@ def crit_m0n_oracles():
 
     def psi_lines(i, j):
         rest = [m for m in range(1, 6) if m not in (i, j)]
-        a = ring5.gen_index[m0nring.m0n_divisor(5, {j, rest[0]})]
-        b = ring5.gen_index[m0nring.m0n_divisor(5, {rest[1], rest[2]})]
+        a = ring5.gens.index(m0nring.m0n_divisor(5, {j, rest[0]}))
+        b = ring5.gens.index(m0nring.m0n_divisor(5, {rest[1], rest[2]}))
         return chowring.RingElement({(a,): 1, (b,): 1})
 
     lines_ok = True

@@ -226,8 +226,8 @@ def keel_reference_degrees(ring):
     chowring._degree call each: no opening relations, no certificate of
     them and no pool."""
     complex_ = flag_complex(ring.gens, m0n_compatible)
-    keel = _keel_generators(ring.gens, ring.n)
-    return [chowring._degree(keel, complex_, k) for k in range(ring.top + 1)]
+    keel = _keel_generators(ring.gens, ring.gens[0].n)
+    return [chowring._degree(keel, complex_, k) for k in range(len(ring.degrees))]
 
 
 def free_ring_outcome(command, text, t, pt):

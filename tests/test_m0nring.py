@@ -36,13 +36,23 @@ from m36.m0nring import (
 )
 
 
+def marks(ring):
+    """The n of a Keel ring of M-bar_{0,n}, read off its divisors."""
+    return ring.gens[0].n
+
+
+def top_degree(ring):
+    """The top degree of a ring, n-3 for M-bar_{0,n}."""
+    return len(ring.degrees) - 1
+
+
 def chain_monomial(ring):
     """A nested chain of boundary divisors cutting out a point: the marks
     1,2 collide, then 1,2,3, and so on up to degree n-3."""
     return tuple(
         sorted(
-            ring.gen_index[m0n_divisor(ring.n, range(1, size + 1))]
-            for size in range(2, 2 + ring.top)
+            ring.gens.index(m0n_divisor(marks(ring), range(1, size + 1)))
+            for size in range(2, 2 + top_degree(ring))
         )
     )
 
@@ -110,6 +120,17 @@ class TestRanks:
         # the first Keel ring of degree 4, the top degree of the six-lines
         # space
         assert r7.ranks == (1, 42, 127, 42, 1)
+
+    def test_a_keel_ring_is_a_table(self, r4, r5, r6, r7):
+        # the class of the six-lines tables, with no config, Keel's
+        # relations and the divisors of M(0,n) as its generators
+        for n, ring in ((4, r4), (5, r5), (6, r6), (7, r7)):
+            assert type(ring) is chowring.GradedQuotientTable
+            assert ring.config is None
+            assert ring.gens == tuple(m0n_divisors(n))
+            assert ring.relations == _keel_generators(ring.gens, n)
+            assert ring.torsion_free
+            assert ring.torsion_certified_degrees == tuple(range(n - 2))
 
     def test_bad_n(self):
         with pytest.raises(ValueError, match="between 4 and 7"):
@@ -216,14 +237,14 @@ class TestKeelCertificate:
 
     def test_top_functional_is_integral(self, r4, r5, r6, r7):
         for ring in (r4, r5, r6, r7):
-            top = ring.degrees[ring.top]
+            top = ring.degrees[-1]
             # one value per column of the top degree, zero or not
             assert len(top.functional) == len(top.monomials)
             assert any(top.functional)
             assert all(type(v) is int for v in top.functional)
 
     def test_top_functional_refuses_bad_input(self, r6):
-        top = r6.degrees[r6.top]
+        top = r6.degrees[-1]
         chain = top.index[chain_monomial(r6)]
         with pytest.raises(VerificationError, match="corank 1"):
             top_functional(r6.degrees[2], {0: 1})
@@ -236,7 +257,7 @@ class TestKeelCertificate:
         # the functional is normalized on the first squarefree monomial and
         # checked on every other one; Keel's nested chain is one of them
         ring = M0nRing(n)
-        top = ring.degrees[ring.top]
+        top = ring.degrees[-1]
         squarefree = [m for m in top.monomials if len(set(m)) == len(m)]
         assert len(squarefree) == points
         assert chain_monomial(ring) in squarefree
@@ -244,9 +265,21 @@ class TestKeelCertificate:
         assert top.functional == chain
         assert all(chain[top.index[m]] == 1 for m in squarefree)
 
+    def test_every_top_relation_row_is_annihilated(self, r5, r6, r7):
+        # relation_row_stream takes Keel's relations, the ones the ring was
+        # built from, times every monomial one degree below the top
+        for ring, want in ((r5, 80), (r6, 2970), (r7, 119_980)):
+            k = top_degree(ring)
+            func = ring.degrees[k].functional
+            rows = nonzero = 0
+            for row in ring.relation_row_stream(k):
+                rows += 1
+                nonzero += sum(c * func[col] for col, c in row.items()) != 0
+            assert (rows, nonzero) == (want, 0), marks(ring)
+
     def test_a_point_off_one_fails_the_certificate(self, r5):
         with pytest.raises(VerificationError, match="do not integrate to 1"):
-            point_off_one(r5.degrees[r5.top]).functional
+            point_off_one(r5.degrees[-1]).functional
 
 
 class TestKeelRelations:
@@ -277,11 +310,11 @@ class TestPsi:
     def test_n4_psi_is_single_divisor(self, r4):
         # with references 2,3 the only admissible divisor is {1,4}|{2,3}
         psi1 = m0n_psi(1, r4)
-        assert psi1 == RingElement({(r4.gen_index[m0n_divisor(4, {2, 3})],): 1})
+        assert psi1 == RingElement({(r4.gens.index(m0n_divisor(4, {2, 3})),): 1})
 
     def test_reference_independence(self, r5, r6, r7):
         for ring in (r5, r6, r7):
-            n = ring.n
+            n = marks(ring)
             for i in range(1, n + 1):
                 others = [m for m in range(1, n + 1) if m != i]
                 base = None
@@ -301,7 +334,7 @@ class TestPsi:
     def test_all_psi_monomials_match_multinomial(self, r4, r5, r6, r7):
         counts = {}
         for ring in (r4, r5, r6, r7):
-            n = ring.n
+            n = marks(ring)
             for ks in compositions(n - 3, n):
                 elem = RingElement.one()
                 for i, k in enumerate(ks, start=1):
@@ -316,16 +349,17 @@ class TestPsi:
         # integrates to 1, 5, 61 and 1379 (Kaufmann, Manin and Zagier, Comm.
         # Math. Phys. 181, 1996)
         for ring, want in ((r4, 1), (r5, 5), (r6, 61), (r7, 1379)):
-            psis = [m0n_psi(i, ring) for i in range(1, ring.n + 1)]
+            psis = [m0n_psi(i, ring) for i in range(1, marks(ring) + 1)]
             boundary = RingElement({(g,): 1 for g in range(len(ring.gens))})
             kappa = sum(psis, RingElement.zero()) - boundary
-            assert integrate_product([kappa] * ring.top, ring) == want, ring.n
+            got = integrate_product([kappa] * top_degree(ring), ring)
+            assert got == want, marks(ring)
 
     def test_string_equation(self, r5, r6, r7):
         # forgetting the last mark: a top-degree integral upstairs, psi_n
         # absent, is the sum of the integrals with one exponent lowered
         for upper, lower in ((r6, r5), (r7, r6)):
-            for ks in compositions(upper.top, lower.n):
+            for ks in compositions(top_degree(upper), marks(lower)):
                 up = RingElement.one()
                 for i, k in enumerate(ks, start=1):
                     for _ in range(k):
@@ -342,7 +376,7 @@ class TestPsi:
                         for _ in range(kk):
                             down = product((down, m0n_psi(j, lower)), lower)
                     rhs += integrate(down, lower)
-                assert lhs == rhs, (upper.n, ks)
+                assert lhs == rhs, (marks(upper), ks)
 
 
 class TestIntegration:
@@ -397,17 +431,30 @@ class TestIntegration:
 
 class TestProductTables:
     """chowring.product reads the product tables chowring builds for every
-    degree: 65 slots per multiplier monomial, of which M(0,n) uses the
-    first len(gens)."""
+    degree: len(gens) slots per multiplier monomial, one per divisor of
+    M(0,n)."""
 
     def test_entry_by_entry(self, r5, r6, r7):
         for ring in (r5, r6, r7):
             assert len(ring.degrees[0].products) == 0
-            for k in range(1, ring.top + 1):
+            for k in range(1, top_degree(ring) + 1):
                 want = reference_product_table(
-                    ring.degrees[k - 1].monomials, ring.degrees[k].index, 65
+                    ring.degrees[k - 1].monomials,
+                    ring.degrees[k].index,
+                    len(ring.gens),
                 )
-                assert ring.degrees[k].products.tolist() == want, (ring.n, k)
+                assert ring.degrees[k].products.tolist() == want, (marks(ring), k)
+
+    def test_stride_is_the_divisor_count(self, r4, r5, r6, r7):
+        # M(0,7)'s tables take 56 slots per multiplier, not the 65 of the
+        # six-lines tables: 162,344 entries in all
+        for ring in (r4, r5, r6, r7):
+            for k, dd in enumerate(ring.degrees):
+                assert dd.stride == len(ring.gens), (marks(ring), k)
+                lower = ring.degrees[k - 1].monomials if k else ()
+                assert len(dd.products) == dd.stride * len(lower)
+        assert r7.degrees[1].stride == 56
+        assert sum(len(dd.products) for dd in r7.degrees) == 162_344
 
     def test_multiply_matches_pairwise_product(self, r6):
         # the product term pair by term pair, each monomial sorted and looked
@@ -426,8 +473,8 @@ class TestProductTables:
             return out
 
         for _ in range(200):
-            da = rng.randint(0, r6.top)
-            a, b = element(da), element(r6.top - da)
+            da = rng.randint(0, top_degree(r6))
+            a, b = element(da), element(top_degree(r6) - da)
             want = {}
             for ma, ca in a.items():
                 for mb, cb in b.items():
@@ -452,8 +499,8 @@ class TestLinesOracle:
             rest = [m for m in range(1, 6) if m not in (i, j)]
             k = rest[0]
             l, m = rest[1], rest[2]
-            a = r5.gen_index[m0n_divisor(5, {j, k})]
-            b = r5.gen_index[m0n_divisor(5, {l, m})]
+            a = r5.gens.index(m0n_divisor(5, {j, k}))
+            b = r5.gens.index(m0n_divisor(5, {l, m}))
             return RingElement({(a,): 1, (b,): 1})
 
         for i1, j1 in itertools.permutations(range(1, 6), 2):

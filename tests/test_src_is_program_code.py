@@ -52,8 +52,6 @@ ALLOWED = {
 # used.  Each names the line that reaches it; a new shared name fails
 # test_shared_names_are_accounted_for until its caller is checked and added.
 SHARED = {
-    "chowring.GradedQuotientTable.ranks": "chowring.build_quotient: table.ranks",
-    "m0nring.M0nRing.ranks": "verification.crit_m0n_oracles: ring.ranks",
     "exactla.IntEchelon.insert": "exactla.peel: ech.insert(row)",
     "exactla.ModpEchelon.insert": (
         "a shim method that only raises, with no caller in src/m36; "
@@ -80,7 +78,6 @@ SHARED_FIELDS = {
         "chowring.GradedQuotientTable.torsion_free: dd.torsion"
     ),
     "chowring.GradedQuotientTable.runtime_ms": "chowring.ranks_report: t.runtime_ms",
-    "m0nring.M0nRing.n": "m0nring.m0n_psi: n = ring.n",
     "verification.CriterionResult.runtime_ms": "cli: r.runtime_ms in the verify report",
 }
 
